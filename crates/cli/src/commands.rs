@@ -5,7 +5,7 @@ use crate::args::{ArgError, Args};
 use crate::select::scheduler_from;
 use experiments::{runner, Monitor, Scenario, SchedulerKind};
 use metrics::RunSummary;
-use platform::{CheckpointConfig, ExecEngine, RunResult, SamplerConfig};
+use platform::{CheckpointConfig, RunResult, SamplerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{
@@ -394,8 +394,9 @@ pub fn simulate(args: &Args) -> Result<String, CmdError> {
     let kind = scheduler_from(args)?;
     let rec = recorder_from(args)?;
     let ck = checkpoint_from(args)?;
-    let (monitor, mut server) = monitor_from(args)?;
-    if ck.is_some() && (rec.is_some() || sc.exec.audit || monitor.is_active() || server.is_some()) {
+    let (mut monitor, mut server) = monitor_from(args)?;
+    monitor.recorder = rec.clone();
+    if ck.is_some() && (sc.exec.audit || monitor.is_active() || server.is_some()) {
         return Err(CmdError::Other(
             "--checkpoint-every does not compose with --trace/--progress/--audit/--metrics-*/\
              --timeseries/--profile"
@@ -403,9 +404,7 @@ pub fn simulate(args: &Args) -> Result<String, CmdError> {
         ));
     }
     let shards = shards_from(args, &sc)?;
-    if shards.is_some()
-        && (rec.is_some() || ck.is_some() || monitor.is_active() || server.is_some())
-    {
+    if shards.is_some() && (ck.is_some() || monitor.is_active() || server.is_some()) {
         return Err(CmdError::Other(
             "--shards does not compose with --trace/--progress/--checkpoint-*/--metrics-*/\
              --timeseries/--profile (the sharded engine has no single global event loop to \
@@ -438,13 +437,7 @@ pub fn simulate(args: &Args) -> Result<String, CmdError> {
                 ));
                 run.result
             }
-            None if monitor.is_active() => {
-                runner::run_scenario_monitored(&sc, &kind, rec.as_ref(), &monitor)
-            }
-            None => match &rec {
-                Some(rec) => runner::run_scenario_traced(&sc, &kind, rec),
-                None => runner::run_scenario(&sc, &kind),
-            },
+            None => runner::run_scenario_monitored(&sc, &kind, &monitor),
         },
     };
     if let Some(s) = &mut server {
@@ -586,9 +579,12 @@ pub fn trace(args: &Args) -> Result<String, CmdError> {
             let mut sc = Scenario::new(seed, tasks.len(), 1.0);
             sc.platform.num_sites = sc.platform.num_sites.max(max_site + 1);
             let platform = sc.build_platform();
-            let engine = ExecEngine::new(sc.exec);
             let rec = recorder_from(args)?;
-            let r = run_trace(&engine, platform, tasks, &kind, rec.as_ref());
+            let monitor = Monitor {
+                recorder: rec.clone(),
+                ..Monitor::default()
+            };
+            let r = runner::run_tasks(platform, tasks, sc.exec, &kind, &monitor);
             let note = finish_recorder(rec.as_deref(), args);
             let mut out = summary_block(&r);
             if let Some(note) = note {
@@ -755,59 +751,6 @@ pub fn bench(args: &Args) -> Result<String, CmdError> {
             Ok(out)
         }
         _ => Err(CmdError::Other(usage.into())),
-    }
-}
-
-fn run_trace(
-    engine: &ExecEngine,
-    platform: platform::Platform,
-    tasks: Vec<Task>,
-    kind: &SchedulerKind,
-    rec: Option<&runner::SharedRecorder>,
-) -> RunResult {
-    use adaptive_rl::AdaptiveRl;
-    use baselines::{GreedyEdf, OnlineRl, PredictionBased, QPlusLearning, RoundRobin};
-    fn drive<S: platform::Scheduler>(
-        engine: &ExecEngine,
-        platform: platform::Platform,
-        tasks: Vec<Task>,
-        sched: &mut S,
-        rec: Option<&runner::SharedRecorder>,
-    ) -> RunResult {
-        match rec {
-            Some(r) => engine.run_traced(platform, tasks, sched, &**r),
-            None => engine.run(platform, tasks, sched),
-        }
-    }
-    let sites = platform.num_sites();
-    match kind.clone() {
-        SchedulerKind::Adaptive(cfg) => {
-            let mut s = AdaptiveRl::new(sites, cfg);
-            if let Some(r) = rec {
-                s = s.with_recorder(r.clone());
-            }
-            drive(engine, platform, tasks, &mut s, rec)
-        }
-        SchedulerKind::Online(cfg) => {
-            let mut s = OnlineRl::new(sites, cfg);
-            drive(engine, platform, tasks, &mut s, rec)
-        }
-        SchedulerKind::QPlus(cfg) => {
-            let mut s = QPlusLearning::new(sites, cfg);
-            drive(engine, platform, tasks, &mut s, rec)
-        }
-        SchedulerKind::Prediction(cfg) => {
-            let mut s = PredictionBased::new(sites, cfg);
-            drive(engine, platform, tasks, &mut s, rec)
-        }
-        SchedulerKind::RoundRobin => {
-            let mut s = RoundRobin::new(sites);
-            drive(engine, platform, tasks, &mut s, rec)
-        }
-        SchedulerKind::GreedyEdf => {
-            let mut s = GreedyEdf::new(sites);
-            drive(engine, platform, tasks, &mut s, rec)
-        }
     }
 }
 

@@ -71,9 +71,10 @@ fn install_signal_handlers() {
     }
 }
 
-/// Upper bound on a client's unflushed notification backlog; a client
-/// that stops reading past this point is disconnected rather than
-/// growing the buffer without bound.
+/// Upper bound on a client's unflushed notification backlog, and on one
+/// pending (not yet newline-terminated) request line. A client past
+/// either bound is disconnected rather than growing a buffer without
+/// bound.
 const MAX_CLIENT_BACKLOG: usize = 1 << 20;
 
 /// Idle-backoff floor: the first park after an active pass.
@@ -185,7 +186,9 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
             // A daemon has no natural end of workload; don't let the
             // batch horizon stop it.
             sc.exec.max_time = 1.0e15;
-            let kind = seeded_kind(scheduler_from(args)?, seed);
+            // The experiment harness's per-seed policy-RNG mask, so a
+            // served scheduler matches a batch run with the same seed.
+            let kind = scheduler_from(args)?.with_seed(seed);
             (kind, Some(sc))
         }
     };
@@ -265,20 +268,6 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
     }
 }
 
-/// Applies the same per-seed policy-RNG mask the experiment harness
-/// uses, so a served scheduler matches a batch run with the same seed.
-fn seeded_kind(kind: SchedulerKind, seed: u64) -> SchedulerKind {
-    let mut kind = kind;
-    match &mut kind {
-        SchedulerKind::Adaptive(c) => c.seed = seed ^ 0xA11,
-        SchedulerKind::Online(c) => c.seed = seed ^ 0x011,
-        SchedulerKind::QPlus(c) => c.seed = seed ^ 0x901,
-        SchedulerKind::Prediction(c) => c.seed = seed ^ 0x9E1,
-        SchedulerKind::RoundRobin | SchedulerKind::GreedyEdf => {}
-    }
-    kind
-}
-
 /// The serve loop, generic over the concrete scheduler.
 fn run_daemon<S: Scheduler>(
     mut session: ScheduleSession<'_, S>,
@@ -353,6 +342,11 @@ fn run_daemon<S: Scheduler>(
                     Ok(n) => {
                         active = true;
                         client.inbuf.extend_from_slice(&read_chunk[..n]);
+                        if client.inbuf.len() > MAX_CLIENT_BACKLOG {
+                            // Admit the complete lines first; the rest
+                            // is read on a later pass.
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -372,6 +366,20 @@ fn run_daemon<S: Scheduler>(
                 opts.ingest.lines.inc(0);
                 let reply = handle_line(line, &mut session, slot, &mut owners, &opts.ingest);
                 push_notification(client, &reply, &opts.ingest);
+            }
+            if client.inbuf.len() > MAX_CLIENT_BACKLOG {
+                // Over a MiB without a newline: refuse it like any other
+                // malformed line, then drop the connection.
+                opts.ingest.parse_errors.inc(0);
+                opts.ingest.rejections.inc(0);
+                let reason = format!("request line exceeds {MAX_CLIENT_BACKLOG} bytes");
+                push_notification(
+                    client,
+                    &Notification::Reject { id: 0, reason },
+                    &opts.ingest,
+                );
+                flush_client(client);
+                client.close();
             }
         }
 

@@ -196,6 +196,10 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
         metric_value(&metrics, "arls_events_total").unwrap_or(0.0) > 0.0,
         "platform family is served from the same registry"
     );
+    assert!(
+        metric_value(&metrics, "arls_decision_latency_seconds_count").unwrap_or(0.0) > 0.0,
+        "the daemon times its scheduler's decisions: {metrics}"
+    );
 
     // SIGTERM → final checkpoint on the way out.
     sigterm(&daemon);
@@ -228,5 +232,64 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
     let payload2 = std::fs::read(latest_snapshot(&ckpt2)).expect("resumed snapshot bytes");
     assert_eq!(payload, payload2, "resume must restore bit-exact state");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bound on one pending request line (the daemon's `MAX_CLIENT_BACKLOG`).
+const MAX_LINE: usize = 1 << 20;
+
+#[test]
+fn serve_rejects_and_drops_an_unterminated_oversized_line() {
+    let dir = scratch_dir("oversized");
+    let port_file = dir.join("ports.txt");
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--pace",
+        "200",
+    ]);
+    let (ingest_addr, _) = wait_for_ports(&port_file, &mut daemon);
+
+    // One byte over the bound, never terminated: the daemon consumes all
+    // of it, answers with a reject, and closes the connection.
+    let mut hog = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    hog.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    hog.set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    hog.write_all(&vec![b'x'; MAX_LINE + 1])
+        .expect("write oversized line");
+    let mut reply = String::new();
+    hog.read_to_string(&mut reply)
+        .expect("read until the daemon closes");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "one reply, then EOF: {reply:?}");
+    assert!(
+        lines[0].contains("\"reject\"") && lines[0].contains("\"id\":0"),
+        "{reply}"
+    );
+
+    // The daemon keeps serving everyone else.
+    let other = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    other
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = other.try_clone().expect("clone stream");
+    writer
+        .write_all(
+            b"{\"submit\":{\"id\":1,\"tasks\":[{\"size_mi\":1500,\"deadline\":120,\
+              \"priority\":\"high\",\"site\":0}]}}\n",
+        )
+        .expect("write submission");
+    let mut line = String::new();
+    BufReader::new(other)
+        .read_line(&mut line)
+        .expect("read ack");
+    assert!(line.contains("\"ack\""), "{line}");
+
+    sigterm(&daemon);
+    let out = wait_exit(daemon);
+    assert!(out.contains("1 rejected"), "stdout: {out}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,8 +10,8 @@ use crate::memory::{Experience, SharedLearningMemory};
 use crate::state::{SiteObsCache, SiteObservation};
 use crate::value::ValueEstimator;
 use platform::{
-    AssignmentFeedback, Command, GroupFeedback, LiveMetrics, NodeAddr, PlatformView, ProcAddr,
-    Scheduler, SyncRecord,
+    AssignmentFeedback, Command, GroupFeedback, NodeAddr, PlatformView, ProcAddr, Scheduler,
+    SyncRecord,
 };
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
@@ -117,9 +117,6 @@ pub struct AdaptiveRl {
     /// fell through to ε-greedy (tracked only while tracing).
     mem_hits: u64,
     mem_misses: u64,
-    /// Live metric handles (decision-latency histogram, ε gauge);
-    /// `None` keeps the hot path a single predictable branch.
-    mon: Option<Arc<LiveMetrics>>,
     /// Phase profiler for `--profile` runs; `None` skips every clock
     /// read around observation build / scoring / training.
     prof: Option<Arc<PhaseProfiler>>,
@@ -173,7 +170,6 @@ impl AdaptiveRl {
             t_cyc: false,
             mem_hits: 0,
             mem_misses: 0,
-            mon: None,
             prof: None,
             site_offset: 0,
             shard_mode: false,
@@ -216,22 +212,13 @@ impl AdaptiveRl {
     }
 
     /// Attaches a telemetry recorder: per-decision events (chosen node,
-    /// policy, `pw`, ε, shared-memory hit/miss), a decision-latency
-    /// histogram, and per-learning-cycle summaries (value-net training
-    /// error, exploration rate).
+    /// policy, `pw`, ε, shared-memory hit/miss) and per-learning-cycle
+    /// summaries (value-net training error, exploration rate). Decision
+    /// latency is timed by the execution engine, for every policy.
     pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
         self.t_dec = rec.wants(TraceLevel::Decisions);
         self.t_cyc = rec.wants(TraceLevel::Cycles);
         self.rec = rec;
-        self
-    }
-
-    /// Attaches live metric handles: every dispatch round that produced
-    /// commands observes its wall-clock latency into
-    /// `arls_decision_latency_seconds`, and every learning cycle updates
-    /// the `arls_epsilon` gauge. Strictly observing.
-    pub fn with_metrics(mut self, mon: Arc<LiveMetrics>) -> Self {
-        self.mon = Some(mon);
         self
     }
 
@@ -411,13 +398,6 @@ impl Scheduler for AdaptiveRl {
     }
 
     fn dispatch(&mut self, now: SimTime, view: &PlatformView<'_>) -> Vec<Command> {
-        // Wall-clock only ticks while tracing or monitoring; the plain
-        // path never touches `Instant`.
-        let t0 = if self.t_dec || self.mon.is_some() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         let mut cmds = Vec::new();
         let mut used = std::mem::take(&mut self.used_scratch);
         let mut node_pool = std::mem::take(&mut self.node_scratch);
@@ -575,18 +555,6 @@ impl Scheduler for AdaptiveRl {
         self.node_scratch = node_pool;
         self.pending_scratch = decisions;
         self.batch_cands = batch_cands;
-        if let Some(t0) = t0 {
-            // Only rounds that produced commands count as decisions.
-            if !cmds.is_empty() {
-                let secs = t0.elapsed().as_secs_f64();
-                if self.t_dec {
-                    self.rec.histogram("decision_latency_us", secs * 1e6);
-                }
-                if let Some(m) = &self.mon {
-                    m.decision_latency.observe(m.shard, secs);
-                }
-            }
-        }
         cmds
     }
 
@@ -643,9 +611,6 @@ impl Scheduler for AdaptiveRl {
     fn on_group_complete(&mut self, now: SimTime, fb: &GroupFeedback) {
         self.cycles += 1;
         self.epsilon = (self.epsilon * self.cfg.epsilon_decay).max(self.cfg.epsilon_floor);
-        if let Some(m) = &self.mon {
-            m.epsilon.set(self.epsilon);
-        }
         let Some(sample) = self.in_flight.remove(&fb.group.0) else {
             return;
         };

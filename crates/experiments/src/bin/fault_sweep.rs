@@ -112,7 +112,7 @@ fn main() {
         sc.exec.faults = spec_for(node_mtbf);
         sc.exec.audit = audit;
         for (name, kind) in &schedulers {
-            let r = runner::run_scenario_monitored(&sc, kind, None, &monitor);
+            let r = runner::run_scenario_monitored(&sc, kind, &monitor);
             assert_eq!(
                 r.incomplete, 0,
                 "{name} lost tasks at intensity {label}: every task must \

@@ -22,11 +22,11 @@
 //! ```
 
 use simcore::rng::RngStream;
+use simcore::stats::quantile;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use telemetry::quantile;
 use workload::submit::{Notification, Submission, SubmitTask};
 use workload::{Priority, SiteId};
 

@@ -6,19 +6,25 @@ use baselines::{
     GreedyEdf, OnlineRl, OnlineRlConfig, PredictionBased, PredictionConfig, QPlusConfig,
     QPlusLearning, RoundRobin,
 };
-use platform::{ExecEngine, LiveMetrics, RunResult, SamplerConfig, Scheduler};
+use platform::{ExecConfig, ExecEngine, LiveMetrics, Platform, RunResult, SamplerConfig};
 use std::sync::Arc;
 use telemetry::{MetricsRegistry, PhaseProfiler, Recorder};
+use workload::Task;
 
 /// A recorder shared across runs (and replication threads).
 pub type SharedRecorder = Arc<dyn Recorder>;
 
-/// Observability attachments for one run — live metrics registry,
-/// time-series sampler cadence and phase profiler. Everything here is
-/// strictly observing: a run with a `Monitor` attached is bit-identical
-/// (under [`platform::replay_divergence`]) to the same run without one.
-#[derive(Debug, Default, Clone)]
+/// Observability attachments for one run — telemetry recorder, live
+/// metrics registry, time-series sampler cadence and phase profiler.
+/// Everything here is strictly observing: a run with a `Monitor`
+/// attached is bit-identical (under [`platform::replay_divergence`]) to
+/// the same run without one.
+#[derive(Default, Clone)]
 pub struct Monitor {
+    /// Telemetry recorder for the engine's trace and, for the Adaptive-RL
+    /// policy, its decision and learning-cycle records. The caller owns
+    /// sink finalisation (`rec.finish()`).
+    pub recorder: Option<SharedRecorder>,
     /// Registry the run's `arls_*` metric family is registered into
     /// (shared with a [`telemetry::MetricsServer`] for live scraping).
     pub registry: Option<Arc<MetricsRegistry>>,
@@ -35,7 +41,28 @@ pub struct Monitor {
 impl Monitor {
     /// Whether any attachment is configured.
     pub fn is_active(&self) -> bool {
-        self.registry.is_some() || self.sampler.is_some() || self.profiler.is_some()
+        self.recorder.is_some()
+            || self.registry.is_some()
+            || self.sampler.is_some()
+            || self.profiler.is_some()
+    }
+
+    /// Attaches everything configured here to `engine`, registering the
+    /// live metric family for a platform of `sites` sites.
+    fn attach(&self, mut engine: ExecEngine, sites: usize) -> ExecEngine {
+        if let Some(rec) = &self.recorder {
+            engine = engine.with_recorder(rec.clone());
+        }
+        if let Some(reg) = &self.registry {
+            engine = engine.with_monitor(LiveMetrics::register(reg, sites, self.shard));
+        }
+        if let Some(s) = self.sampler {
+            engine = engine.with_sampler(s);
+        }
+        if let Some(p) = &self.profiler {
+            engine = engine.with_profiler(p.clone());
+        }
+        engine
     }
 }
 
@@ -93,7 +120,7 @@ impl SchedulerKind {
 
     /// Re-seeds the policy's own RNG from a run seed so replications
     /// differ, deterministically.
-    pub(crate) fn with_seed(&self, seed: u64) -> SchedulerKind {
+    pub fn with_seed(&self, seed: u64) -> SchedulerKind {
         let mut kind = self.clone();
         match &mut kind {
             SchedulerKind::Adaptive(c) => c.seed = seed ^ 0xA11,
@@ -108,108 +135,54 @@ impl SchedulerKind {
 
 /// Runs one scenario under one policy.
 pub fn run_scenario(scenario: &Scenario, kind: &SchedulerKind) -> RunResult {
-    run_scenario_with(scenario, kind, None, None)
+    run_scenario_monitored(scenario, kind, &Monitor::default())
 }
 
-/// [`run_scenario`] with a telemetry recorder attached to both the
-/// execution engine and (for the Adaptive-RL policy) the scheduler's
-/// decision/learning-cycle instrumentation. The caller owns sink
-/// finalisation (`rec.finish()`).
-pub fn run_scenario_traced(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    rec: &SharedRecorder,
-) -> RunResult {
-    run_scenario_with(scenario, kind, Some(rec), None)
-}
-
-/// [`run_scenario`] with observability attachments (and optionally a
-/// recorder too): live metrics registered into `monitor.registry`, the
-/// time-series sampler, and the phase profiler. For the Adaptive-RL
-/// policy the decision-latency histogram and ε gauge are wired into the
-/// scheduler as well.
+/// [`run_scenario`] with observability attachments: a telemetry
+/// recorder, live metrics registered into `monitor.registry`, the
+/// time-series sampler, and the phase profiler.
 pub fn run_scenario_monitored(
     scenario: &Scenario,
     kind: &SchedulerKind,
-    rec: Option<&SharedRecorder>,
     monitor: &Monitor,
 ) -> RunResult {
-    run_scenario_with(scenario, kind, rec, Some(monitor))
-}
-
-fn drive<S: Scheduler>(
-    engine: &ExecEngine,
-    platform: platform::Platform,
-    tasks: Vec<workload::Task>,
-    sched: &mut S,
-    rec: Option<&SharedRecorder>,
-) -> RunResult {
-    match rec {
-        Some(r) => engine.run_traced(platform, tasks, sched, &**r),
-        None => engine.run(platform, tasks, sched),
-    }
-}
-
-fn run_scenario_with(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    rec: Option<&SharedRecorder>,
-    monitor: Option<&Monitor>,
-) -> RunResult {
     let (platform, tasks) = scenario.build();
-    let sites = platform.num_sites();
-    let mut engine = ExecEngine::new(scenario.exec);
-    let handles = monitor.and_then(|m| {
-        m.registry
-            .as_ref()
-            .map(|reg| LiveMetrics::register(reg, sites, m.shard))
-    });
-    if let Some(h) = &handles {
-        engine = engine.with_monitor(h.clone());
-    }
-    if let Some(m) = monitor {
-        if let Some(s) = m.sampler {
-            engine = engine.with_sampler(s);
-        }
-        if let Some(p) = &m.profiler {
-            engine = engine.with_profiler(p.clone());
-        }
-    }
     let seeded = kind.with_seed(scenario.seed);
-    match seeded {
+    run_tasks(platform, tasks, scenario.exec, &seeded, monitor)
+}
+
+/// Runs `kind` exactly as configured (no seed mask) over an explicit
+/// platform and task stream — a replayed trace, for instance — with the
+/// `monitor` attachments.
+pub fn run_tasks(
+    platform: Platform,
+    tasks: Vec<Task>,
+    exec: ExecConfig,
+    kind: &SchedulerKind,
+    monitor: &Monitor,
+) -> RunResult {
+    let sites = platform.num_sites();
+    let engine = monitor.attach(ExecEngine::new(exec), sites);
+    match *kind {
         SchedulerKind::Adaptive(cfg) => {
             let mut s = AdaptiveRl::new(sites, cfg);
-            if let Some(r) = rec {
+            if let Some(r) = &monitor.recorder {
                 s = s.with_recorder(r.clone());
             }
-            if let Some(h) = &handles {
-                s = s.with_metrics(h.clone());
+            if let Some(p) = &monitor.profiler {
+                s = s.with_profiler(p.clone());
             }
-            if let Some(p) = monitor.and_then(|m| m.profiler.clone()) {
-                s = s.with_profiler(p);
-            }
-            drive(&engine, platform, tasks, &mut s, rec)
+            engine.run(platform, tasks, &mut s)
         }
-        SchedulerKind::Online(cfg) => {
-            let mut s = OnlineRl::new(sites, cfg);
-            drive(&engine, platform, tasks, &mut s, rec)
-        }
+        SchedulerKind::Online(cfg) => engine.run(platform, tasks, &mut OnlineRl::new(sites, cfg)),
         SchedulerKind::QPlus(cfg) => {
-            let mut s = QPlusLearning::new(sites, cfg);
-            drive(&engine, platform, tasks, &mut s, rec)
+            engine.run(platform, tasks, &mut QPlusLearning::new(sites, cfg))
         }
         SchedulerKind::Prediction(cfg) => {
-            let mut s = PredictionBased::new(sites, cfg);
-            drive(&engine, platform, tasks, &mut s, rec)
+            engine.run(platform, tasks, &mut PredictionBased::new(sites, cfg))
         }
-        SchedulerKind::RoundRobin => {
-            let mut s = RoundRobin::new(sites);
-            drive(&engine, platform, tasks, &mut s, rec)
-        }
-        SchedulerKind::GreedyEdf => {
-            let mut s = GreedyEdf::new(sites);
-            drive(&engine, platform, tasks, &mut s, rec)
-        }
+        SchedulerKind::RoundRobin => engine.run(platform, tasks, &mut RoundRobin::new(sites)),
+        SchedulerKind::GreedyEdf => engine.run(platform, tasks, &mut GreedyEdf::new(sites)),
     }
 }
 
@@ -288,45 +261,6 @@ fn shard_site_seed(seed: u64, g: usize) -> u64 {
 /// replication order, so aggregation stays deterministic regardless of
 /// scheduling.
 pub fn run_replicated(scenario: &Scenario, kind: &SchedulerKind, reps: u32) -> Vec<RunResult> {
-    run_replicated_with(scenario, kind, reps, None, None)
-}
-
-/// [`run_replicated`] with one shared recorder across all replication
-/// threads. The sinks serialise concurrent emissions internally (whole
-/// lines / whole records under a mutex), so a shared JSONL sink stays
-/// line-atomic. Use the `rep` field-free sim-time to tell replications
-/// apart, or trace one replication at a time for untangled spans.
-pub fn run_replicated_traced(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    reps: u32,
-    rec: &SharedRecorder,
-) -> Vec<RunResult> {
-    run_replicated_with(scenario, kind, reps, Some(rec), None)
-}
-
-/// [`run_replicated`] with observability attachments shared across
-/// replication threads. Each replication writes its own counter stripe
-/// (`rep % registry.shards()`), so size the registry's shard count to
-/// the replication count (or the worker-thread count) to keep stripes
-/// contention-free; totals aggregate across stripes at exposition.
-pub fn run_replicated_monitored(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    reps: u32,
-    rec: Option<&SharedRecorder>,
-    monitor: &Monitor,
-) -> Vec<RunResult> {
-    run_replicated_with(scenario, kind, reps, rec, Some(monitor))
-}
-
-fn run_replicated_with(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    reps: u32,
-    rec: Option<&SharedRecorder>,
-    monitor: Option<&Monitor>,
-) -> Vec<RunResult> {
     assert!(reps > 0, "need at least one replication");
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -344,23 +278,11 @@ fn run_replicated_with(
     crossbeam::thread::scope(|scope| {
         for bucket in buckets {
             let kind = kind.clone();
-            let rec = rec.cloned();
-            let monitor = monitor.cloned();
             scope.spawn(move |_| {
                 for (i, slot) in bucket {
                     let mut sc = scenario.clone();
                     sc.seed = scenario.seed.wrapping_add(i as u64);
-                    *slot = Some(match &monitor {
-                        Some(m) => {
-                            // Each replication writes its own stripe.
-                            let mut m = m.clone();
-                            if let Some(reg) = &m.registry {
-                                m.shard = i % reg.shards();
-                            }
-                            run_scenario_with(&sc, &kind, rec.as_ref(), Some(&m))
-                        }
-                        None => run_scenario_with(&sc, &kind, rec.as_ref(), None),
-                    });
+                    *slot = Some(run_scenario(&sc, &kind));
                 }
             });
         }

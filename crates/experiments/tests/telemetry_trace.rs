@@ -1,9 +1,10 @@
 //! End-to-end telemetry tests: exporter well-formedness, line atomicity
-//! under the replicated runner, and the no-perturbation guarantee.
+//! under concurrent runs sharing one sink, and the no-perturbation
+//! guarantee.
 
 use adaptive_rl::AdaptiveRlConfig;
-use experiments::{runner, Scenario, SchedulerKind};
-use platform::FaultSpec;
+use experiments::{runner, Monitor, Scenario, SchedulerKind};
+use platform::{FaultSpec, RunResult};
 use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{json, ChromeTraceSink, JsonlSink, TraceLevel};
@@ -36,6 +37,15 @@ fn adaptive() -> SchedulerKind {
     SchedulerKind::Adaptive(AdaptiveRlConfig::default())
 }
 
+/// One run traced into `rec`.
+fn traced(sc: &Scenario, kind: &SchedulerKind, rec: &runner::SharedRecorder) -> RunResult {
+    let monitor = Monitor {
+        recorder: Some(rec.clone()),
+        ..Monitor::default()
+    };
+    runner::run_scenario_monitored(sc, kind, &monitor)
+}
+
 fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("arl_telemetry_{name}_{}.json", std::process::id()))
 }
@@ -45,7 +55,7 @@ fn chrome_trace_is_wellformed_and_spans_pair_up() {
     let path = temp_path("chrome");
     let rec: runner::SharedRecorder =
         Arc::new(ChromeTraceSink::create(&path, TraceLevel::Decisions).expect("create sink"));
-    let r = runner::run_scenario_traced(&faulty_scenario(), &adaptive(), &rec);
+    let r = traced(&faulty_scenario(), &adaptive(), &rec);
     rec.finish();
     assert!(r.faults_injected > 0, "scenario must exercise faults");
 
@@ -103,8 +113,15 @@ fn jsonl_lines_stay_atomic_under_replication() {
     let path = temp_path("jsonl_replicated");
     let rec: runner::SharedRecorder =
         Arc::new(JsonlSink::create(&path, TraceLevel::Decisions).expect("create sink"));
-    let sc = Scenario::small(7, 60, 0.5);
-    let runs = runner::run_replicated_traced(&sc, &adaptive(), 4, &rec);
+    let runs: Vec<RunResult> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4u64)
+            .map(|i| {
+                let rec = &rec;
+                scope.spawn(move || traced(&Scenario::small(7 + i, 60, 0.5), &adaptive(), rec))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
     rec.finish();
     assert_eq!(runs.len(), 4);
 
@@ -128,7 +145,7 @@ fn tracing_does_not_perturb_the_simulation() {
     let path = temp_path("perturb");
     let rec: runner::SharedRecorder =
         Arc::new(JsonlSink::create(&path, TraceLevel::All).expect("create sink"));
-    let traced = runner::run_scenario_traced(&sc, &kind, &rec);
+    let traced = traced(&sc, &kind, &rec);
     rec.finish();
     std::fs::remove_file(&path).ok();
 
@@ -144,7 +161,7 @@ fn run_summary_carries_counters_and_histograms() {
     let path = temp_path("summary");
     let rec: runner::SharedRecorder =
         Arc::new(JsonlSink::create(&path, TraceLevel::Decisions).expect("create sink"));
-    let r = runner::run_scenario_traced(&faulty_scenario(), &adaptive(), &rec);
+    let r = traced(&faulty_scenario(), &adaptive(), &rec);
     rec.finish();
     std::fs::remove_file(&path).ok();
 

@@ -36,11 +36,12 @@ use crate::processor::{ProcState, Processor};
 use crate::queue::QueuedGroup;
 use crate::scheduler::Scheduler;
 use crate::topology::{Platform, PlatformSpec, Site};
-use simcore::engine::Engine;
+use simcore::engine::{Engine, EngineHandle, Simulation};
 use simcore::event::{EventQueue, ScheduledEvent};
 use simcore::time::SimTime;
 use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
 use std::path::PathBuf;
+use telemetry::{Phase, PhaseProfiler};
 use workload::{Priority, SiteId, Task, TaskId};
 
 /// Periodic-checkpoint configuration for
@@ -113,6 +114,59 @@ pub struct CheckpointedRun {
     pub write_error: Option<SnapshotError>,
 }
 
+/// The batch checkpoint writer: the driver with a snapshot written from
+/// the engine's after-event hook every `ck.every` processed events.
+struct Checkpointing<'d, 's, S: Scheduler> {
+    driver: Driver<'s, S>,
+    ck: &'d CheckpointConfig,
+    fuse: u64,
+    prof: Option<&'d PhaseProfiler>,
+    written: u64,
+    write_error: Option<SnapshotError>,
+}
+
+impl<S: Scheduler> Simulation for Checkpointing<'_, '_, S> {
+    type Event = Ev;
+
+    fn on_event(&mut self, now: SimTime, event: Ev, handle: &mut EngineHandle<'_, Ev>) -> bool {
+        self.driver.on_event(now, event, handle)
+    }
+
+    fn after_event(&mut self, now: SimTime, processed: u64, pending: &EventQueue<Ev>) {
+        if self.write_error.is_some() || processed % self.ck.every.max(1) != 0 {
+            return;
+        }
+        // Profile serialize + atomic write as one checkpoint sample; the
+        // clock is only read when a profiler is attached.
+        let start = self.prof.map(|_| std::time::Instant::now());
+        let ck = self.ck;
+        let payload = encode_checkpoint(
+            &mut self.driver,
+            now,
+            processed,
+            self.fuse,
+            pending,
+            &ck.meta,
+        );
+        let path = ck.dir.join(format!("{}-{processed:012}.snap", ck.prefix));
+        let wrote = snapshot::write_atomic(&path, &payload);
+        if let (Some(p), Some(start)) = (self.prof, start) {
+            p.record_duration(Phase::CheckpointWrite, start.elapsed());
+        }
+        match wrote {
+            Ok(()) => {
+                self.written += 1;
+                if ck.crash_after == Some(self.written) {
+                    // Crash-recovery harness: die hard, mid-run, with no
+                    // unwinding — exactly like a kill -9.
+                    std::process::abort();
+                }
+            }
+            Err(e) => self.write_error = Some(e),
+        }
+    }
+}
+
 impl ExecEngine {
     /// [`ExecEngine::run`] with periodic checkpointing.
     ///
@@ -128,47 +182,22 @@ impl ExecEngine {
         sched: &mut S,
         ck: &CheckpointConfig,
     ) -> CheckpointedRun {
-        let (mut driver, mut engine) = self.prepare(platform, tasks, sched, &telemetry::NULL);
-        let mut written = 0u64;
-        let mut write_error: Option<SnapshotError> = None;
-        if let Err(e) = std::fs::create_dir_all(&ck.dir) {
-            write_error = Some(SnapshotError::Io(e));
-        }
-        let every = ck.every.max(1);
-        let fuse = engine.fuse();
-        let prof = self.profiler();
-        let outcome = engine.run_hooked(&mut driver, |now, processed, queue, drv| {
-            if write_error.is_some() || processed % every != 0 {
-                return;
-            }
-            // Profile serialize + atomic write as one checkpoint sample;
-            // the clock is only read when a profiler is attached.
-            let ck_start = prof.map(|_| std::time::Instant::now());
-            let payload = encode_checkpoint(drv, now, processed, fuse, queue, &ck.meta);
-            let path = ck.dir.join(format!("{}-{processed:012}.snap", ck.prefix));
-            let wrote = snapshot::write_atomic(&path, &payload);
-            if let (Some(p), Some(start)) = (prof, ck_start) {
-                p.record_duration(telemetry::Phase::CheckpointWrite, start.elapsed());
-            }
-            match wrote {
-                Ok(()) => {
-                    written += 1;
-                    if ck.crash_after == Some(written) {
-                        // Crash-recovery harness: die hard, mid-run, with
-                        // no unwinding — exactly like a kill -9.
-                        std::process::abort();
-                    }
-                }
-                Err(e) => write_error = Some(e),
-            }
-        });
-        let events_processed = engine.processed();
-        let max_queue_occupancy = engine.queue().max_occupancy();
-        let result = assemble_result(driver, outcome, events_processed, max_queue_occupancy);
+        let (driver, mut engine) = self.prepare(platform, tasks, sched);
+        let mut sim = Checkpointing {
+            driver,
+            ck,
+            fuse: engine.fuse(),
+            prof: self.profiler(),
+            written: 0,
+            write_error: std::fs::create_dir_all(&ck.dir)
+                .err()
+                .map(SnapshotError::Io),
+        };
+        let outcome = engine.run(&mut sim);
         CheckpointedRun {
-            result,
-            checkpoints_written: written,
-            write_error,
+            result: assemble_result(sim.driver, &engine, outcome, None),
+            checkpoints_written: sim.written,
+            write_error: sim.write_error,
         }
     }
 }
@@ -209,14 +238,7 @@ pub fn resume_from_reader<S: Scheduler>(
 ) -> Result<RunResult, SnapshotError> {
     let (mut driver, mut engine) = restore_from_reader(r, sched)?;
     let outcome = engine.run(&mut driver);
-    let events_processed = engine.processed();
-    let max_queue_occupancy = engine.queue().max_occupancy();
-    Ok(assemble_result(
-        driver,
-        outcome,
-        events_processed,
-        max_queue_occupancy,
-    ))
+    Ok(assemble_result(driver, &engine, outcome, None))
 }
 
 /// Decodes a snapshot into a paused `(Driver, Engine)` pair without
@@ -292,7 +314,7 @@ pub(crate) fn restore_from_reader<'s, S: Scheduler>(
         plan.push(read_planned_fault(r, &platform)?);
     }
 
-    let (proc_base, node_track, flat) = proc_layout(&platform);
+    let (proc_base, flat) = proc_layout(&platform);
     let n_epochs = r.len_hint()?;
     if n_epochs != flat {
         return Err(corrupt(format!(
@@ -426,21 +448,11 @@ pub(crate) fn restore_from_reader<'s, S: Scheduler>(
         groups_aborted,
         touched_scratch: Vec::new(),
         ev_scratch: Vec::new(),
-        // Resumed runs are untraced, unaudited and unmonitored: neither
-        // recorder output nor the oracle nor the diagnostics-only
-        // monitor/sampler state is part of the replay-divergence
-        // contract, and none of it is checkpointable mid-run.
-        rec: &telemetry::NULL,
-        t_cyc: false,
-        t_dec: false,
-        progress_on: false,
-        wall_start: std::time::Instant::now(),
         events_seen,
         met_count,
-        node_track,
-        mon: None,
-        sampler: None,
-        oracle: None,
+        // Resumed runs start unobserved: no probe state is part of the
+        // replay-divergence contract, and none of it is checkpointable.
+        probes: Vec::new(),
         settled_at,
     };
     let queue = EventQueue::from_entries(entries, next_seq);
@@ -1327,6 +1339,49 @@ mod tests {
             ..ExecConfig::default()
         });
         roundtrip_all_checkpoints(&engine, 11, 160, "plain");
+    }
+
+    #[test]
+    fn checkpointing_composes_with_probes() {
+        // The writer sits on the engine's after-event hook and the oracle
+        // and profiler on the driver's probe list: all three at once must
+        // leave the run, its audit and the event timing intact.
+        let cfg = ExecConfig {
+            audit: true,
+            ..ExecConfig::default()
+        };
+        let plain = {
+            let (p, t) = setup(23, 160);
+            ExecEngine::new(cfg).run(p, t, &mut Fcfs::new())
+        };
+        let prof = std::sync::Arc::new(PhaseProfiler::new());
+        let dir = scratch_dir("probes");
+        let ck = {
+            let (p, t) = setup(23, 160);
+            let engine = ExecEngine::new(cfg).with_profiler(prof.clone());
+            engine.run_with_checkpoints(p, t, &mut Fcfs::new(), &CheckpointConfig::new(40, &dir))
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(ck.write_error.is_none(), "{:?}", ck.write_error);
+        assert!(ck.checkpoints_written >= 3);
+        assert_eq!(replay_divergence(&plain, &ck.result), None);
+        let (a, b) = (plain.audit.unwrap(), ck.result.audit.unwrap());
+        assert!(b.is_clean(), "{}", b.render());
+        assert_eq!(
+            (a.checks, a.events, a.sweeps),
+            (b.checks, b.events, b.sweeps)
+        );
+        let report = prof.report();
+        let calls = |name: &str| {
+            report
+                .phases
+                .iter()
+                .find(|p| p.phase == name)
+                .unwrap()
+                .calls
+        };
+        assert_eq!(calls("event_handle"), ck.result.events_processed);
+        assert_eq!(calls("checkpoint_write"), ck.checkpoints_written);
     }
 
     #[test]

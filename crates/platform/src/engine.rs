@@ -19,8 +19,9 @@
 use crate::fault::{FaultPlan, FaultSpec, FaultTarget, PlannedFault};
 use crate::group::{GroupId, TaskGroup};
 use crate::ids::{NodeAddr, ProcAddr};
-use crate::monitor::{LiveMetrics, SamplerConfig};
+use crate::monitor::{LiveMetrics, MonitorProbe, SamplerConfig};
 use crate::oracle::{AuditReport, Oracle, RunTotals};
+use crate::probe::{Hook, Probe, ProfileProbe, RunView, TraceProbe};
 use crate::queue::QueuedGroup;
 use crate::scheduler::{AssignmentFeedback, Command, GroupFeedback, Scheduler};
 use crate::topology::{Platform, PlatformSpec};
@@ -31,10 +32,7 @@ use simcore::rng::RngStream;
 use simcore::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
-use telemetry::{
-    PhaseProfiler, Progress, Recorder, SitePoint, TelemetrySummary, TimePoint, TimeSeriesLog,
-    TimeSeriesRing, TraceLevel, Value,
-};
+use telemetry::{PhaseProfiler, Recorder, TelemetrySummary, TimeSeriesLog};
 use workload::{Priority, SiteId, Task, TaskId};
 
 /// Engine configuration.
@@ -281,6 +279,20 @@ pub(crate) enum Ev {
     Recover(u32),
 }
 
+impl Ev {
+    /// Static label of the event kind (the trace firehose's `kind`).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Ev::Arrival(_) => "arrival",
+            Ev::TaskDone(..) => "task_done",
+            Ev::WakeDone(..) => "wake_done",
+            Ev::Tick => "tick",
+            Ev::Fault(_) => "fault",
+            Ev::Recover(_) => "recover",
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Partial {
     pub(crate) node: Option<NodeAddr>,
@@ -340,33 +352,15 @@ pub(crate) struct Driver<'s, S: Scheduler> {
     pub(crate) touched_scratch: Vec<NodeAddr>,
     /// Reused buffer for events produced by one engine event.
     pub(crate) ev_scratch: Vec<(SimTime, Ev)>,
-    /// Telemetry recorder; [`telemetry::NULL`] on untraced runs.
-    pub(crate) rec: &'s dyn Recorder,
-    /// Level gates resolved once at construction: the disabled path pays
-    /// one predictable branch per site, never a virtual call.
-    pub(crate) t_cyc: bool,
-    pub(crate) t_dec: bool,
-    /// Whether the recorder wants periodic [`Progress`] snapshots.
-    pub(crate) progress_on: bool,
-    /// Wall-clock start, for progress rate reporting.
-    pub(crate) wall_start: std::time::Instant,
     /// Engine events seen (mirrors the engine's own counter, which the
     /// driver cannot reach mid-run).
     pub(crate) events_seen: u64,
     /// Tasks that met their deadline so far (for progress snapshots).
     pub(crate) met_count: usize,
-    /// First flat node-track index per site (Chrome-trace `tid`s).
-    pub(crate) node_track: Vec<u32>,
-    /// Live metrics handles; `None` on unmonitored runs keeps every
-    /// mirror site a single predictable branch, like the tracing gates.
-    pub(crate) mon: Option<Arc<LiveMetrics>>,
-    /// Time-series sampler ring; `None` when sampling is off. Samples
-    /// are taken on control ticks (plus one final point at run end), so
-    /// the configured cadence rounds up to the tick interval.
-    pub(crate) sampler: Option<TimeSeriesRing>,
-    /// The correctness oracle, when the run is audited (strictly
-    /// observing; `None` keeps the hot path a single branch per hook).
-    pub(crate) oracle: Option<Box<Oracle>>,
+    /// Every observer of the run (oracle, recorder, live metrics and
+    /// sampler, profiler). Empty on a plain run, so each hook site costs
+    /// one length check.
+    pub(crate) probes: Vec<Box<dyn Probe>>,
     /// Instant the run settled: every task resolved (completed or
     /// failed). Events after this are frozen — they must not disturb the
     /// platform's accounting — and the energy/utilisation horizon reads
@@ -377,25 +371,35 @@ pub(crate) struct Driver<'s, S: Scheduler> {
 }
 
 /// Flat processor layout of a platform: per-`[site][node]` base indices
-/// into the flat per-processor vectors, the first Chrome-trace node track
-/// per site, and the total processor count. Shared by the run setup and
-/// the checkpoint restore path, which must agree on the layout exactly.
-pub(crate) fn proc_layout(platform: &Platform) -> (Vec<Vec<usize>>, Vec<u32>, usize) {
+/// into the flat per-processor vectors, and the total processor count.
+/// Shared by the run setup and the checkpoint restore path, which must
+/// agree on the layout exactly.
+pub(crate) fn proc_layout(platform: &Platform) -> (Vec<Vec<usize>>, usize) {
     let mut proc_base: Vec<Vec<usize>> = Vec::with_capacity(platform.num_sites());
-    let mut node_track = Vec::with_capacity(platform.num_sites());
     let mut flat = 0usize;
-    let mut next_track = 0u32;
     for site in &platform.sites {
         let mut bases = Vec::with_capacity(site.nodes.len());
-        node_track.push(next_track);
-        next_track += site.nodes.len() as u32;
         for node in &site.nodes {
             bases.push(flat);
             flat += node.num_processors();
         }
         proc_base.push(bases);
     }
-    (proc_base, node_track, flat)
+    (proc_base, flat)
+}
+
+/// Reports `$hook` at `$now` to every probe of driver `$d`. The hook is
+/// only built when a probe is attached, so an unobserved run pays one
+/// length check per site.
+macro_rules! report {
+    ($d:expr, $now:expr, $hook:expr) => {
+        if !$d.probes.is_empty() {
+            let hook = $hook;
+            for p in &mut $d.probes {
+                p.on(&$d.platform, $now, hook);
+            }
+        }
+    };
 }
 
 impl<S: Scheduler> Driver<'_, S> {
@@ -415,118 +419,31 @@ impl<S: Scheduler> Driver<'_, S> {
         self.completed + self.failed_tasks
     }
 
-    /// Flat node index across the whole platform — the Chrome-trace
-    /// `tid`, so each node renders as its own track.
-    fn track(&self, addr: NodeAddr) -> u32 {
-        self.node_track[addr.site.0 as usize] + addr.node
-    }
-
-    /// Emit one [`Progress`] snapshot (gated by `progress_on` at call
-    /// sites; the energy integral here is O(nodes)).
-    fn emit_progress(&self, now: SimTime) {
-        let p = Progress {
-            sim_time: now.as_f64(),
-            wall_s: self.wall_start.elapsed().as_secs_f64(),
-            done: self.resolved(),
-            total: self.tasks.len(),
+    /// Driver-wide tallies at `now`, for [`Probe::tick`] and
+    /// [`Probe::finish`].
+    fn run_view(&self, now: SimTime) -> RunView<'_> {
+        RunView {
+            platform: &self.platform,
+            now,
+            completed: self.completed,
             met: self.met_count,
-            energy: self.platform.total_energy_at(now),
+            failed: self.failed_tasks,
+            total: self.tasks.len(),
             events: self.events_seen,
-        };
-        self.rec.progress(&p);
-    }
-
-    /// Refreshes the live gauges and, when the sampler cadence has
-    /// elapsed, appends one [`TimePoint`] to the ring. Called on control
-    /// ticks and once more at run end — never from the per-event hot
-    /// path, since the energy integral and per-site stats are O(nodes).
-    pub(crate) fn monitor_tick(&mut self, now: SimTime, final_point: bool) {
-        let due = match &self.sampler {
-            Some(ring) => final_point || ring.due(now.as_f64()),
-            None => false,
-        };
-        if self.mon.is_none() && !due {
-            return;
-        }
-        let energy = self.platform.total_energy_at(now);
-        let epsilon = self.sched.exploration();
-        if let Some(m) = &self.mon {
-            m.sim_time.set(now.as_f64());
-            m.energy_joules.set(energy);
-            if let Some(e) = epsilon {
-                m.epsilon.set(e);
-            }
-        }
-        let num_sites = self.platform.num_sites();
-        let mut sites = Vec::new();
-        if due {
-            sites.reserve(num_sites);
-        }
-        for s in 0..num_sites {
-            if self.mon.is_none() && !due {
-                break;
-            }
-            let site = SiteId(s as u32);
-            let (st, power) = self.site_snapshot(site);
-            let availability = if st.procs > 0 {
-                (st.procs - st.failed) as f64 / st.procs as f64
-            } else {
-                0.0
-            };
-            if let Some(m) = &self.mon {
-                m.site_power[s].set(power);
-                m.site_queue[s].set(st.queued_groups as f64);
-                m.site_availability[s].set(availability);
-            }
-            if due {
-                sites.push(SitePoint {
-                    power_w: power,
-                    queue_depth: st.queued_groups as u64,
-                    availability,
-                });
-            }
-        }
-        if due {
-            let (p50, p95, p99) = match &self.mon {
-                Some(m) => (
-                    m.decision_latency.quantile(0.50).unwrap_or(0.0) * 1e6,
-                    m.decision_latency.quantile(0.95).unwrap_or(0.0) * 1e6,
-                    m.decision_latency.quantile(0.99).unwrap_or(0.0) * 1e6,
-                ),
-                None => (0.0, 0.0, 0.0),
-            };
-            let point = TimePoint {
-                t: now.as_f64(),
-                energy_j: energy,
-                done: self.completed as u64,
-                met: self.met_count as u64,
-                failed: self.failed_tasks as u64,
-                epsilon,
-                decision_p50_us: p50,
-                decision_p95_us: p95,
-                decision_p99_us: p99,
-                sites,
-            };
-            if let Some(ring) = &mut self.sampler {
-                if final_point {
-                    ring.push_final(point);
-                } else {
-                    ring.push(point);
-                }
-            }
+            epsilon: self.sched.exploration(),
         }
     }
 
-    /// Per-site queue-depth and power snapshot appended to dispatch and
-    /// fault/recovery records (only reached when a gate is already open).
-    fn site_snapshot(&self, site: SiteId) -> (crate::topology::SiteStats, f64) {
-        let st = self.platform.site_stats(site);
-        let power: f64 = self.platform.sites[site.0 as usize]
-            .nodes
-            .iter()
-            .map(|n| n.power_sum())
-            .sum();
-        (st, power)
+    /// Runs [`Probe::tick`] on every probe (control ticks, and the
+    /// serving daemon's periodic refresh). O(nodes) per probe that
+    /// samples, so never called per event.
+    pub(crate) fn tick_probes(&mut self, now: SimTime) {
+        let mut probes = std::mem::take(&mut self.probes);
+        let view = self.run_view(now);
+        for p in &mut probes {
+            p.tick(&view);
+        }
+        self.probes = probes;
     }
 
     /// Starts every task that can start on `addr` right now, per the
@@ -575,9 +492,7 @@ impl<S: Scheduler> Driver<'_, S> {
                                 break;
                             }
                             if let Some(until) = self.platform.begin_wake_proc(addr, i, now) {
-                                if let Some(o) = self.oracle.as_mut() {
-                                    o.on_wake_begin(base + i, now);
-                                }
+                                report!(self, now, Hook::WakeBegin(base + i));
                                 out.push((
                                     until,
                                     Ev::WakeDone(
@@ -649,12 +564,17 @@ impl<S: Scheduler> Driver<'_, S> {
                     group_id,
                     task.size_mi,
                 );
-                if self.oracle.is_some() {
-                    let throttle = self.platform.node(addr).throttle;
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.on_start(task.id, group_id, base + proc_idx, throttle, now);
-                    }
-                }
+                report!(
+                    self,
+                    now,
+                    Hook::Start(
+                        task.id,
+                        group_id,
+                        base + proc_idx,
+                        self.platform.node(addr).throttle,
+                        as_split
+                    )
+                );
                 out.push((
                     finish,
                     Ev::TaskDone(
@@ -670,12 +590,6 @@ impl<S: Scheduler> Driver<'_, S> {
                 p.split = as_split;
                 if as_split {
                     self.split_starts += 1;
-                    if self.t_cyc {
-                        self.rec.counter_add("split.starts", 1);
-                    }
-                    if let Some(m) = &self.mon {
-                        m.split_starts.inc(m.shard);
-                    }
                 }
             }
         }
@@ -709,12 +623,7 @@ impl<S: Scheduler> Driver<'_, S> {
                     };
                     if !accept {
                         self.rejections += 1;
-                        if self.t_cyc {
-                            self.rec.counter_add("dispatch.rejected", 1);
-                        }
-                        if let Some(m) = &self.mon {
-                            m.dispatch_rejected.inc(m.shard);
-                        }
+                        report!(self, now, Hook::Rejected);
                         let site = tasks.first().map(|t| t.site).unwrap_or(addr.site);
                         self.sched.on_rejected(now, site, tasks);
                         continue;
@@ -731,16 +640,6 @@ impl<S: Scheduler> Driver<'_, S> {
                         p.node = Some(addr);
                         p.group = Some(gid);
                         p.dispatched = Some(now);
-                    }
-                    if self.oracle.is_some() {
-                        let node = self.platform.node(addr);
-                        // Queue length *after* the push below succeeds.
-                        let qlen = node.queue.len() + 1;
-                        let qcap = node.queue.capacity();
-                        let avail = node.available_processors();
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.on_dispatch(gid, &group.tasks, qlen, qcap, avail, now);
-                        }
                     }
                     let size = group.len();
                     let mut qg = QueuedGroup::new(group, now);
@@ -759,37 +658,11 @@ impl<S: Scheduler> Driver<'_, S> {
                         error,
                     };
                     self.sched.on_assignment(now, &fb);
-                    if self.t_cyc {
-                        self.rec.counter_add("groups.dispatched", 1);
-                    }
-                    if let Some(m) = &self.mon {
-                        m.groups_dispatched.inc(m.shard);
-                    }
-                    if self.t_dec {
-                        let (st, power) = self.site_snapshot(addr.site);
-                        self.rec.span_begin(
-                            "group",
-                            gid.0,
-                            now.as_f64(),
-                            self.track(addr),
-                            &[
-                                ("site", Value::U64(addr.site.0 as u64)),
-                                ("node", Value::U64(addr.node as u64)),
-                                ("size", Value::U64(size as u64)),
-                                ("pw", Value::F64(pw)),
-                                ("capacity", Value::F64(capacity)),
-                                ("err", Value::F64(error)),
-                                ("site_queued", Value::U64(st.queued_groups as u64)),
-                                ("site_idle", Value::U64(st.idle as u64)),
-                                ("site_power_w", Value::F64(power)),
-                            ],
-                        );
-                        self.rec.gauge(
-                            &format!("queued.site{}", addr.site.0),
-                            now.as_f64(),
-                            st.queued_groups as f64,
-                        );
-                    }
+                    report!(self, now, {
+                        let queue = &self.platform.node(addr).queue;
+                        let queued = queue.get(queue.len() - 1).expect("group just enqueued");
+                        Hook::Dispatch(&fb, &queued.group.tasks)
+                    });
                     if !touched.contains(&addr) {
                         touched.push(addr);
                     }
@@ -798,21 +671,15 @@ impl<S: Scheduler> Driver<'_, S> {
                     self.platform.set_throttle(node, level);
                 }
                 Command::Sleep(p) => {
-                    let slept = self.platform.sleep_proc(p.node, p.proc as usize, now);
-                    if slept && self.oracle.is_some() {
-                        let flat = self.pidx(p);
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.on_proc_sleep(flat, now);
-                        }
+                    if self.platform.sleep_proc(p.node, p.proc as usize, now) {
+                        report!(self, now, Hook::ProcSleep(self.pidx(p)));
                     }
                 }
                 Command::Wake(p) => {
                     if let Some(until) = self.platform.begin_wake_proc(p.node, p.proc as usize, now)
                     {
                         let flat = self.pidx(p);
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.on_wake_begin(flat, now);
-                        }
+                        report!(self, now, Hook::WakeBegin(flat));
                         out.push((until, Ev::WakeDone(p, self.epochs[flat])));
                     }
                 }
@@ -825,14 +692,22 @@ impl<S: Scheduler> Driver<'_, S> {
     }
 
     /// One dispatch round: ask the scheduler for commands and apply them.
+    /// The decision is timed only when a probe records it, and only
+    /// rounds that produced commands count as decisions.
     fn dispatch_round(&mut self, now: SimTime, out: &mut Vec<(SimTime, Ev)>) {
+        let timed = self.probes.iter().any(|p| p.times_decisions());
+        let start = timed.then(std::time::Instant::now);
         let cmds = {
             let view = PlatformView::new(&self.platform, now);
             self.sched.dispatch(now, &view)
         };
-        if !cmds.is_empty() {
-            self.apply(cmds, now, out);
+        if cmds.is_empty() {
+            return;
         }
+        if let Some(start) = start {
+            report!(self, now, Hook::Decision(start.elapsed().as_secs_f64()));
+        }
+        self.apply(cmds, now, out);
     }
 
     /// Finalises a completed group: removes it from the queue, logs the
@@ -842,9 +717,6 @@ impl<S: Scheduler> Driver<'_, S> {
             .platform
             .remove_group(addr, group_id)
             .expect("group present");
-        if let Some(o) = self.oracle.as_mut() {
-            o.on_group_complete(group_id, now);
-        }
         self.groups_completed += 1;
         self.cycle += 1;
         self.cycles.push(CycleSample {
@@ -865,38 +737,7 @@ impl<S: Scheduler> Driver<'_, S> {
             completed_at: now,
             split: qg.split_mode,
         };
-        if self.t_dec {
-            self.rec
-                .span_end("group", group_id.0, now.as_f64(), self.track(addr));
-            let st = self.platform.site_stats(addr.site);
-            self.rec.gauge(
-                &format!("queued.site{}", addr.site.0),
-                now.as_f64(),
-                st.queued_groups as f64,
-            );
-        }
-        if let Some(m) = &self.mon {
-            m.groups_completed.inc(m.shard);
-        }
-        if self.t_cyc {
-            self.rec.counter_add("groups.completed", 1);
-            self.rec.histogram("queue_wait_s", fb.wait_time());
-            self.rec.event(
-                "group_complete",
-                now.as_f64(),
-                self.track(addr),
-                &[
-                    ("cycle", Value::U64(self.cycle)),
-                    ("site", Value::U64(addr.site.0 as u64)),
-                    ("node", Value::U64(addr.node as u64)),
-                    ("size", Value::U64(fb.size as u64)),
-                    ("reward", Value::U64(fb.reward as u64)),
-                    ("err", Value::F64(fb.error)),
-                    ("wait_s", Value::F64(fb.wait_time())),
-                    ("split", Value::Bool(fb.split)),
-                ],
-            );
-        }
+        report!(self, now, Hook::GroupComplete(&fb, self.cycle));
         self.sched.on_group_complete(now, &fb);
     }
 
@@ -915,11 +756,9 @@ impl<S: Scheduler> Driver<'_, S> {
         }
         let addr = proc.node;
         let (task_id, group_id) = self.platform.finish_task_on(addr, proc.proc as usize, now);
-        if let Some(o) = self.oracle.as_mut() {
-            o.on_finish(task_id, flat, now);
-        }
         let task = self.tasks[task_id.0 as usize];
         let met = now <= task.deadline;
+        report!(self, now, Hook::Finish(&task, flat, met));
         {
             let p = &mut self.partials[task_id.0 as usize];
             let started = p.started.expect("finished task must have started");
@@ -936,20 +775,6 @@ impl<S: Scheduler> Driver<'_, S> {
             self.settled_at = now;
         }
         self.last_completion = now;
-        if self.t_cyc {
-            self.rec.counter_add("tasks.completed", 1);
-            if met {
-                self.rec.counter_add("tasks.met", 1);
-            }
-            self.rec
-                .histogram("task_response_s", now.since(task.arrival).as_f64());
-        }
-        if let Some(m) = &self.mon {
-            m.tasks_completed.inc(m.shard);
-            if met {
-                m.tasks_met.inc(m.shard);
-            }
-        }
 
         let complete = {
             let g = self
@@ -979,17 +804,9 @@ impl<S: Scheduler> Driver<'_, S> {
         debug_assert!(p.finished.is_none() && p.failed_at.is_none());
         p.failed_at = Some(now);
         self.failed_tasks += 1;
-        if let Some(o) = self.oracle.as_mut() {
-            o.on_give_up(task_id, now);
-        }
+        report!(self, now, Hook::GiveUp(task_id));
         if self.resolved() == self.tasks.len() {
             self.settled_at = now;
-        }
-        if self.t_cyc {
-            self.rec.counter_add("tasks.failed", 1);
-        }
-        if let Some(m) = &self.mon {
-            m.tasks_failed.inc(m.shard);
         }
     }
 
@@ -1016,12 +833,7 @@ impl<S: Scheduler> Driver<'_, S> {
                 continue;
             }
             self.retries += 1;
-            if self.t_cyc {
-                self.rec.counter_add("tasks.retried", 1);
-            }
-            if let Some(m) = &self.mon {
-                m.tasks_retried.inc(m.shard);
-            }
+            report!(self, now, Hook::Retried);
             let mut t = task;
             let budget = task.deadline.since(task.arrival).as_f64();
             let slack = task.deadline.as_f64() - now.as_f64();
@@ -1059,9 +871,6 @@ impl<S: Scheduler> Driver<'_, S> {
             FaultTarget::Node(_) => (0..self.platform.node(addr).num_processors()).collect(),
         };
         self.faults_injected += 1;
-        if let Some(m) = &self.mon {
-            m.faults_injected.inc(m.shard);
-        }
         let mut orphans: Vec<TaskId> = Vec::new();
         let mut touched_groups: Vec<GroupId> = Vec::new();
         for pi in procs {
@@ -1079,17 +888,9 @@ impl<S: Scheduler> Driver<'_, S> {
             }
             self.epochs[flat] = self.epochs[flat].wrapping_add(1);
             let preempted = self.platform.fail_proc(addr, pi, now);
-            if let Some(o) = self.oracle.as_mut() {
-                o.on_proc_fail(flat, now);
-            }
+            report!(self, now, Hook::ProcFail(flat));
             if let Some((task_id, group_id)) = preempted {
                 self.preemptions += 1;
-                if self.t_cyc {
-                    self.rec.counter_add("tasks.preempted", 1);
-                }
-                if let Some(m) = &self.mon {
-                    m.tasks_preempted.inc(m.shard);
-                }
                 {
                     let g = self
                         .platform
@@ -1100,9 +901,7 @@ impl<S: Scheduler> Driver<'_, S> {
                     g.running -= 1;
                     g.lost += 1;
                 }
-                if let Some(o) = self.oracle.as_mut() {
-                    o.on_preempt(task_id, now);
-                }
+                report!(self, now, Hook::Preempt(task_id));
                 let p = &mut self.partials[task_id.0 as usize];
                 p.started = None;
                 p.node = None;
@@ -1131,30 +930,7 @@ impl<S: Scheduler> Driver<'_, S> {
                 .sum();
             self.site_perm_procs[s] = alive_total;
         }
-        if self.t_cyc {
-            self.rec.counter_add("faults.injected", 1);
-            let (st, power) = self.site_snapshot(addr.site);
-            let proc = match fault.target {
-                FaultTarget::Proc(p) => p.proc as i64,
-                FaultTarget::Node(_) => -1,
-            };
-            self.rec.event(
-                "fault",
-                now.as_f64(),
-                self.track(addr),
-                &[
-                    ("site", Value::U64(addr.site.0 as u64)),
-                    ("node", Value::U64(addr.node as u64)),
-                    ("proc", Value::I64(proc)),
-                    ("permanent", Value::Bool(permanent)),
-                    ("preempted", Value::U64(orphans.len() as u64)),
-                    ("site_failed", Value::U64(st.failed as u64)),
-                    ("site_idle", Value::U64(st.idle as u64)),
-                    ("site_queued", Value::U64(st.queued_groups as u64)),
-                    ("site_power_w", Value::F64(power)),
-                ],
-            );
-        }
+        report!(self, now, Hook::Fault(&fault, orphans.len()));
         // Groups this fault completed by member loss: if any member did
         // finish, the reward feedback still flows; a group that lost every
         // member is aborted instead.
@@ -1199,9 +975,6 @@ impl<S: Scheduler> Driver<'_, S> {
             .platform
             .remove_group(addr, gid)
             .expect("aborting a queued group");
-        if let Some(o) = self.oracle.as_mut() {
-            o.on_group_abort(gid, now);
-        }
         for t in &qg.group.tasks {
             let p = &mut self.partials[t.id.0 as usize];
             // Finished members keep their records; members the preemption
@@ -1213,34 +986,11 @@ impl<S: Scheduler> Driver<'_, S> {
                 p.started = None;
                 p.split = false;
                 orphans.push(t.id);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.on_detach(t.id, now);
-                }
+                report!(self, now, Hook::Detach(t.id));
             }
         }
         self.groups_aborted += 1;
-        if let Some(m) = &self.mon {
-            m.groups_aborted.inc(m.shard);
-        }
-        if self.t_dec {
-            // Close the dispatch span opened in `apply`: aborted groups
-            // must not leave dangling async spans in the trace.
-            self.rec
-                .span_end("group", gid.0, now.as_f64(), self.track(addr));
-        }
-        if self.t_cyc {
-            self.rec.counter_add("groups.aborted", 1);
-            self.rec.event(
-                "group_abort",
-                now.as_f64(),
-                self.track(addr),
-                &[
-                    ("site", Value::U64(addr.site.0 as u64)),
-                    ("node", Value::U64(addr.node as u64)),
-                    ("orphaned", Value::U64(qg.group.tasks.len() as u64)),
-                ],
-            );
-        }
+        report!(self, now, Hook::GroupAbort(addr, gid, qg.group.tasks.len()));
         self.sched.on_group_aborted(now, gid);
     }
 
@@ -1315,9 +1065,7 @@ impl<S: Scheduler> Driver<'_, S> {
             }
             if self.platform.node(addr).processors[pi].is_failed() {
                 self.platform.recover_proc(addr, pi, now);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.on_proc_recover(flat, now);
-                }
+                report!(self, now, Hook::ProcRecover(flat));
                 any = true;
             }
         }
@@ -1327,26 +1075,7 @@ impl<S: Scheduler> Driver<'_, S> {
         // One planned outage = one recovery, matching `faults_injected`
         // units (a node event counts once, not once per processor).
         self.faults_recovered += 1;
-        if let Some(m) = &self.mon {
-            m.faults_recovered.inc(m.shard);
-        }
-        if self.t_cyc {
-            self.rec.counter_add("faults.recovered", 1);
-            let (st, power) = self.site_snapshot(addr.site);
-            self.rec.event(
-                "recover",
-                now.as_f64(),
-                self.track(addr),
-                &[
-                    ("site", Value::U64(addr.site.0 as u64)),
-                    ("node", Value::U64(addr.node as u64)),
-                    ("site_failed", Value::U64(st.failed as u64)),
-                    ("site_idle", Value::U64(st.idle as u64)),
-                    ("site_queued", Value::U64(st.queued_groups as u64)),
-                    ("site_power_w", Value::F64(power)),
-                ],
-            );
-        }
+        report!(self, now, Hook::Recover(addr));
         self.start_ready(addr, now, out);
         self.dispatch_round(now, out);
     }
@@ -1356,15 +1085,10 @@ impl<S: Scheduler> Simulation for Driver<'_, S> {
     type Event = Ev;
 
     fn on_event(&mut self, now: SimTime, event: Ev, handle: &mut EngineHandle<'_, Ev>) -> bool {
+        self.events_seen += 1;
+        report!(self, now, Hook::Event(&event, self.events_seen));
         if now.as_f64() > self.cfg.max_time {
             return false;
-        }
-        self.events_seen += 1;
-        if let Some(m) = &self.mon {
-            m.events.inc(m.shard);
-        }
-        if let Some(o) = self.oracle.as_mut() {
-            o.on_event(now);
         }
         // One reusable buffer for the whole event — handlers append, the
         // tail loop schedules, and the (cleared) capacity carries over to
@@ -1374,9 +1098,7 @@ impl<S: Scheduler> Simulation for Driver<'_, S> {
         match event {
             Ev::Arrival(idx) => {
                 let task = self.tasks[idx as usize];
-                if let Some(o) = self.oracle.as_mut() {
-                    o.on_arrival(task.id, now);
-                }
+                report!(self, now, Hook::Arrival(task.id));
                 if self.cfg.faults.enabled && self.site_perm_procs[task.site.0 as usize] == 0 {
                     // The site permanently lost every processor before this
                     // task arrived: nothing can ever run it.
@@ -1400,12 +1122,7 @@ impl<S: Scheduler> Simulation for Driver<'_, S> {
                 } else {
                     self.platform
                         .finish_wake_proc(proc.node, proc.proc as usize, now);
-                    if self.oracle.is_some() {
-                        let flat = self.pidx(proc);
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.on_wake_end(flat, now);
-                        }
-                    }
+                    report!(self, now, Hook::WakeEnd(self.pidx(proc)));
                     self.start_ready(proc.node, now, &mut out);
                 }
             }
@@ -1426,14 +1143,8 @@ impl<S: Scheduler> Simulation for Driver<'_, S> {
                         self.apply(cmds, now, &mut out);
                     }
                     self.dispatch_round(now, &mut out);
-                    if self.progress_on {
-                        self.emit_progress(now);
-                    }
-                    if self.mon.is_some() || self.sampler.is_some() {
-                        self.monitor_tick(now, false);
-                    }
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.sweep(&self.platform, now);
+                    if !self.probes.is_empty() {
+                        self.tick_probes(now);
                     }
                     if self.resolved() < self.tasks.len() {
                         handle.schedule_in(SimDuration::new(self.cfg.tick_interval), Ev::Tick);
@@ -1445,6 +1156,7 @@ impl<S: Scheduler> Simulation for Driver<'_, S> {
             handle.schedule_at(t, ev);
         }
         self.ev_scratch = out;
+        report!(self, now, Hook::EventEnd);
         true
     }
 }
@@ -1491,7 +1203,7 @@ impl<S: Scheduler> Simulation for Driver<'_, S> {
 /// assert_eq!(result.incomplete, 0);
 /// assert!(result.total_energy > 0.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct ExecEngine {
     /// Engine configuration.
     pub cfg: ExecConfig,
@@ -1499,6 +1211,8 @@ pub struct ExecEngine {
     /// (and is honoured even with `cfg.faults.enabled == false` randomness
     /// knobs, as long as `enabled` is true).
     fault_plan: Option<FaultPlan>,
+    /// Telemetry recorder the run traces into (strictly observing).
+    recorder: Option<Arc<dyn Recorder>>,
     /// Live metric handles the run publishes into (strictly observing).
     monitor: Option<Arc<LiveMetrics>>,
     /// Time-series sampler cadence; `None` disables sampling.
@@ -1512,10 +1226,7 @@ impl ExecEngine {
     pub fn new(cfg: ExecConfig) -> Self {
         ExecEngine {
             cfg,
-            fault_plan: None,
-            monitor: None,
-            sampler: None,
-            profiler: None,
+            ..ExecEngine::default()
         }
     }
 
@@ -1524,6 +1235,18 @@ impl ExecEngine {
     /// `cfg.faults.enabled`; set that too or the plan is ignored.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
+        self
+    }
+
+    /// Traces the run into `rec`: dispatch/finish spans, fault/recovery
+    /// markers with per-site queue-depth and power snapshots, queue-wait,
+    /// response-time and decision-latency histograms, and (at
+    /// [`telemetry::TraceLevel::All`]) one record per engine event. The
+    /// counter/histogram summary lands in [`RunResult::telemetry`]; the
+    /// caller owns sink finalisation (`rec.finish()`). Strictly
+    /// observing.
+    pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
+        self.recorder = Some(rec);
         self
     }
 
@@ -1543,9 +1266,9 @@ impl ExecEngine {
         self
     }
 
-    /// Accumulates per-phase wall-clock timings into `profiler`. The
-    /// engine loop switches to its profiled variant (event pop / handle
-    /// timing); downstream layers time their own phases into the same
+    /// Accumulates per-phase wall-clock timings into `profiler`: the
+    /// driver splits the event loop into event pop and event handling,
+    /// and downstream layers time their own phases into the same
     /// profiler. Strictly observing.
     pub fn with_profiler(mut self, profiler: Arc<PhaseProfiler>) -> Self {
         self.profiler = Some(profiler);
@@ -1568,66 +1291,21 @@ impl ExecEngine {
         tasks: Vec<Task>,
         sched: &mut S,
     ) -> RunResult {
-        // The no-op recorder wants no level, so every telemetry gate in
-        // the driver resolves to `false` and this path stays identical to
-        // the pre-telemetry engine (pinned by `golden_determinism` and
-        // the throughput baseline).
-        self.run_traced(platform, tasks, sched, &telemetry::NULL)
+        let (mut driver, mut engine) = self.prepare(platform, tasks, sched);
+        let outcome = engine.run(&mut driver);
+        assemble_result(driver, &engine, outcome, None)
     }
 
-    /// [`ExecEngine::run`] with a telemetry [`Recorder`] attached.
-    ///
-    /// The recorder observes dispatch/finish spans, fault/recovery
-    /// markers with per-site queue-depth and power snapshots, queue-wait
-    /// and response-time histograms, and (at [`TraceLevel::All`]) the
-    /// per-event engine firehose. The caller owns sink finalisation
-    /// (`rec.finish()`).
-    pub fn run_traced<S: Scheduler>(
-        &self,
-        platform: Platform,
-        tasks: Vec<Task>,
-        sched: &mut S,
-        rec: &dyn Recorder,
-    ) -> RunResult {
-        let (mut driver, mut engine) = self.prepare(platform, tasks, sched, rec);
-        let outcome = if rec.wants(TraceLevel::All) {
-            engine.run_traced(&mut driver, rec, |ev| match ev {
-                Ev::Arrival(_) => "arrival",
-                Ev::TaskDone(..) => "task_done",
-                Ev::WakeDone(..) => "wake_done",
-                Ev::Tick => "tick",
-                Ev::Fault(_) => "fault",
-                Ev::Recover(_) => "recover",
-            })
-        } else if let Some(prof) = &self.profiler {
-            engine.run_profiled(&mut driver, prof)
-        } else {
-            engine.run(&mut driver)
-        };
-        if driver.progress_on {
-            // Final snapshot so short runs print at least one line.
-            driver.emit_progress(engine.now());
-        }
-        if driver.mon.is_some() || driver.sampler.is_some() {
-            // Close the series at the run's end so the last sample always
-            // reflects the final energy/task totals.
-            driver.monitor_tick(engine.now(), true);
-        }
-        let events_processed = engine.processed();
-        let max_queue_occupancy = engine.queue().max_occupancy();
-        assemble_result(driver, outcome, events_processed, max_queue_occupancy)
-    }
-
-    /// Builds the driver and a primed engine — the shared front half of
-    /// [`ExecEngine::run_traced`] and the checkpointing run in
-    /// [`crate::checkpoint`]. Both paths must produce bit-identical
-    /// initial state for checkpoint/restore determinism to hold.
+    /// Builds the driver, with a probe for every attached observer, and a
+    /// primed engine — the shared front half of [`ExecEngine::run`], the
+    /// checkpointing run in [`crate::checkpoint`], sessions and shards.
+    /// Every path must produce bit-identical initial state for
+    /// checkpoint/restore determinism to hold.
     pub(crate) fn prepare<'s, S: Scheduler>(
         &self,
         platform: Platform,
         tasks: Vec<Task>,
         sched: &'s mut S,
-        rec: &'s dyn Recorder,
     ) -> (Driver<'s, S>, Engine<Ev>) {
         for (i, t) in tasks.iter().enumerate() {
             assert_eq!(t.id.0, i as u64, "task ids must be dense from 0");
@@ -1648,18 +1326,30 @@ impl ExecEngine {
         } else {
             FaultPlan::empty()
         };
-        let (proc_base, node_track, flat) = proc_layout(&platform);
+        let (proc_base, flat) = proc_layout(&platform);
         let mut site_perm_procs = vec![0usize; platform.num_sites()];
         for site in &platform.sites {
             for node in &site.nodes {
                 site_perm_procs[node.addr.site.0 as usize] += node.num_processors();
             }
         }
-        let oracle = if self.cfg.audit {
-            Some(Box::new(Oracle::new(&platform, num_tasks)))
-        } else {
-            None
-        };
+        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
+        if let Some(prof) = &self.profiler {
+            // First, so event-handle time covers the other probes' hooks.
+            probes.push(Box::new(ProfileProbe::new(prof.clone())));
+        }
+        if self.cfg.audit {
+            probes.push(Box::new(Oracle::new(&platform, num_tasks)));
+        }
+        if let Some(rec) = &self.recorder {
+            probes.push(Box::new(TraceProbe::new(rec.clone())));
+        }
+        if self.monitor.is_some() || self.sampler.is_some() {
+            probes.push(Box::new(MonitorProbe::new(
+                self.monitor.clone(),
+                self.sampler,
+            )));
+        }
         let driver = Driver {
             platform,
             partials: vec![Partial::default(); num_tasks],
@@ -1689,19 +1379,9 @@ impl ExecEngine {
             groups_aborted: 0,
             touched_scratch: Vec::new(),
             ev_scratch: Vec::new(),
-            rec,
-            t_cyc: rec.wants(TraceLevel::Cycles),
-            t_dec: rec.wants(TraceLevel::Decisions),
-            progress_on: rec.wants_progress(),
-            wall_start: std::time::Instant::now(),
             events_seen: 0,
             met_count: 0,
-            node_track,
-            mon: self.monitor.clone(),
-            sampler: self
-                .sampler
-                .map(|s| TimeSeriesRing::new(s.every, s.capacity)),
-            oracle,
+            probes,
             settled_at: SimTime::ZERO,
         };
         // Peak event-queue occupancy: every arrival is primed upfront, the
@@ -1727,26 +1407,16 @@ impl ExecEngine {
 }
 
 /// Collapses a finished [`Driver`] into the public [`RunResult`] — the
-/// shared back half of [`ExecEngine::run_traced`] and the resume path in
-/// [`crate::checkpoint`].
+/// shared back half of every run — and hands each probe its
+/// [`Probe::finish`] at the engine's clock. `horizon_override` sets the
+/// energy/utilisation horizon: sharded runs finalise every shard at the
+/// *global* horizon — the instant the last shard settled — so per-site
+/// energy integrals sum to the whole cluster's draw over one common
+/// interval.
 pub(crate) fn assemble_result<S: Scheduler>(
-    driver: Driver<'_, S>,
-    outcome: RunOutcome,
-    events_processed: u64,
-    max_queue_occupancy: usize,
-) -> RunResult {
-    assemble_result_at(driver, outcome, events_processed, max_queue_occupancy, None)
-}
-
-/// [`assemble_result`] with an optional energy/utilisation horizon
-/// override. Sharded runs finalise every shard at the *global* horizon —
-/// the instant the last shard settled — so per-site energy integrals sum
-/// to the whole cluster's draw over one common interval.
-pub(crate) fn assemble_result_at<S: Scheduler>(
     mut driver: Driver<'_, S>,
+    engine: &Engine<Ev>,
     outcome: RunOutcome,
-    events_processed: u64,
-    max_queue_occupancy: usize,
     horizon_override: Option<SimTime>,
 ) -> RunResult {
     let total_procs = driver.platform.num_processors();
@@ -1765,7 +1435,6 @@ pub(crate) fn assemble_result_at<S: Scheduler>(
         .map(|t| t.arrival.as_f64())
         .fold(0.0_f64, f64::max);
     let name = driver.sched.name().to_string();
-    let rec = driver.rec;
 
     let makespan = driver.last_completion;
     // Energy/utilisation horizon: for a fully resolved run, the later
@@ -1783,19 +1452,6 @@ pub(crate) fn assemble_result_at<S: Scheduler>(
     });
     let total_energy = driver.platform.total_energy_at(horizon);
     let mean_utilisation = driver.platform.mean_utilisation_at(horizon);
-    let audit = driver.oracle.take().map(|o| {
-        let totals = RunTotals {
-            num_tasks,
-            completed: driver.completed,
-            failed: driver.failed_tasks,
-            groups_dispatched: driver.groups_dispatched,
-            groups_completed: driver.groups_completed,
-            groups_aborted: driver.groups_aborted,
-            reported_energy: total_energy,
-            drained: matches!(outcome, RunOutcome::Drained),
-        };
-        o.finalize(&driver.platform, horizon, &totals)
-    });
     let records: Vec<TaskRecord> = driver
         .partials
         .iter()
@@ -1850,6 +1506,18 @@ pub(crate) fn assemble_result_at<S: Scheduler>(
         })
         .collect();
     let incomplete = num_tasks - records.len();
+    let totals = RunTotals {
+        num_tasks,
+        completed: driver.completed,
+        failed: driver.failed_tasks,
+        groups_dispatched: driver.groups_dispatched,
+        groups_completed: driver.groups_completed,
+        groups_aborted: driver.groups_aborted,
+        reported_energy: total_energy,
+        drained: matches!(outcome, RunOutcome::Drained),
+        horizon,
+    };
+    let probes = std::mem::take(&mut driver.probes);
     let mut result = RunResult {
         scheduler: name,
         incomplete,
@@ -1857,7 +1525,7 @@ pub(crate) fn assemble_result_at<S: Scheduler>(
         makespan: makespan.as_f64(),
         total_energy,
         mean_utilisation,
-        cycles: driver.cycles,
+        cycles: std::mem::take(&mut driver.cycles),
         groups_dispatched: driver.groups_dispatched,
         groups_completed: driver.groups_completed,
         split_starts: driver.split_starts,
@@ -1874,29 +1542,17 @@ pub(crate) fn assemble_result_at<S: Scheduler>(
         platform_spec: spec,
         records,
         outcome: format!("{outcome:?}"),
-        events_processed,
-        max_queue_occupancy,
-        timeseries: driver.sampler.take().map(TimeSeriesRing::into_log),
-        telemetry: rec.summary(),
+        events_processed: engine.processed(),
+        max_queue_occupancy: engine.queue().max_occupancy(),
+        timeseries: None,
+        telemetry: None,
         audit: None,
     };
-    if let Some(mut report) = audit {
-        // Fold in the record-level post-hoc pass so `--audit` covers
-        // the assembled result too, not just the live run.
-        report.merge(crate::oracle::audit_result(&result));
-        result.audit = Some(report);
+    let view = driver.run_view(engine.now());
+    for p in probes {
+        p.finish(&view, &totals, &mut result);
     }
     result
-}
-
-/// Formats a [`RunOutcome`] (re-exported for harness assertions).
-pub fn outcome_name(o: RunOutcome) -> &'static str {
-    match o {
-        RunOutcome::Drained => "Drained",
-        RunOutcome::Stopped => "Stopped",
-        RunOutcome::FuseBlown => "FuseBlown",
-        RunOutcome::Paused => "Paused",
-    }
 }
 
 #[cfg(test)]
@@ -2055,6 +1711,13 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("arls_site_power_watts{site=\"1\"}"), "{text}");
+        // The driver times every policy's decisions, FCFS included.
+        let decisions = text
+            .lines()
+            .find_map(|l| l.strip_prefix("arls_decision_latency_seconds_count "))
+            .and_then(|v| v.parse::<u64>().ok())
+            .expect("latency histogram rendered");
+        assert!(decisions > 0, "{text}");
         let ts = r.timeseries.as_ref().expect("sampler attached");
         assert_eq!(ts.sample_every, 20.0);
         assert!(!ts.points.is_empty());
@@ -2268,12 +1931,39 @@ mod tests {
         }
     }
 
-    fn grouper_run(faults: FaultSpec, plan: Option<FaultPlan>) -> RunResult {
+    /// The oversubscribed one-site platform and workload of the fault
+    /// tests.
+    fn grouper_inputs() -> (Platform, Vec<Task>) {
         let rng = RngStream::root(21);
         let platform = Platform::generate(PlatformSpec::small(1, 2, 4), &rng.derive("p"));
         let mut spec = WorkloadSpec::paper(300, 1, platform.reference_speed());
         spec.mean_interarrival = 0.4; // oversubscribe to force queueing and splits
         let wl = Workload::generate(spec, &rng.derive("w"));
+        (platform, wl.tasks)
+    }
+
+    /// A whole-node outage plus a single-processor outage that land while
+    /// the Grouper workload is splitting groups.
+    fn split_fault_plan() -> FaultPlan {
+        FaultPlan::from_events(vec![
+            PlannedFault {
+                at: SimTime::new(30.0),
+                target: FaultTarget::Node(NodeAddr::new(0, 0)),
+                recover_at: Some(SimTime::new(60.0)),
+            },
+            PlannedFault {
+                at: SimTime::new(45.0),
+                target: FaultTarget::Proc(ProcAddr {
+                    node: NodeAddr::new(0, 1),
+                    proc: 0,
+                }),
+                recover_at: Some(SimTime::new(70.0)),
+            },
+        ])
+    }
+
+    fn grouper_run(faults: FaultSpec, plan: Option<FaultPlan>) -> RunResult {
+        let (platform, tasks) = grouper_inputs();
         let mut sched = Grouper {
             pending: Vec::new(),
         };
@@ -2284,7 +1974,7 @@ mod tests {
         if let Some(p) = plan {
             engine = engine.with_fault_plan(p);
         }
-        engine.run(platform, wl.tasks, &mut sched)
+        engine.run(platform, tasks, &mut sched)
     }
 
     #[test]
@@ -2310,29 +2000,12 @@ mod tests {
 
     #[test]
     fn failure_during_split_conserves_tasks() {
-        // A whole-node outage plus a single-processor outage land while the
-        // oversubscribed Grouper workload is splitting groups.
-        let plan = FaultPlan::from_events(vec![
-            PlannedFault {
-                at: SimTime::new(30.0),
-                target: FaultTarget::Node(NodeAddr::new(0, 0)),
-                recover_at: Some(SimTime::new(60.0)),
-            },
-            PlannedFault {
-                at: SimTime::new(45.0),
-                target: FaultTarget::Proc(ProcAddr {
-                    node: NodeAddr::new(0, 1),
-                    proc: 0,
-                }),
-                recover_at: Some(SimTime::new(70.0)),
-            },
-        ]);
         let r = grouper_run(
             FaultSpec {
                 enabled: true,
                 ..FaultSpec::default()
             },
-            Some(plan),
+            Some(split_fault_plan()),
         );
         assert_eq!(r.outcome, "Drained");
         outcome_partition(&r);
@@ -2440,6 +2113,207 @@ mod tests {
                 "attempts {} exceed budget",
                 rec.attempts
             );
+        }
+    }
+
+    // ---- probes ----
+
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    /// Counts the hooks the driver fires. Probes are owned by the driver,
+    /// so the tallies are shared back through an `Rc`.
+    #[derive(Default)]
+    struct Tally {
+        events: u64,
+        event_ends: u64,
+        decisions: u64,
+        dispatched: u64,
+        finished: u64,
+        groups_completed: u64,
+        faults: u64,
+        recovered: u64,
+        preempted: u64,
+        retried: u64,
+        ticks: u64,
+        closed: bool,
+    }
+
+    struct TallyProbe(std::rc::Rc<std::cell::RefCell<Tally>>);
+
+    impl Probe for TallyProbe {
+        fn on(&mut self, platform: &Platform, _now: SimTime, hook: Hook<'_>) {
+            let mut t = self.0.borrow_mut();
+            match hook {
+                Hook::Event(_, seq) => {
+                    t.events += 1;
+                    assert_eq!(seq, t.events, "seq counts the run's events");
+                }
+                Hook::EventEnd => t.event_ends += 1,
+                Hook::Decision(secs) => {
+                    assert!(secs >= 0.0);
+                    t.decisions += 1;
+                }
+                Hook::Dispatch(fb, tasks) => {
+                    assert_eq!(tasks.len(), fb.size);
+                    let queue = &platform.node(fb.node).queue;
+                    assert!(queue.iter().any(|g| g.group.id == fb.group));
+                    t.dispatched += 1;
+                }
+                Hook::Finish(..) => t.finished += 1,
+                Hook::GroupComplete(_, cycle) => {
+                    t.groups_completed += 1;
+                    assert_eq!(cycle, t.groups_completed);
+                }
+                Hook::Fault(..) => t.faults += 1,
+                Hook::Recover(_) => t.recovered += 1,
+                Hook::Preempt(_) => t.preempted += 1,
+                Hook::Retried => t.retried += 1,
+                _ => {}
+            }
+        }
+        fn times_decisions(&self) -> bool {
+            true
+        }
+        fn tick(&mut self, _run: &RunView<'_>) {
+            self.0.borrow_mut().ticks += 1;
+        }
+        fn finish(self: Box<Self>, run: &RunView<'_>, _: &RunTotals, _: &mut RunResult) {
+            let mut t = self.0.borrow_mut();
+            assert_eq!(run.events, t.events);
+            t.closed = true;
+        }
+    }
+
+    #[test]
+    fn observed_run_matches_plain_run_and_sees_every_transition() {
+        let exec = ExecEngine::new(ExecConfig {
+            faults: FaultSpec {
+                enabled: true,
+                ..FaultSpec::default()
+            },
+            ..ExecConfig::default()
+        })
+        .with_fault_plan(split_fault_plan());
+        let (platform, tasks) = grouper_inputs();
+        let mut sched = Grouper {
+            pending: Vec::new(),
+        };
+        let plain = exec.run(platform.clone(), tasks.clone(), &mut sched);
+
+        let tally = std::rc::Rc::new(std::cell::RefCell::new(Tally::default()));
+        let mut sched = Grouper {
+            pending: Vec::new(),
+        };
+        let (mut driver, mut engine) = exec.prepare(platform, tasks, &mut sched);
+        driver.probes.push(Box::new(TallyProbe(tally.clone())));
+        let outcome = engine.run(&mut driver);
+        let observed = assemble_result(driver, &engine, outcome, None);
+        assert_eq!(
+            crate::oracle::replay_divergence(&plain, &observed),
+            None,
+            "a probe must not change the run"
+        );
+
+        let t = tally.borrow();
+        assert!(t.closed, "finish reached the probe");
+        assert_eq!(t.events, observed.events_processed);
+        assert_eq!(t.event_ends, observed.events_processed);
+        assert!(t.decisions > 0 && t.decisions <= t.events);
+        assert_eq!(t.dispatched, observed.groups_dispatched);
+        assert_eq!(
+            t.finished as usize,
+            observed.num_tasks - observed.tasks_failed
+        );
+        assert_eq!(t.groups_completed, observed.groups_completed);
+        assert_eq!(t.faults, observed.faults_injected);
+        assert_eq!(t.recovered, observed.faults_recovered);
+        assert_eq!(t.preempted, observed.preemptions);
+        assert_eq!(t.retried, observed.retries);
+        assert!(t.ticks > 0);
+        assert!(observed.faults_injected > 0 && observed.preemptions > 0);
+    }
+
+    /// Counts the per-event firehose records and the decision-latency
+    /// samples it receives.
+    #[derive(Default)]
+    struct FirehoseCounter(AtomicU64, AtomicU64);
+
+    impl Recorder for FirehoseCounter {
+        fn wants(&self, _level: telemetry::TraceLevel) -> bool {
+            true
+        }
+        fn event(&self, name: &str, _t: f64, _k: u32, _f: telemetry::Fields<'_>) {
+            if name == "engine.event" {
+                self.0.fetch_add(1, Relaxed);
+            }
+        }
+        fn span_begin(&self, _n: &str, _i: u64, _t: f64, _k: u32, _f: telemetry::Fields<'_>) {}
+        fn span_end(&self, _n: &str, _i: u64, _t: f64, _k: u32) {}
+        fn gauge(&self, _n: &str, _t: f64, _v: f64) {}
+        fn counter_add(&self, _n: &'static str, _d: u64) {}
+        fn histogram(&self, name: &'static str, _v: f64) {
+            if name == "decision_latency_us" {
+                self.1.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
+    fn fcfs_with(engine: ExecEngine) -> RunResult {
+        let rng = RngStream::root(11);
+        let platform = Platform::generate(PlatformSpec::small(2, 3, 4), &rng.derive("p"));
+        let wl = Workload::generate(
+            WorkloadSpec::paper(150, 2, platform.reference_speed()),
+            &rng.derive("w"),
+        );
+        let mut sched = Fcfs {
+            pending: Vec::new(),
+        };
+        engine.run(platform, wl.tasks, &mut sched)
+    }
+
+    #[test]
+    fn full_trace_has_one_engine_record_per_processed_event() {
+        // A drained run, and one the `max_time` wall stops mid-stream:
+        // the stopping event is processed, so it is traced too.
+        for (max_time, outcome) in [
+            (ExecConfig::default().max_time, "Drained"),
+            (60.0, "Stopped"),
+        ] {
+            let cfg = ExecConfig {
+                max_time,
+                ..ExecConfig::default()
+            };
+            let rec = Arc::new(FirehoseCounter::default());
+            let r = fcfs_with(ExecEngine::new(cfg).with_recorder(rec.clone()));
+            assert_eq!(r.outcome, outcome);
+            assert_eq!(rec.0.load(Relaxed), r.events_processed);
+            // The driver times the FCFS policy's decisions too.
+            assert!(rec.1.load(Relaxed) > 0);
+            let plain = fcfs_with(ExecEngine::new(cfg));
+            assert_eq!(crate::oracle::replay_divergence(&plain, &r), None);
+        }
+    }
+
+    #[test]
+    fn profiler_times_every_event_alongside_a_full_trace() {
+        for traced in [false, true] {
+            let prof = Arc::new(PhaseProfiler::new());
+            let mut engine = ExecEngine::new(ExecConfig::default()).with_profiler(prof.clone());
+            if traced {
+                engine = engine.with_recorder(Arc::new(FirehoseCounter::default()));
+            }
+            let r = fcfs_with(engine);
+            let report = prof.report();
+            let calls = |name: &str| {
+                report
+                    .phases
+                    .iter()
+                    .find(|p| p.phase == name)
+                    .map(|p| p.calls)
+                    .unwrap_or(0)
+            };
+            assert_eq!(calls("event_handle"), r.events_processed, "traced={traced}");
+            assert_eq!(calls("event_pop"), r.events_processed, "traced={traced}");
         }
     }
 }

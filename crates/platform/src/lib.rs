@@ -22,6 +22,8 @@
 //! * [`fault`] — deterministic fault-injection plans (processor / node
 //!   failures with recovery),
 //! * [`monitor`] — the live `arls_*` metric family and sampler config,
+//! * `probe` — the one observer interface the driver reports through
+//!   (oracle, recorder, live metrics/sampler, profiler),
 //! * [`oracle`] — the correctness oracle: conservation invariants, shadow
 //!   energy accounting, post-hoc result audits and replay-determinism
 //!   checks,
@@ -41,6 +43,7 @@ pub mod monitor;
 pub mod node;
 pub mod oracle;
 pub mod power;
+mod probe;
 pub mod processor;
 pub mod queue;
 pub mod scheduler;

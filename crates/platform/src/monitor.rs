@@ -1,22 +1,27 @@
-//! Live run monitoring: the `arls_*` metric family and the time-series
-//! sampler configuration.
+//! Live run monitoring: the `arls_*` metric family, the time-series
+//! sampler configuration, and the driver probe that feeds both.
 //!
 //! [`LiveMetrics`] resolves every metric handle once, at registration
 //! time, so the driver's hot path touches only pre-registered atomics —
-//! one relaxed add per counter site, gated behind a single `m_on` bool
-//! cached at run construction. With no monitor attached the engine pays
-//! one predictable dead branch per site, exactly like the tracing gates;
-//! the `monitoring_is_inert` tests and the golden suite pin down that
-//! attaching a monitor never changes simulation state.
+//! one relaxed add per counter site, reached only when a monitor is
+//! attached (see [`crate::probe`]); the `monitoring_is_inert` tests and
+//! the golden suite pin down that attaching a monitor never changes
+//! simulation state.
 //!
 //! Metrics are wall-clock observers of sim state: `arls_sim_time_seconds`
 //! tells a scraper where in simulated time the run currently is, while
 //! the counters/gauges carry the quantities the paper's figures are
 //! built from (tasks, groups, energy, per-site power/queue/availability).
 
+use crate::engine::RunResult;
+use crate::oracle::RunTotals;
+use crate::probe::{site_snapshot, Hook, Probe, RunView};
+use crate::topology::Platform;
+use simcore::time::SimTime;
 use std::sync::Arc;
 use telemetry::metrics::latency_buckets;
-use telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use telemetry::{Counter, Gauge, Histogram, MetricsRegistry, SitePoint, TimePoint, TimeSeriesRing};
+use workload::SiteId;
 
 /// How often (in simulated seconds) the driver snapshots a
 /// [`telemetry::TimePoint`], and how many points the ring retains.
@@ -174,6 +179,142 @@ impl LiveMetrics {
         };
         m.epsilon.set(f64::NAN);
         Arc::new(m)
+    }
+}
+
+/// Live metrics and the time-series sampler as one driver probe. Either
+/// half may be absent; the sampler's decision-latency quantiles read the
+/// live histogram, so they are zero without it.
+pub(crate) struct MonitorProbe {
+    live: Option<Arc<LiveMetrics>>,
+    /// Samples are taken on control ticks (plus one final point at run
+    /// end), so the configured cadence rounds up to the tick interval.
+    sampler: Option<TimeSeriesRing>,
+}
+
+impl MonitorProbe {
+    pub(crate) fn new(live: Option<Arc<LiveMetrics>>, sampler: Option<SamplerConfig>) -> Self {
+        MonitorProbe {
+            live,
+            sampler: sampler.map(|s| TimeSeriesRing::new(s.every, s.capacity)),
+        }
+    }
+
+    /// Refreshes the live gauges and, when the sampler cadence has
+    /// elapsed (or for the closing point), appends one [`TimePoint`].
+    /// Never called per event: the energy integral and per-site stats
+    /// are O(nodes).
+    fn sample(&mut self, run: &RunView<'_>, final_point: bool) {
+        let now = run.now.as_f64();
+        let due = self
+            .sampler
+            .as_ref()
+            .is_some_and(|ring| final_point || ring.due(now));
+        if self.live.is_none() && !due {
+            return;
+        }
+        let energy = run.platform.total_energy_at(run.now);
+        if let Some(m) = &self.live {
+            m.sim_time.set(now);
+            m.energy_joules.set(energy);
+            if let Some(e) = run.epsilon {
+                m.epsilon.set(e);
+            }
+        }
+        let num_sites = run.platform.num_sites();
+        let mut sites = Vec::with_capacity(if due { num_sites } else { 0 });
+        for s in 0..num_sites {
+            let (st, power) = site_snapshot(run.platform, SiteId(s as u32));
+            let availability = if st.procs > 0 {
+                (st.procs - st.failed) as f64 / st.procs as f64
+            } else {
+                0.0
+            };
+            if let Some(m) = &self.live {
+                m.site_power[s].set(power);
+                m.site_queue[s].set(st.queued_groups as f64);
+                m.site_availability[s].set(availability);
+            }
+            if due {
+                sites.push(SitePoint {
+                    power_w: power,
+                    queue_depth: st.queued_groups as u64,
+                    availability,
+                });
+            }
+        }
+        let Some(ring) = self.sampler.as_mut().filter(|_| due) else {
+            return;
+        };
+        let latency_us = |q: f64| match &self.live {
+            Some(m) => m.decision_latency.quantile(q).unwrap_or(0.0) * 1e6,
+            None => 0.0,
+        };
+        let point = TimePoint {
+            t: now,
+            energy_j: energy,
+            done: run.completed as u64,
+            met: run.met as u64,
+            failed: run.failed as u64,
+            epsilon: run.epsilon,
+            decision_p50_us: latency_us(0.50),
+            decision_p95_us: latency_us(0.95),
+            decision_p99_us: latency_us(0.99),
+            sites,
+        };
+        if final_point {
+            ring.push_final(point);
+        } else {
+            ring.push(point);
+        }
+    }
+}
+
+impl Probe for MonitorProbe {
+    fn on(&mut self, _platform: &Platform, _now: SimTime, hook: Hook<'_>) {
+        let Some(m) = &self.live else {
+            return;
+        };
+        let counter = match hook {
+            Hook::Event(..) => &m.events,
+            Hook::Decision(secs) => {
+                m.decision_latency.observe(m.shard, secs);
+                return;
+            }
+            Hook::Rejected => &m.dispatch_rejected,
+            Hook::Dispatch(..) => &m.groups_dispatched,
+            Hook::Start(.., true) => &m.split_starts,
+            Hook::Finish(.., met) => {
+                if met {
+                    m.tasks_met.inc(m.shard);
+                }
+                &m.tasks_completed
+            }
+            Hook::Preempt(_) => &m.tasks_preempted,
+            Hook::Retried => &m.tasks_retried,
+            Hook::GiveUp(_) => &m.tasks_failed,
+            Hook::GroupComplete(..) => &m.groups_completed,
+            Hook::GroupAbort(..) => &m.groups_aborted,
+            Hook::Fault(..) => &m.faults_injected,
+            Hook::Recover(_) => &m.faults_recovered,
+            _ => return,
+        };
+        counter.inc(m.shard);
+    }
+
+    fn times_decisions(&self) -> bool {
+        self.live.is_some()
+    }
+
+    fn tick(&mut self, run: &RunView<'_>) {
+        self.sample(run, false);
+    }
+
+    fn finish(mut self: Box<Self>, run: &RunView<'_>, _: &RunTotals, result: &mut RunResult) {
+        // Close the series at the run's end so the last sample always
+        // reflects the final energy/task totals.
+        self.sample(run, true);
+        result.timeseries = self.sampler.map(TimeSeriesRing::into_log);
     }
 }
 

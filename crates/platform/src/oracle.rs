@@ -34,6 +34,7 @@
 use crate::engine::{RunResult, TaskOutcome};
 use crate::group::GroupId;
 use crate::power::PowerParams;
+use crate::probe::{Hook, Probe, RunView};
 use crate::processor::ProcState;
 use crate::topology::Platform;
 use serde::{Deserialize, Serialize};
@@ -239,7 +240,7 @@ impl ShadowProc {
     }
 }
 
-/// The online auditor. Owned by the engine's driver when
+/// The online auditor. Attached to the engine's driver as a probe when
 /// [`crate::ExecConfig::audit`] is set; fed through transition hooks and
 /// consumed by [`Oracle::finalize`] at end-of-run.
 #[derive(Debug)]
@@ -281,6 +282,8 @@ pub struct RunTotals {
     /// Whether the event loop drained (end-state checks only make sense
     /// on a drained run).
     pub drained: bool,
+    /// The energy/utilisation horizon the run's totals were read at.
+    pub horizon: SimTime,
 }
 
 impl Oracle {
@@ -329,36 +332,46 @@ impl Oracle {
         &mut self.phases[task.0 as usize]
     }
 
-    /// Every engine event: timestamps must be monotone non-decreasing.
-    pub fn on_event(&mut self, now: SimTime) {
-        let t = now.as_f64();
-        self.report.events += 1;
-        self.report.check(
-            t >= self.last_event && t.is_finite(),
-            "event.monotone-time",
-            t,
-            || format!("event at {t} after {}", self.last_event),
-        );
-        self.last_event = t.max(self.last_event);
+    /// Moves `task` to phase `to`, checking that `from` accepts the phase
+    /// it leaves.
+    fn move_task(
+        &mut self,
+        task: TaskId,
+        from: impl Fn(TaskPhase) -> bool,
+        invariant: &str,
+        what: &str,
+        to: TaskPhase,
+        t: f64,
+    ) {
+        let ph = *self.phase(task);
+        self.report.check(from(ph), invariant, t, || {
+            format!("{task:?} {what} in phase {ph:?}")
+        });
+        *self.phase(task) = to;
     }
 
-    /// A task arrived at its site agent.
-    pub fn on_arrival(&mut self, task: TaskId, now: SimTime) {
-        let ph = *self.phase(task);
-        self.report.check(
-            ph == TaskPhase::NotArrived,
-            "task.single-arrival",
-            now.as_f64(),
-            || format!("{task:?} arrived in phase {ph:?}"),
-        );
-        *self.phase(task) = TaskPhase::Pending;
-        self.arrived += 1;
+    /// Moves shadow processor `proc` to state `to`, checking that `from`
+    /// accepts the state it leaves.
+    fn move_proc(
+        &mut self,
+        proc: usize,
+        from: impl Fn(ShadowState) -> bool,
+        invariant: &str,
+        what: &str,
+        to: ShadowState,
+        t: f64,
+    ) {
+        let st = self.shadow[proc].state;
+        self.report.check(from(st), invariant, t, || {
+            format!("{what} on flat proc {proc} in shadow state {st:?}")
+        });
+        self.shadow[proc].transition(to, t);
     }
 
     /// A group was accepted onto a node queue. `queue_len` is the queue
     /// length *after* the push; `available` the node's non-failed
     /// processor count.
-    pub fn on_dispatch(
+    fn check_dispatch(
         &mut self,
         gid: GroupId,
         tasks: &[Task],
@@ -392,191 +405,15 @@ impl Oracle {
             },
         );
         for task in tasks {
-            let ph = *self.phase(task.id);
-            self.report.check(
-                ph == TaskPhase::Pending,
+            self.move_task(
+                task.id,
+                |ph| ph == TaskPhase::Pending,
                 "task.dispatch-from-pending",
+                "dispatched",
+                TaskPhase::Queued(gid),
                 t,
-                || format!("{:?} dispatched in phase {ph:?}", task.id),
             );
-            *self.phase(task.id) = TaskPhase::Queued(gid);
         }
-    }
-
-    /// A queued member began executing on flat processor `proc` at the
-    /// node's current `throttle`.
-    pub fn on_start(
-        &mut self,
-        task: TaskId,
-        gid: GroupId,
-        proc: usize,
-        throttle: f64,
-        now: SimTime,
-    ) {
-        let t = now.as_f64();
-        let ph = *self.phase(task);
-        self.report.check(
-            ph == TaskPhase::Queued(gid),
-            "task.start-from-queued",
-            t,
-            || format!("{task:?} started in phase {ph:?}, expected Queued({gid})"),
-        );
-        *self.phase(task) = TaskPhase::Running(gid, proc);
-        let sp = &self.shadow[proc];
-        self.report.check(
-            sp.state == ShadowState::Idle,
-            "proc.start-on-idle",
-            t,
-            || {
-                format!(
-                    "task started on flat proc {proc} in shadow state {:?}",
-                    sp.state
-                )
-            },
-        );
-        let w = self.params.busy_power(self.shadow[proc].p_peak, throttle);
-        self.shadow[proc].transition(ShadowState::Busy(w), t);
-    }
-
-    /// The task running on flat processor `proc` completed.
-    pub fn on_finish(&mut self, task: TaskId, proc: usize, now: SimTime) {
-        let t = now.as_f64();
-        let ph = *self.phase(task);
-        self.report.check(
-            matches!(ph, TaskPhase::Running(_, p) if p == proc),
-            "task.finish-from-running",
-            t,
-            || format!("{task:?} finished on proc {proc} in phase {ph:?}"),
-        );
-        *self.phase(task) = TaskPhase::Done;
-        self.completed += 1;
-        let st = self.shadow[proc].state;
-        self.report.check(
-            matches!(st, ShadowState::Busy(_)),
-            "proc.finish-on-busy",
-            t,
-            || format!("finish on flat proc {proc} in shadow state {st:?}"),
-        );
-        self.shadow[proc].transition(ShadowState::Idle, t);
-    }
-
-    /// A running task was preempted by a failure (its processor's
-    /// transition is reported separately via [`Oracle::on_proc_fail`]).
-    pub fn on_preempt(&mut self, task: TaskId, now: SimTime) {
-        let ph = *self.phase(task);
-        self.report.check(
-            matches!(ph, TaskPhase::Running(..)),
-            "task.preempt-from-running",
-            now.as_f64(),
-            || format!("{task:?} preempted in phase {ph:?}"),
-        );
-        *self.phase(task) = TaskPhase::Pending;
-    }
-
-    /// An unstarted member was detached from an aborted group.
-    pub fn on_detach(&mut self, task: TaskId, now: SimTime) {
-        let ph = *self.phase(task);
-        self.report.check(
-            matches!(ph, TaskPhase::Queued(_)),
-            "task.detach-from-queued",
-            now.as_f64(),
-            || format!("{task:?} detached in phase {ph:?}"),
-        );
-        *self.phase(task) = TaskPhase::Pending;
-    }
-
-    /// A task was abandoned (retry budget exhausted or site dead).
-    pub fn on_give_up(&mut self, task: TaskId, now: SimTime) {
-        let ph = *self.phase(task);
-        self.report.check(
-            ph == TaskPhase::Pending,
-            "task.fail-from-pending",
-            now.as_f64(),
-            || format!("{task:?} abandoned in phase {ph:?}"),
-        );
-        *self.phase(task) = TaskPhase::Failed;
-        self.failed += 1;
-    }
-
-    /// A dispatched group completed (reward feedback delivered).
-    pub fn on_group_complete(&mut self, gid: GroupId, now: SimTime) {
-        self.report.check(
-            self.open_groups.remove(&gid.0),
-            "group.complete-open",
-            now.as_f64(),
-            || format!("{gid} completed but was not open"),
-        );
-        self.groups_completed += 1;
-    }
-
-    /// A dispatched group was aborted by the failure path.
-    pub fn on_group_abort(&mut self, gid: GroupId, now: SimTime) {
-        self.report.check(
-            self.open_groups.remove(&gid.0),
-            "group.abort-open",
-            now.as_f64(),
-            || format!("{gid} aborted but was not open"),
-        );
-        self.groups_aborted += 1;
-    }
-
-    /// An idle processor went to sleep.
-    pub fn on_proc_sleep(&mut self, proc: usize, now: SimTime) {
-        let t = now.as_f64();
-        let st = self.shadow[proc].state;
-        self.report
-            .check(st == ShadowState::Idle, "proc.sleep-from-idle", t, || {
-                format!("sleep on flat proc {proc} in shadow state {st:?}")
-            });
-        self.shadow[proc].transition(ShadowState::Asleep, t);
-    }
-
-    /// A sleeping processor began waking.
-    pub fn on_wake_begin(&mut self, proc: usize, now: SimTime) {
-        let t = now.as_f64();
-        let st = self.shadow[proc].state;
-        self.report.check(
-            st == ShadowState::Asleep,
-            "proc.wake-from-asleep",
-            t,
-            || format!("wake begin on flat proc {proc} in shadow state {st:?}"),
-        );
-        self.shadow[proc].transition(ShadowState::Waking, t);
-    }
-
-    /// A waking processor became usable.
-    pub fn on_wake_end(&mut self, proc: usize, now: SimTime) {
-        let t = now.as_f64();
-        let st = self.shadow[proc].state;
-        self.report
-            .check(st == ShadowState::Waking, "proc.wake-end-waking", t, || {
-                format!("wake end on flat proc {proc} in shadow state {st:?}")
-            });
-        self.shadow[proc].transition(ShadowState::Idle, t);
-    }
-
-    /// A processor crashed.
-    pub fn on_proc_fail(&mut self, proc: usize, now: SimTime) {
-        let t = now.as_f64();
-        let st = self.shadow[proc].state;
-        self.report
-            .check(st != ShadowState::Failed, "proc.fail-once", t, || {
-                format!("double failure on flat proc {proc}")
-            });
-        self.shadow[proc].transition(ShadowState::Failed, t);
-    }
-
-    /// A failed processor recovered.
-    pub fn on_proc_recover(&mut self, proc: usize, now: SimTime) {
-        let t = now.as_f64();
-        let st = self.shadow[proc].state;
-        self.report.check(
-            st == ShadowState::Failed,
-            "proc.recover-from-failed",
-            t,
-            || format!("recover on flat proc {proc} in shadow state {st:?}"),
-        );
-        self.shadow[proc].transition(ShadowState::Idle, t);
     }
 
     /// Periodic full-platform sweep (queue bounds, group bookkeeping,
@@ -663,16 +500,12 @@ impl Oracle {
         self.last_sweep_energy = energy.max(self.last_sweep_energy);
     }
 
-    /// End-of-run audit: settles every shadow processor to `horizon`,
+    /// End-of-run audit: settles every shadow processor to the horizon,
     /// cross-checks the shadow accounting against the platform's
     /// incremental accumulators, and verifies task/group conservation
     /// against the driver's counters. Consumes the oracle.
-    pub fn finalize(
-        mut self,
-        platform: &Platform,
-        horizon: SimTime,
-        totals: &RunTotals,
-    ) -> AuditReport {
+    pub fn finalize(mut self, platform: &Platform, totals: &RunTotals) -> AuditReport {
+        let horizon = totals.horizon;
         let h = horizon.as_f64();
         // Shadow-versus-incremental accounting: only meaningful on a
         // drained run, where the post-settlement freeze guarantees every
@@ -849,6 +682,138 @@ impl Oracle {
         // the oracle path run them too (a panic here is a real bug).
         platform.assert_stats_consistent();
         self.report
+    }
+}
+
+/// The oracle as a driver probe: every transition is checked against the
+/// shadow state machines, `sweep` runs on ticks, and `finalize` plus the
+/// post-hoc [`audit_result`] pass make the run's [`AuditReport`].
+impl Probe for Oracle {
+    fn on(&mut self, platform: &Platform, now: SimTime, hook: Hook<'_>) {
+        use ShadowState::{Asleep, Busy, Failed, Idle, Waking};
+        use TaskPhase::{Pending, Queued, Running};
+        let t = now.as_f64();
+        match hook {
+            Hook::Event(..) => {
+                // Timestamps must be monotone non-decreasing.
+                self.report.events += 1;
+                self.report.check(
+                    t >= self.last_event && t.is_finite(),
+                    "event.monotone-time",
+                    t,
+                    || format!("event at {t} after {}", self.last_event),
+                );
+                self.last_event = t.max(self.last_event);
+            }
+            Hook::Arrival(task) => {
+                let single = |ph| ph == TaskPhase::NotArrived;
+                self.move_task(task, single, "task.single-arrival", "arrived", Pending, t);
+                self.arrived += 1;
+            }
+            Hook::Dispatch(fb, tasks) => {
+                // Reported after the push: the length counts the group.
+                let node = platform.node(fb.node);
+                let (len, cap) = (node.queue.len(), node.queue.capacity());
+                let avail = node.available_processors();
+                self.check_dispatch(fb.group, tasks, len, cap, avail, now);
+            }
+            Hook::Start(task, gid, proc, throttle, _) => {
+                let ph = *self.phase(task);
+                self.report
+                    .check(ph == Queued(gid), "task.start-from-queued", t, || {
+                        format!("{task:?} started in phase {ph:?}, expected Queued({gid})")
+                    });
+                *self.phase(task) = Running(gid, proc);
+                let w = self.params.busy_power(self.shadow[proc].p_peak, throttle);
+                let idle = |st| st == Idle;
+                self.move_proc(proc, idle, "proc.start-on-idle", "task started", Busy(w), t);
+            }
+            Hook::Finish(task, proc, _) => {
+                let ph = *self.phase(task.id);
+                self.report.check(
+                    matches!(ph, Running(_, p) if p == proc),
+                    "task.finish-from-running",
+                    t,
+                    || format!("{:?} finished on proc {proc} in phase {ph:?}", task.id),
+                );
+                *self.phase(task.id) = TaskPhase::Done;
+                self.completed += 1;
+                let busy = |st| matches!(st, Busy(_));
+                self.move_proc(proc, busy, "proc.finish-on-busy", "finish", Idle, t);
+            }
+            Hook::Preempt(task) => {
+                // The processor's own transition arrives as `ProcFail`.
+                let running = |ph| matches!(ph, Running(..));
+                let inv = "task.preempt-from-running";
+                self.move_task(task, running, inv, "preempted", Pending, t);
+            }
+            Hook::Detach(task) => {
+                let queued = |ph| matches!(ph, Queued(_));
+                let inv = "task.detach-from-queued";
+                self.move_task(task, queued, inv, "detached", Pending, t);
+            }
+            Hook::GiveUp(task) => {
+                let pending = |ph| ph == Pending;
+                let inv = "task.fail-from-pending";
+                self.move_task(task, pending, inv, "abandoned", TaskPhase::Failed, t);
+                self.failed += 1;
+            }
+            Hook::GroupComplete(fb, _) => {
+                let gid = fb.group;
+                let open = self.open_groups.remove(&gid.0);
+                self.report.check(open, "group.complete-open", t, || {
+                    format!("{gid} completed but was not open")
+                });
+                self.groups_completed += 1;
+            }
+            Hook::GroupAbort(_, gid, _) => {
+                let open = self.open_groups.remove(&gid.0);
+                self.report.check(open, "group.abort-open", t, || {
+                    format!("{gid} aborted but was not open")
+                });
+                self.groups_aborted += 1;
+            }
+            Hook::ProcSleep(p) => {
+                self.move_proc(p, |s| s == Idle, "proc.sleep-from-idle", "sleep", Asleep, t)
+            }
+            Hook::WakeBegin(p) => {
+                let inv = "proc.wake-from-asleep";
+                self.move_proc(p, |s| s == Asleep, inv, "wake begin", Waking, t)
+            }
+            Hook::WakeEnd(p) => self.move_proc(
+                p,
+                |s| s == Waking,
+                "proc.wake-end-waking",
+                "wake end",
+                Idle,
+                t,
+            ),
+            Hook::ProcFail(p) => self.move_proc(
+                p,
+                |s| s != Failed,
+                "proc.fail-once",
+                "double failure",
+                Failed,
+                t,
+            ),
+            Hook::ProcRecover(p) => {
+                let inv = "proc.recover-from-failed";
+                self.move_proc(p, |s| s == Failed, inv, "recover", Idle, t)
+            }
+            _ => {}
+        }
+    }
+
+    fn tick(&mut self, run: &RunView<'_>) {
+        self.sweep(run.platform, run.now);
+    }
+
+    fn finish(self: Box<Self>, run: &RunView<'_>, totals: &RunTotals, result: &mut RunResult) {
+        let mut report = self.finalize(run.platform, totals);
+        // Fold in the record-level post-hoc pass so `--audit` covers the
+        // assembled result too, not just the live run.
+        report.merge(audit_result(result));
+        result.audit = Some(report);
     }
 }
 
@@ -1088,6 +1053,10 @@ pub fn replay_divergence(a: &RunResult, b: &RunResult) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ev;
+    use crate::group::GroupPolicy;
+    use crate::ids::NodeAddr;
+    use crate::scheduler::GroupFeedback;
     use crate::topology::PlatformSpec;
     use simcore::rng::RngStream;
     use workload::{Priority, SiteId};
@@ -1111,6 +1080,33 @@ mod tests {
         SimTime::new(x)
     }
 
+    /// Feeds one driver hook to the oracle at time `at`.
+    fn feed(o: &mut Oracle, at: f64, hook: Hook<'_>) {
+        o.on(&platform(), t(at), hook);
+    }
+
+    /// Task `task` of group 0 starts on flat processor `proc`.
+    fn start(task: u64, proc: usize) -> Hook<'static> {
+        Hook::Start(TaskId(task), GroupId(0), proc, 1.0, false)
+    }
+
+    /// Completion feedback for group `gid`.
+    fn completed(gid: u64) -> GroupFeedback {
+        GroupFeedback {
+            group: GroupId(gid),
+            node: NodeAddr::new(0, 0),
+            policy: GroupPolicy::Mixed,
+            size: 1,
+            reward: 1,
+            pw: 1.0,
+            error: 0.0,
+            enqueued_at: SimTime::ZERO,
+            first_start: None,
+            completed_at: SimTime::ZERO,
+            split: false,
+        }
+    }
+
     fn has(oracle: &Oracle, invariant: &str) -> bool {
         oracle
             .report
@@ -1132,46 +1128,46 @@ mod tests {
     fn clean_hook_stream_stays_clean() {
         let p = platform();
         let mut o = Oracle::new(&p, 1);
-        o.on_event(t(1.0));
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(1.0));
-        o.on_finish(TaskId(0), 0, t(3.0));
-        o.on_group_complete(GroupId(0), t(3.0));
+        feed(&mut o, 1.0, Hook::Event(&Ev::Tick, 1));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        o.check_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
+        feed(&mut o, 1.0, start(0, 0));
+        feed(&mut o, 3.0, Hook::Finish(&task(0), 0, true));
+        feed(&mut o, 3.0, Hook::GroupComplete(&completed(0), 1));
         assert!(o.report.is_clean(), "{}", o.report.render());
     }
 
     #[test]
     fn time_regression_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_event(t(5.0));
-        o.on_event(t(3.0));
+        feed(&mut o, 5.0, Hook::Event(&Ev::Tick, 1));
+        feed(&mut o, 3.0, Hook::Event(&Ev::Tick, 1));
         assert!(has(&o, "event.monotone-time"));
     }
 
     #[test]
     fn double_arrival_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_arrival(TaskId(0), t(2.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        feed(&mut o, 2.0, Hook::Arrival(TaskId(0)));
         assert!(has(&o, "task.single-arrival"));
     }
 
     #[test]
     fn double_dispatch_of_group_is_caught() {
         let mut o = Oracle::new(&platform(), 2);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_arrival(TaskId(1), t(1.0));
-        o.on_dispatch(GroupId(7), &[task(0)], 1, 10, 4, t(1.0));
-        o.on_dispatch(GroupId(7), &[task(1)], 2, 10, 4, t(2.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(1)));
+        o.check_dispatch(GroupId(7), &[task(0)], 1, 10, 4, t(1.0));
+        o.check_dispatch(GroupId(7), &[task(1)], 2, 10, 4, t(2.0));
         assert!(has(&o, "group.unique-dispatch"));
     }
 
     #[test]
     fn queue_overflow_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_dispatch(GroupId(0), &[task(0)], 11, 10, 4, t(1.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        o.check_dispatch(GroupId(0), &[task(0)], 11, 10, 4, t(1.0));
         assert!(has(&o, "queue.capacity"));
     }
 
@@ -1179,94 +1175,94 @@ mod tests {
     fn oversized_group_is_caught() {
         let mut o = Oracle::new(&platform(), 3);
         for i in 0..3 {
-            o.on_arrival(TaskId(i), t(1.0));
+            feed(&mut o, 1.0, Hook::Arrival(TaskId(i)));
         }
         let members: Vec<Task> = (0..3).map(task).collect();
         // Three members dispatched onto a node with two available procs.
-        o.on_dispatch(GroupId(0), &members, 1, 10, 2, t(1.0));
+        o.check_dispatch(GroupId(0), &members, 1, 10, 2, t(1.0));
         assert!(has(&o, "dispatch.node-capacity"));
     }
 
     #[test]
     fn dispatch_of_unarrived_task_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
+        o.check_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
         assert!(has(&o, "task.dispatch-from-pending"));
     }
 
     #[test]
     fn start_without_dispatch_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(1.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        feed(&mut o, 1.0, start(0, 0));
         assert!(has(&o, "task.start-from-queued"));
     }
 
     #[test]
     fn double_occupancy_of_processor_is_caught() {
         let mut o = Oracle::new(&platform(), 2);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_arrival(TaskId(1), t(1.0));
-        o.on_dispatch(GroupId(0), &[task(0), task(1)], 1, 10, 4, t(1.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(1.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(1)));
+        o.check_dispatch(GroupId(0), &[task(0), task(1)], 1, 10, 4, t(1.0));
+        feed(&mut o, 1.0, start(0, 0));
         // Second task lands on the same flat processor while it is busy.
-        o.on_start(TaskId(1), GroupId(0), 0, 1.0, t(1.0));
+        feed(&mut o, 1.0, start(1, 0));
         assert!(has(&o, "proc.start-on-idle"));
     }
 
     #[test]
     fn finish_on_wrong_processor_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(1.0));
-        o.on_finish(TaskId(0), 1, t(2.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        o.check_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
+        feed(&mut o, 1.0, start(0, 0));
+        feed(&mut o, 2.0, Hook::Finish(&task(0), 1, true));
         assert!(has(&o, "task.finish-from-running"));
     }
 
     #[test]
     fn sleep_while_busy_is_caught() {
         let mut o = Oracle::new(&platform(), 1);
-        o.on_arrival(TaskId(0), t(1.0));
-        o.on_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(1.0));
-        o.on_proc_sleep(0, t(2.0));
+        feed(&mut o, 1.0, Hook::Arrival(TaskId(0)));
+        o.check_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(1.0));
+        feed(&mut o, 1.0, start(0, 0));
+        feed(&mut o, 2.0, Hook::ProcSleep(0));
         assert!(has(&o, "proc.sleep-from-idle"));
     }
 
     #[test]
     fn wake_of_awake_processor_is_caught() {
         let mut o = Oracle::new(&platform(), 0);
-        o.on_wake_begin(0, t(1.0));
+        feed(&mut o, 1.0, Hook::WakeBegin(0));
         assert!(has(&o, "proc.wake-from-asleep"));
     }
 
     #[test]
     fn wake_end_without_wake_is_caught() {
         let mut o = Oracle::new(&platform(), 0);
-        o.on_wake_end(0, t(1.0));
+        feed(&mut o, 1.0, Hook::WakeEnd(0));
         assert!(has(&o, "proc.wake-end-waking"));
     }
 
     #[test]
     fn double_fault_is_caught() {
         let mut o = Oracle::new(&platform(), 0);
-        o.on_proc_fail(0, t(1.0));
-        o.on_proc_fail(0, t(2.0));
+        feed(&mut o, 1.0, Hook::ProcFail(0));
+        feed(&mut o, 2.0, Hook::ProcFail(0));
         assert!(has(&o, "proc.fail-once"));
     }
 
     #[test]
     fn recovery_of_healthy_processor_is_caught() {
         let mut o = Oracle::new(&platform(), 0);
-        o.on_proc_recover(0, t(1.0));
+        feed(&mut o, 1.0, Hook::ProcRecover(0));
         assert!(has(&o, "proc.recover-from-failed"));
     }
 
     #[test]
     fn completion_of_unopened_group_is_caught() {
         let mut o = Oracle::new(&platform(), 0);
-        o.on_group_complete(GroupId(9), t(1.0));
+        feed(&mut o, 1.0, Hook::GroupComplete(&completed(9), 1));
         assert!(has(&o, "group.complete-open"));
     }
 
@@ -1277,10 +1273,10 @@ mod tests {
         let p_peak = o.shadow[0].p_peak;
         let p_idle = o.shadow[0].p_idle;
         let busy = o.params.busy_power(p_peak, 1.0);
-        o.on_arrival(TaskId(0), t(0.0));
-        o.on_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(0.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(0.0));
-        o.on_finish(TaskId(0), 0, t(4.0));
+        feed(&mut o, 0.0, Hook::Arrival(TaskId(0)));
+        o.check_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(0.0));
+        feed(&mut o, 0.0, start(0, 0));
+        feed(&mut o, 4.0, Hook::Finish(&task(0), 0, true));
         o.shadow[0].settle(10.0);
         let expect = busy * 4.0 + p_idle * 6.0;
         assert!(
@@ -1296,11 +1292,11 @@ mod tests {
     fn finalize_flags_counter_disagreement() {
         let p = platform();
         let mut o = Oracle::new(&p, 1);
-        o.on_arrival(TaskId(0), t(0.0));
-        o.on_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(0.0));
-        o.on_start(TaskId(0), GroupId(0), 0, 1.0, t(0.0));
-        o.on_finish(TaskId(0), 0, t(4.0));
-        o.on_group_complete(GroupId(0), t(4.0));
+        feed(&mut o, 0.0, Hook::Arrival(TaskId(0)));
+        o.check_dispatch(GroupId(0), &[task(0)], 1, 10, 4, t(0.0));
+        feed(&mut o, 0.0, start(0, 0));
+        feed(&mut o, 4.0, Hook::Finish(&task(0), 0, true));
+        feed(&mut o, 4.0, Hook::GroupComplete(&completed(0), 1));
         // The driver claims two completions; the oracle saw one.
         let totals = RunTotals {
             num_tasks: 1,
@@ -1311,8 +1307,9 @@ mod tests {
             groups_aborted: 0,
             reported_energy: 0.0,
             drained: true,
+            horizon: t(4.0),
         };
-        let report = o.finalize(&p, t(4.0), &totals);
+        let report = o.finalize(&p, &totals);
         assert!(report
             .violations
             .iter()

@@ -27,7 +27,7 @@
 use crate::checkpoint::{encode_checkpoint, restore_from_reader};
 use crate::engine::{assemble_result, Driver, Ev, ExecEngine, Partial, RunResult};
 use crate::ids::{NodeAddr, ProcAddr};
-use crate::monitor::LiveMetrics;
+use crate::monitor::{LiveMetrics, MonitorProbe};
 use crate::processor::ProcState;
 use crate::scheduler::Scheduler;
 use crate::topology::Platform;
@@ -101,7 +101,7 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
             "the audit oracle does not support live sessions"
         );
         let tick_interval = exec.cfg.tick_interval;
-        let (driver, engine) = exec.prepare(platform, Vec::new(), sched, &telemetry::NULL);
+        let (driver, engine) = exec.prepare(platform, Vec::new(), sched);
         ScheduleSession {
             driver,
             engine,
@@ -152,10 +152,12 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
     }
 
     /// Attaches live metric handles after the fact (used on resumed
-    /// sessions, whose restored driver starts unmonitored). Strictly
+    /// sessions, whose restored driver starts unobserved). Strictly
     /// observing, like [`ExecEngine::with_monitor`].
     pub fn set_monitor(&mut self, mon: Arc<LiveMetrics>) {
-        self.driver.mon = Some(mon);
+        self.driver
+            .probes
+            .push(Box::new(MonitorProbe::new(Some(mon), None)));
     }
 
     /// Current simulation clock (firing time of the last event).
@@ -327,7 +329,7 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
     /// idle session has no ticks, so the daemon calls this on its own
     /// cadence.
     pub fn refresh_monitor(&mut self) {
-        self.driver.monitor_tick(self.engine.now(), false);
+        self.driver.tick_probes(self.engine.now());
     }
 
     /// Serializes the complete live state (with `meta` at the head of
@@ -348,18 +350,13 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
 
     /// Closes the session and assembles the run summary over everything
     /// it processed (same shape as a batch [`RunResult`]).
-    pub fn finish(mut self) -> RunResult {
-        if self.driver.mon.is_some() || self.driver.sampler.is_some() {
-            self.driver.monitor_tick(self.engine.now(), true);
-        }
+    pub fn finish(self) -> RunResult {
         let outcome = if self.engine.queue().is_empty() {
             RunOutcome::Drained
         } else {
             RunOutcome::Paused
         };
-        let events_processed = self.engine.processed();
-        let max_queue_occupancy = self.engine.queue().max_occupancy();
-        assemble_result(self.driver, outcome, events_processed, max_queue_occupancy)
+        assemble_result(self.driver, &self.engine, outcome, None)
     }
 }
 

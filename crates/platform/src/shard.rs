@@ -39,7 +39,7 @@
 //!    shards in canonical order, then either start epoch `k+1` or
 //!    finalise at the global horizon the coordinator published.
 
-use crate::engine::{assemble_result_at, ExecConfig, ExecEngine, RunResult};
+use crate::engine::{assemble_result, ExecConfig, ExecEngine, RunResult};
 use crate::fault::{FaultPlan, FaultTarget, PlannedFault};
 use crate::group::GroupId;
 use crate::oracle::{audit_result, AuditReport};
@@ -119,7 +119,6 @@ fn decompose(platform: Platform, tasks: Vec<Task>, cfg: &ExecConfig) -> Vec<Site
     } else {
         FaultPlan::empty()
     };
-    let num_sites = platform.num_sites();
     let sub_spec = PlatformSpec {
         num_sites: 1,
         ..platform.spec.clone()
@@ -165,7 +164,6 @@ fn decompose(platform: Platform, tasks: Vec<Task>, cfg: &ExecConfig) -> Vec<Site
         }
         bundles[g].plan.events.push(local);
     }
-    let _ = num_sites;
     bundles
 }
 
@@ -486,7 +484,7 @@ fn run_worker<S: Scheduler + Send>(
         .zip(bundles)
         .map(|(sched, b)| {
             let exec = ExecEngine::new(cfg).with_fault_plan(b.plan);
-            let (driver, engine) = exec.prepare(b.platform, b.tasks, sched, &telemetry::NULL);
+            let (driver, engine) = exec.prepare(b.platform, b.tasks, sched);
             ShardSim {
                 driver,
                 engine,
@@ -546,10 +544,8 @@ fn run_worker<S: Scheduler + Send>(
 
     let global_horizon = SimTime::new(finish);
     for sim in sims {
-        let events = sim.engine.processed();
-        let maxq = sim.engine.queue().max_occupancy();
         let outcome = sim.outcome.unwrap_or(RunOutcome::Paused);
-        let mut r = assemble_result_at(sim.driver, outcome, events, maxq, Some(global_horizon));
+        let mut r = assemble_result(sim.driver, &sim.engine, outcome, Some(global_horizon));
         remap_result(&mut r, sim.global_site, &sim.task_ids);
         *results[sim.global_site as usize]
             .lock()

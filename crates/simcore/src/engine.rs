@@ -6,10 +6,15 @@
 //! receives. The loop terminates when the event list drains, when the
 //! simulation reports completion, or when a configured event-count fuse
 //! blows (a guard against accidental non-termination in tests).
+//!
+//! There is exactly one loop, [`Engine::run_until`]; [`Engine::run`] is
+//! the same loop with an unbounded horizon. Observation (tracing,
+//! profiling, checkpointing) belongs to the simulation: it sees every
+//! event in [`Simulation::on_event`] and every quiescent boundary in
+//! [`Simulation::after_event`].
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
-use telemetry::{Phase, PhaseProfiler, Recorder, TraceLevel, Value};
 
 /// Callback interface driven by [`Engine::run`].
 pub trait Simulation {
@@ -24,6 +29,14 @@ pub trait Simulation {
         event: Self::Event,
         handle: &mut EngineHandle<'_, Self::Event>,
     ) -> bool;
+
+    /// Runs after each event the simulation handled and chose to continue
+    /// past, with the clock, the processed-event count and the pending
+    /// event list. No event is in flight here — exactly the boundary a
+    /// checkpoint must capture. The hook must not alter observable
+    /// simulation state. The default does nothing.
+    #[inline]
+    fn after_event(&mut self, _now: SimTime, _processed: u64, _pending: &EventQueue<Self::Event>) {}
 }
 
 /// Scheduling handle passed to [`Simulation::on_event`].
@@ -159,22 +172,7 @@ impl<E> Engine<E> {
     where
         S: Simulation<Event = E>,
     {
-        while let Some(scheduled) = self.queue.pop() {
-            debug_assert!(scheduled.time >= self.now, "event queue must be monotone");
-            self.now = scheduled.time;
-            self.processed += 1;
-            let mut handle = EngineHandle {
-                now: self.now,
-                queue: &mut self.queue,
-            };
-            if !sim.on_event(self.now, scheduled.event, &mut handle) {
-                return RunOutcome::Stopped;
-            }
-            if self.processed >= self.fuse {
-                return RunOutcome::FuseBlown;
-            }
-        }
-        RunOutcome::Drained
+        self.run_until(SimTime::MAX, sim)
     }
 
     /// Runs `sim` through every event scheduled at or before `until`,
@@ -191,19 +189,14 @@ impl<E> Engine<E> {
     /// are unaffected.
     ///
     /// Returns [`RunOutcome::Paused`] when events remain beyond
-    /// `until`, [`RunOutcome::Drained`] when the queue is empty, and
-    /// `Stopped`/`FuseBlown` exactly as [`Engine::run`] does.
+    /// `until`, [`RunOutcome::Drained`] when the queue is empty,
+    /// [`RunOutcome::Stopped`] when the simulation returned `false`, and
+    /// [`RunOutcome::FuseBlown`] once the event fuse is reached.
     pub fn run_until<S>(&mut self, until: SimTime, sim: &mut S) -> RunOutcome
     where
         S: Simulation<Event = E>,
     {
-        loop {
-            match self.queue.next_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t > until => return RunOutcome::Paused,
-                Some(_) => {}
-            }
-            let scheduled = self.queue.pop().expect("peeked event must pop");
+        while let Some(scheduled) = self.queue.pop_through(until) {
             debug_assert!(scheduled.time >= self.now, "event queue must be monotone");
             self.now = scheduled.time;
             self.processed += 1;
@@ -214,126 +207,15 @@ impl<E> Engine<E> {
             if !sim.on_event(self.now, scheduled.event, &mut handle) {
                 return RunOutcome::Stopped;
             }
+            sim.after_event(self.now, self.processed, &self.queue);
             if self.processed >= self.fuse {
                 return RunOutcome::FuseBlown;
             }
         }
-    }
-
-    /// [`Engine::run`] with a post-event observation hook.
-    ///
-    /// `hook` fires after each event the simulation handles (and chose to
-    /// continue past), receiving the clock, the processed-event count, the
-    /// pending event list, and the simulation itself. The hook runs at a
-    /// quiescent point — no event is in flight — which is exactly the
-    /// boundary a checkpoint must capture. The hook must not alter
-    /// observable simulation state: a hooked run is required to be
-    /// event-for-event identical to a plain [`Engine::run`].
-    pub fn run_hooked<S, F>(&mut self, sim: &mut S, mut hook: F) -> RunOutcome
-    where
-        S: Simulation<Event = E>,
-        F: FnMut(SimTime, u64, &EventQueue<E>, &mut S),
-    {
-        while let Some(scheduled) = self.queue.pop() {
-            debug_assert!(scheduled.time >= self.now, "event queue must be monotone");
-            self.now = scheduled.time;
-            self.processed += 1;
-            let mut handle = EngineHandle {
-                now: self.now,
-                queue: &mut self.queue,
-            };
-            if !sim.on_event(self.now, scheduled.event, &mut handle) {
-                return RunOutcome::Stopped;
-            }
-            hook(self.now, self.processed, &self.queue, sim);
-            if self.processed >= self.fuse {
-                return RunOutcome::FuseBlown;
-            }
-        }
-        RunOutcome::Drained
-    }
-
-    /// [`Engine::run`] with per-event telemetry.
-    ///
-    /// The firehose (one record per engine event: kind, simulated time,
-    /// wall-clock offset) only fires at [`TraceLevel::All`]; the gate is
-    /// resolved once before the loop, so cheaper levels pay a single
-    /// dead branch per event. `kind_name` maps an event payload to a
-    /// static label without moving or cloning it.
-    pub fn run_traced<S, F>(&mut self, sim: &mut S, rec: &dyn Recorder, kind_name: F) -> RunOutcome
-    where
-        S: Simulation<Event = E>,
-        F: Fn(&E) -> &'static str,
-    {
-        let firehose = rec.wants(TraceLevel::All);
-        let wall_start = std::time::Instant::now();
-        while let Some(scheduled) = self.queue.pop() {
-            debug_assert!(scheduled.time >= self.now, "event queue must be monotone");
-            self.now = scheduled.time;
-            self.processed += 1;
-            if firehose {
-                rec.event(
-                    "engine.event",
-                    self.now.as_f64(),
-                    0,
-                    &[
-                        ("kind", Value::Str(kind_name(&scheduled.event))),
-                        ("seq", Value::U64(self.processed)),
-                        (
-                            "wall_us",
-                            Value::F64(wall_start.elapsed().as_secs_f64() * 1e6),
-                        ),
-                    ],
-                );
-            }
-            let mut handle = EngineHandle {
-                now: self.now,
-                queue: &mut self.queue,
-            };
-            if !sim.on_event(self.now, scheduled.event, &mut handle) {
-                return RunOutcome::Stopped;
-            }
-            if self.processed >= self.fuse {
-                return RunOutcome::FuseBlown;
-            }
-        }
-        RunOutcome::Drained
-    }
-
-    /// [`Engine::run`] with per-phase wall-clock accounting.
-    ///
-    /// Splits each iteration into queue pop ([`Phase::EventPop`]) and
-    /// simulation dispatch ([`Phase::EventHandle`]) and records both into
-    /// `prof`. Timing is strictly observational — the event order and
-    /// simulation state are identical to a plain [`Engine::run`] — but
-    /// every iteration reads the monotonic clock three times, so this
-    /// variant is only selected when `--profile` is on.
-    pub fn run_profiled<S>(&mut self, sim: &mut S, prof: &PhaseProfiler) -> RunOutcome
-    where
-        S: Simulation<Event = E>,
-    {
-        loop {
-            let pop_start = std::time::Instant::now();
-            let Some(scheduled) = self.queue.pop() else {
-                return RunOutcome::Drained;
-            };
-            let handle_start = std::time::Instant::now();
-            prof.record_duration(Phase::EventPop, handle_start - pop_start);
-            debug_assert!(scheduled.time >= self.now, "event queue must be monotone");
-            self.now = scheduled.time;
-            self.processed += 1;
-            let mut handle = EngineHandle {
-                now: self.now,
-                queue: &mut self.queue,
-            };
-            let keep_going = sim.on_event(self.now, scheduled.event, &mut handle);
-            prof.record_duration(Phase::EventHandle, handle_start.elapsed());
-            if !keep_going {
-                return RunOutcome::Stopped;
-            }
-            if self.processed >= self.fuse {
-                return RunOutcome::FuseBlown;
-            }
+        if self.queue.is_empty() {
+            RunOutcome::Drained
+        } else {
+            RunOutcome::Paused
         }
     }
 }
@@ -377,43 +259,6 @@ mod tests {
         assert_eq!(sim.times, vec![0.5, 1.5, 2.5, 3.5]);
         assert_eq!(engine.now().as_f64(), 3.5);
         assert_eq!(engine.processed(), 4);
-    }
-
-    #[test]
-    fn profiled_run_matches_plain_run_and_counts_phases() {
-        let mut plain = Bouncer {
-            remaining: 3,
-            times: Vec::new(),
-        };
-        let mut engine = Engine::new();
-        engine.prime(SimTime::new(0.5), Bounce);
-        engine.run(&mut plain);
-
-        let mut profiled = Bouncer {
-            remaining: 3,
-            times: Vec::new(),
-        };
-        let prof = PhaseProfiler::new();
-        let mut engine = Engine::new();
-        engine.prime(SimTime::new(0.5), Bounce);
-        let outcome = engine.run_profiled(&mut profiled, &prof);
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(profiled.times, plain.times);
-        assert_eq!(engine.processed(), 4);
-
-        let report = prof.report();
-        let pop = report
-            .phases
-            .iter()
-            .find(|p| p.phase == "event_pop")
-            .unwrap();
-        let handle = report
-            .phases
-            .iter()
-            .find(|p| p.phase == "event_handle")
-            .unwrap();
-        assert_eq!(pop.calls, 4);
-        assert_eq!(handle.calls, 4);
     }
 
     #[test]
@@ -518,52 +363,35 @@ mod tests {
         let _ = engine.run(&mut PastScheduler);
     }
 
-    /// Records just how many firehose events reached it.
-    #[derive(Default)]
-    struct CountingRecorder(std::sync::Mutex<u64>);
+    /// Counts the quiescent boundaries [`Simulation::after_event`] sees.
+    struct Watched {
+        inner: Bouncer,
+        seen: Vec<(f64, u64, usize)>,
+    }
 
-    impl Recorder for CountingRecorder {
-        fn wants(&self, level: TraceLevel) -> bool {
-            level == TraceLevel::All || TraceLevel::All.accepts(level)
+    impl Simulation for Watched {
+        type Event = Bounce;
+        fn on_event(&mut self, now: SimTime, e: Bounce, h: &mut EngineHandle<'_, Bounce>) -> bool {
+            self.inner.on_event(now, e, h)
         }
-        fn event(&self, _n: &str, _t: f64, _k: u32, _f: telemetry::Fields<'_>) {
-            *self.0.lock().unwrap() += 1;
+        fn after_event(&mut self, now: SimTime, processed: u64, pending: &EventQueue<Bounce>) {
+            self.seen.push((now.as_f64(), processed, pending.len()));
         }
-        fn span_begin(&self, _n: &str, _i: u64, _t: f64, _k: u32, _f: telemetry::Fields<'_>) {}
-        fn span_end(&self, _n: &str, _i: u64, _t: f64, _k: u32) {}
-        fn gauge(&self, _n: &str, _t: f64, _v: f64) {}
-        fn counter_add(&self, _n: &'static str, _d: u64) {}
-        fn histogram(&self, _n: &'static str, _v: f64) {}
     }
 
     #[test]
-    fn traced_run_matches_untraced_and_counts_events() {
-        let mk = || Bouncer {
-            remaining: 3,
-            times: Vec::new(),
+    fn after_event_sees_every_handled_event_at_rest() {
+        let mut sim = Watched {
+            inner: Bouncer {
+                remaining: 2,
+                times: Vec::new(),
+            },
+            seen: Vec::new(),
         };
-        let mut plain = mk();
         let mut engine = Engine::new();
         engine.prime(SimTime::new(0.5), Bounce);
-        assert_eq!(engine.run(&mut plain), RunOutcome::Drained);
-
-        let rec = CountingRecorder::default();
-        let mut traced = mk();
-        let mut engine = Engine::new();
-        engine.prime(SimTime::new(0.5), Bounce);
-        let outcome = engine.run_traced(&mut traced, &rec, |_e| "bounce");
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(traced.times, plain.times);
-        assert_eq!(*rec.0.lock().unwrap(), 4);
-
-        // The null recorder suppresses the firehose entirely.
-        let mut nulled = mk();
-        let mut engine = Engine::new();
-        engine.prime(SimTime::new(0.5), Bounce);
-        assert_eq!(
-            engine.run_traced(&mut nulled, &telemetry::NULL, |_e| "bounce"),
-            RunOutcome::Drained
-        );
-        assert_eq!(nulled.times, plain.times);
+        assert_eq!(engine.run(&mut sim), RunOutcome::Drained);
+        // Each boundary already holds the follow-up the handler scheduled.
+        assert_eq!(sim.seen, vec![(0.5, 1, 1), (1.5, 2, 1), (2.5, 3, 0)]);
     }
 }

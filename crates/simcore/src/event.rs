@@ -221,20 +221,31 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        self.pop_through(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest event if it fires at or before
+    /// `until`; leaves the queue's contents untouched otherwise. One head
+    /// lookup serves both the horizon check and the removal.
+    #[inline]
+    pub fn pop_through(&mut self, until: SimTime) -> Option<ScheduledEvent<E>> {
         if self.len == 0 {
             return None;
         }
         if self.in_wheel == 0 {
             self.rotate();
         }
+        let w = self.buckets[self.cursor]
+            .last()
+            .expect("cursor bucket holds the wheel head");
         // The overflow rung can hold a *straggler* earlier than the wheel
         // head: an event pushed beyond the window before the cursor slid
         // past its slot. The head is therefore the min of both tiers.
         if let Some(o) = self.overflow.peek() {
-            let w = self.buckets[self.cursor]
-                .last()
-                .expect("cursor bucket holds the wheel head");
             if (o.time, o.seq) < (w.time, w.seq) {
+                if o.time.as_f64() > until.as_f64() {
+                    return None;
+                }
                 let ev = self.overflow.pop().expect("peeked above");
                 self.len -= 1;
                 if self.overflow.is_empty() {
@@ -242,6 +253,9 @@ impl<E> EventQueue<E> {
                 }
                 return Some(ev);
             }
+        }
+        if w.time.as_f64() > until.as_f64() {
+            return None;
         }
         let ev = self.buckets[self.cursor]
             .pop()
@@ -341,27 +355,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Peeks at the earliest event's time without removing it.
-    #[inline]
-    pub fn next_time(&self) -> Option<SimTime> {
-        let wheel = if self.in_wheel > 0 {
-            self.buckets[self.cursor].last()
-        } else {
-            None
-        };
-        match (wheel, self.overflow.peek()) {
-            (Some(w), Some(o)) => {
-                if (o.time, o.seq) < (w.time, w.seq) {
-                    Some(o.time)
-                } else {
-                    Some(w.time)
-                }
-            }
-            (Some(w), None) => Some(w.time),
-            (None, o) => o.map(|e| e.time),
-        }
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -441,15 +434,20 @@ mod tests {
     }
 
     #[test]
-    fn next_time_peeks() {
+    fn pop_through_stops_at_the_horizon() {
         let mut q = EventQueue::new();
-        assert!(q.next_time().is_none());
+        assert!(q.pop_through(SimTime::MAX).is_none());
         q.push(SimTime::new(9.0), ());
         q.push(SimTime::new(4.0), ());
-        assert_eq!(q.next_time(), Some(SimTime::new(4.0)));
+        assert!(q.pop_through(SimTime::new(3.5)).is_none());
         assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.next_time(), Some(SimTime::new(9.0)));
+        let head = q
+            .pop_through(SimTime::new(4.0))
+            .expect("due at the horizon");
+        assert_eq!(head.time, SimTime::new(4.0));
+        assert!(q.pop_through(SimTime::new(8.0)).is_none());
+        assert_eq!(q.pop_through(SimTime::MAX).unwrap().time, SimTime::new(9.0));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -26,6 +26,9 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0.0);
 
+    /// The latest representable instant; no event can fire after it.
+    pub const MAX: SimTime = SimTime(f64::MAX);
+
     /// Creates a time point from raw units.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Property test: the calendar `EventQueue` dequeues in exactly the
 //! `(time, seq)` order a binary-heap priority queue would produce, under
-//! random push/pop interleavings, bursty same-timestamp clusters, and
-//! arbitrary capacity hints.
+//! random push/pop/pop-through-horizon interleavings, bursty
+//! same-timestamp clusters, and arbitrary capacity hints.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, ScheduledEvent, SimTime};
@@ -40,6 +40,8 @@ enum Op {
     Burst(f64, u8),
     /// Pop `n` events.
     Pop(u8),
+    /// Pop every event due at or before the given time.
+    PopThrough(f64),
 }
 
 /// Quantised times force plenty of exact ties; the wide span plus the
@@ -56,6 +58,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         time_strategy().prop_map(Op::Push),
         (time_strategy(), 1u8..8).prop_map(|(t, n)| Op::Burst(t, n)),
         (1u8..6).prop_map(Op::Pop),
+        time_strategy().prop_map(Op::PopThrough),
     ]
 }
 
@@ -96,7 +99,24 @@ proptest! {
                             want.as_ref().map(key),
                             "mid-sequence pop diverged"
                         );
-                        prop_assert_eq!(calendar.next_time(), oracle.heap.peek().map(|e| e.time));
+                    }
+                }
+                Op::PopThrough(t) => {
+                    let until = SimTime::new(t);
+                    loop {
+                        let got = calendar.pop_through(until);
+                        let want = match oracle.heap.peek() {
+                            Some(head) if head.time <= until => oracle.pop(),
+                            _ => None,
+                        };
+                        prop_assert_eq!(
+                            got.as_ref().map(key),
+                            want.as_ref().map(key),
+                            "horizon pop diverged"
+                        );
+                        if want.is_none() {
+                            break;
+                        }
                     }
                 }
             }

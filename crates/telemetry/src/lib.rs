@@ -1,10 +1,9 @@
 //! Runtime telemetry for the simulation stack.
 //!
-//! The design goal is *zero cost when disabled*: every instrumented call
-//! site in the engine/scheduler hot paths is guarded by a boolean cached
-//! at construction time (`Recorder::wants(level)`), so a run without a
-//! sink pays one predictable branch per site — no virtual dispatch, no
-//! allocation, no formatting. The `golden_determinism` suite and the
+//! The design goal is *zero cost when disabled*: a run without a sink
+//! attaches no recorder at all, and every emission is guarded by a
+//! boolean cached when the recorder is attached (`Recorder::wants(level)`)
+//! — no allocation or formatting below the configured level. The `golden_determinism` suite and the
 //! `BENCH_throughput.json` baseline pin this down.
 //!
 //! Layers:
@@ -12,7 +11,7 @@
 //! - [`Recorder`] — the trait the engines talk to. Span begin/end,
 //!   instant events, gauges, monotonic counters and histogram samples,
 //!   plus a periodic [`Progress`] snapshot for the stderr ticker.
-//! - [`NullRecorder`] / [`NULL`] — the no-op implementation; `wants`
+//! - [`NullRecorder`] — the no-op implementation; `wants`
 //!   returns `false` for every level so guarded sites never fire.
 //! - [`JsonlSink`] — one self-contained JSON object per line; each line
 //!   is formatted into a private buffer and written with a single
@@ -56,6 +55,6 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{Phase, PhaseProfiler, PhaseStat, ProfileReport, PHASES};
 pub use progress::StderrProgress;
 pub use promhttp::MetricsServer;
-pub use recorder::{Fields, NullRecorder, Progress, Recorder, TraceLevel, Value, NULL};
-pub use stats::{quantile, CounterTotal, HistogramSummary, StatsCore, TelemetrySummary};
+pub use recorder::{Fields, NullRecorder, Progress, Recorder, TraceLevel, Value};
+pub use stats::{CounterTotal, HistogramSummary, StatsCore, TelemetrySummary};
 pub use timeseries::{SitePoint, TimePoint, TimeSeriesLog, TimeSeriesRing};

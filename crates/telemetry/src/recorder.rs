@@ -10,7 +10,7 @@ use crate::stats::TelemetrySummary;
 ///   markers.
 /// - `Decisions` — the default: adds per-decision events, dispatch/group
 ///   spans and the latency/queue-wait histograms.
-/// - `All` — adds the per-engine-event firehose from `simcore`.
+/// - `All` — adds the per-engine-event firehose from the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
     Cycles,
@@ -141,9 +141,6 @@ pub trait Recorder: Send + Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
-/// A shareable static no-op recorder for untraced runs.
-pub static NULL: NullRecorder = NullRecorder;
-
 impl Recorder for NullRecorder {
     #[inline(always)]
     fn wants(&self, _level: TraceLevel) -> bool {
@@ -195,9 +192,9 @@ mod tests {
 
     #[test]
     fn null_recorder_wants_nothing() {
-        assert!(!NULL.wants(TraceLevel::Cycles));
-        assert!(!NULL.wants(TraceLevel::All));
-        assert!(!NULL.wants_progress());
-        assert!(NULL.summary().is_none());
+        assert!(!NullRecorder.wants(TraceLevel::Cycles));
+        assert!(!NullRecorder.wants(TraceLevel::All));
+        assert!(!NullRecorder.wants_progress());
+        assert!(NullRecorder.summary().is_none());
     }
 }

@@ -2,6 +2,7 @@
 //! end-of-run `TelemetrySummary` attached to `RunResult`.
 
 use serde::{Deserialize, Serialize};
+use simcore::stats::quantile;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -102,31 +103,6 @@ impl StatsCore {
     }
 }
 
-/// Linear-interpolation quantile over an unsorted sample (sort-copy),
-/// mirroring `simcore::stats::quantile` — re-implemented here because
-/// `telemetry` sits below `simcore` in the dependency graph. The sort
-/// comparator (`total_cmp`) and the interpolation formula
-/// (`lo + (hi - lo) * frac`) are kept textually identical to the
-/// `simcore` copy so the two agree to the last bit; the
-/// `quantile_equivalence` test in `simcore` pins this down. The only
-/// deliberate difference: out-of-range `q` is clamped here instead of
-/// asserted, because summary rendering must never panic a run.
-pub fn quantile(sample: &[f64], q: f64) -> Option<f64> {
-    if sample.is_empty() {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let mut xs = sample.to_vec();
-    // total_cmp: a NaN sample sorts to the end instead of panicking the
-    // whole summary.
-    xs.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (xs.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(xs[lo] + (xs[hi] - xs[lo]) * frac)
-}
-
 impl TelemetrySummary {
     /// Look up a counter total by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -172,11 +148,5 @@ mod tests {
         assert!((h.p50 - 3.0).abs() < 1e-12);
         assert_eq!(h.max, 5.0);
         assert!(h.p95 <= h.max && h.p50 <= h.p95);
-    }
-
-    #[test]
-    fn empty_quantile_is_none() {
-        assert_eq!(quantile(&[], 0.5), None);
-        assert_eq!(quantile(&[7.0], 0.99), Some(7.0));
     }
 }
