@@ -30,14 +30,11 @@
 use crate::args::Args;
 use crate::commands::CmdError;
 use crate::select::scheduler_from;
-use adaptive_rl::AdaptiveRl;
-use baselines::{GreedyEdf, OnlineRl, PredictionBased, QPlusLearning, RoundRobin};
 use experiments::checkpoint::{decode_scheduler_meta, encode_scheduler_meta};
-use experiments::{Scenario, SchedulerKind};
+use experiments::{Monitor, Scenario};
 use platform::checkpoint::snapshot_meta;
-use platform::{ExecEngine, LiveMetrics, PlatformSpec, ScheduleSession, Scheduler, SessionEvent};
+use platform::{ExecEngine, LiveMetrics, PlatformSpec, ScheduleSession, SessionEvent};
 use simcore::time::SimTime;
-use snapshot::SnapReader;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -65,6 +62,9 @@ fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
+    // SAFETY: `signal` is called with valid signal numbers and an
+    // `extern "C"` handler that only stores to an atomic, which is
+    // async-signal-safe; the returned previous handler is ignored.
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
@@ -100,7 +100,6 @@ struct ServeOpts {
     checkpoint_every: f64,
     metrics_server: Option<MetricsServer>,
     ingest: IngestMetrics,
-    live: Arc<LiveMetrics>,
 }
 
 /// One accepted client connection. Slots are kept for the daemon's
@@ -157,16 +156,17 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
     let ingest_addr = listener.local_addr()?;
 
     // Resolve what we are serving: a fresh platform + scheduler from the
-    // flags, or everything out of a snapshot's meta blob.
+    // flags, or everything out of a snapshot's meta blob (which is also
+    // the meta every checkpoint of this daemon carries).
     let resume_payload = match args.get("resume-from") {
         Some(path) => Some(snapshot::read_file(std::path::Path::new(path))?),
         None => None,
     };
-    let (kind, sc) = match &resume_payload {
+    let (kind, num_sites, meta, sc) = match &resume_payload {
         Some(payload) => {
             let meta = snapshot_meta(payload)?;
-            let (kind, _sites) = decode_scheduler_meta(&meta)?;
-            (kind, None)
+            let (kind, sites) = decode_scheduler_meta(&meta)?;
+            (kind, sites, meta, None)
         }
         None => {
             let seed = args.get_or("seed", 2011u64)?;
@@ -189,7 +189,9 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
             // The experiment harness's per-seed policy-RNG mask, so a
             // served scheduler matches a batch run with the same seed.
             let kind = scheduler_from(args)?.with_seed(seed);
-            (kind, Some(sc))
+            let sites = sc.platform.num_sites as usize;
+            let meta = encode_scheduler_meta(&kind, sites);
+            (kind, sites, meta, Some(sc))
         }
     };
 
@@ -216,61 +218,35 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         std::fs::write(path, format!("ingest {ingest_addr}\n{metrics_line}"))?;
     }
 
-    macro_rules! dispatch {
-        ($sched:expr, $sites:expr) => {{
-            let mut sched = $sched;
-            let live = LiveMetrics::register(&registry, $sites, 0);
-            let opts = ServeOpts {
-                listener,
-                pace,
-                run_for,
-                checkpoint_dir,
-                checkpoint_every,
-                metrics_server,
-                ingest,
-                live,
-            };
-            match &resume_payload {
-                Some(payload) => {
-                    let meta = snapshot_meta(payload)?;
-                    let mut r = SnapReader::new(payload);
-                    let _ = r.bytes()?; // skip meta; engine state follows
-                    let mut session = ScheduleSession::resume_from_reader(&mut r, &mut sched)?;
-                    session.set_monitor(opts.live.clone());
-                    run_daemon(session, &meta, opts)
-                }
-                None => {
-                    let sc = sc.expect("fresh start has a scenario");
-                    let platform = sc.build_platform();
-                    let engine = ExecEngine::new(sc.exec).with_monitor(opts.live.clone());
-                    let meta = encode_scheduler_meta(&kind, platform.num_sites());
-                    let session = ScheduleSession::new(&engine, platform, &mut sched);
-                    run_daemon(session, &meta, opts)
-                }
-            }
-        }};
-    }
-
-    let num_sites = match (&resume_payload, &sc) {
-        (Some(payload), _) => decode_scheduler_meta(&snapshot_meta(payload)?)?.1,
-        (None, Some(sc)) => sc.platform.num_sites as usize,
-        (None, None) => unreachable!("fresh start always builds a scenario"),
-    };
-    match kind.clone() {
-        SchedulerKind::Adaptive(cfg) => dispatch!(AdaptiveRl::new(num_sites, cfg), num_sites),
-        SchedulerKind::Online(cfg) => dispatch!(OnlineRl::new(num_sites, cfg), num_sites),
-        SchedulerKind::QPlus(cfg) => dispatch!(QPlusLearning::new(num_sites, cfg), num_sites),
-        SchedulerKind::Prediction(cfg) => {
-            dispatch!(PredictionBased::new(num_sites, cfg), num_sites)
+    let live = LiveMetrics::register(&registry, num_sites);
+    let mut sched = kind.build(num_sites, &Monitor::default());
+    let session = match &resume_payload {
+        Some(payload) => {
+            let mut session = ScheduleSession::resume(payload, &mut *sched)?;
+            session.set_monitor(live);
+            session
         }
-        SchedulerKind::RoundRobin => dispatch!(RoundRobin::new(num_sites), num_sites),
-        SchedulerKind::GreedyEdf => dispatch!(GreedyEdf::new(num_sites), num_sites),
-    }
+        None => {
+            let sc = sc.expect("a fresh start has a scenario");
+            let engine = ExecEngine::new(sc.exec).with_monitor(live);
+            ScheduleSession::new(&engine, sc.build_platform(), &mut *sched)
+        }
+    };
+    let opts = ServeOpts {
+        listener,
+        pace,
+        run_for,
+        checkpoint_dir,
+        checkpoint_every,
+        metrics_server,
+        ingest,
+    };
+    run_daemon(session, &meta, opts)
 }
 
-/// The serve loop, generic over the concrete scheduler.
-fn run_daemon<S: Scheduler>(
-    mut session: ScheduleSession<'_, S>,
+/// The serve loop.
+fn run_daemon(
+    mut session: ScheduleSession<'_>,
     meta: &[u8],
     mut opts: ServeOpts,
 ) -> Result<String, CmdError> {
@@ -312,7 +288,7 @@ fn run_daemon<S: Scheduler>(
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    opts.ingest.connections.inc(0);
+                    opts.ingest.connections.inc();
                     active = true;
                     clients.push(Client {
                         stream,
@@ -363,15 +339,15 @@ fn run_daemon<S: Scheduler>(
                 if line.is_empty() {
                     continue;
                 }
-                opts.ingest.lines.inc(0);
+                opts.ingest.lines.inc();
                 let reply = handle_line(line, &mut session, slot, &mut owners, &opts.ingest);
                 push_notification(client, &reply, &opts.ingest);
             }
             if client.inbuf.len() > MAX_CLIENT_BACKLOG {
                 // Over a MiB without a newline: refuse it like any other
                 // malformed line, then drop the connection.
-                opts.ingest.parse_errors.inc(0);
-                opts.ingest.rejections.inc(0);
+                opts.ingest.parse_errors.inc();
+                opts.ingest.rejections.inc();
                 let reason = format!("request line exceeds {MAX_CLIENT_BACKLOG} bytes");
                 push_notification(
                     client,
@@ -501,9 +477,9 @@ fn run_daemon<S: Scheduler>(
 }
 
 /// Parses and admits one request line, returning the ack/reject.
-fn handle_line<S: Scheduler>(
+fn handle_line(
     line: &str,
-    session: &mut ScheduleSession<'_, S>,
+    session: &mut ScheduleSession<'_>,
     slot: usize,
     owners: &mut HashMap<u64, usize>,
     ingest: &IngestMetrics,
@@ -511,15 +487,15 @@ fn handle_line<S: Scheduler>(
     let sub = match Submission::parse_line(line) {
         Ok(sub) => sub,
         Err(reason) => {
-            ingest.parse_errors.inc(0);
-            ingest.rejections.inc(0);
+            ingest.parse_errors.inc();
+            ingest.rejections.inc();
             return Notification::Reject { id: 0, reason };
         }
     };
     match session.submit(&sub.tasks) {
         Ok((at, ids)) => {
-            ingest.submissions.inc(0);
-            ingest.tasks.add(0, ids.len() as u64);
+            ingest.submissions.inc();
+            ingest.tasks.add(ids.len() as u64);
             for id in &ids {
                 owners.insert(id.0, slot);
             }
@@ -530,7 +506,7 @@ fn handle_line<S: Scheduler>(
             }
         }
         Err(reason) => {
-            ingest.rejections.inc(0);
+            ingest.rejections.inc();
             Notification::Reject { id: sub.id, reason }
         }
     }
@@ -542,7 +518,7 @@ fn push_notification(client: &mut Client, n: &Notification, ingest: &IngestMetri
     }
     client.outbuf.extend_from_slice(n.render_line().as_bytes());
     client.outbuf.push(b'\n');
-    ingest.notifications.inc(0);
+    ingest.notifications.inc();
     if client.outbuf.len() > MAX_CLIENT_BACKLOG {
         client.close();
     }
@@ -572,10 +548,10 @@ fn flush_client(client: &mut Client) {
 /// Serializes the session into `dir` with the zero-padded sequence
 /// number in the name (lexicographic order = write order, matching the
 /// batch checkpointer's convention).
-fn write_checkpoint<S: Scheduler>(
+fn write_checkpoint(
     dir: &std::path::Path,
     seq: u64,
-    session: &mut ScheduleSession<'_, S>,
+    session: &mut ScheduleSession<'_>,
     meta: &[u8],
 ) -> Result<PathBuf, CmdError> {
     let payload = session.checkpoint(meta);

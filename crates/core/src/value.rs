@@ -21,7 +21,7 @@
 //! The estimator runs on either the reference f64 kernels (default,
 //! bit-reproducible, pinned by goldens) or — behind the `f32-kernels`
 //! cargo feature — the vectorization-friendly f32 kernel set
-//! ([`neural::MlpF32`]). Both start from the identical initialisation, and
+//! (`neural::MlpF32`). Both start from the identical initialisation, and
 //! the checkpoint surface is f64 in both modes (`f32 → f64` widening is
 //! exact, so f32 runs resume bit-exactly too).
 

@@ -8,13 +8,10 @@
 //! without re-deriving the scenario.
 
 use crate::config::Scenario;
-use crate::runner::SchedulerKind;
-use adaptive_rl::{AdaptiveRl, AdaptiveRlConfig, KernelPrecision, PolicyKind};
-use baselines::{
-    GreedyEdf, OnlineRl, OnlineRlConfig, PredictionBased, PredictionConfig, QPlusConfig,
-    QPlusLearning, RoundRobin,
-};
-use platform::checkpoint::{resume_from_reader, snapshot_meta};
+use crate::runner::{Monitor, SchedulerKind};
+use adaptive_rl::{AdaptiveRlConfig, KernelPrecision, PolicyKind};
+use baselines::{OnlineRlConfig, PredictionConfig, QPlusConfig};
+use platform::checkpoint::{resume_from_payload, snapshot_meta};
 use platform::{CheckpointConfig, CheckpointedRun, ExecEngine, RunResult};
 use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
 use std::path::Path;
@@ -201,32 +198,8 @@ pub fn run_scenario_checkpointed(
     let engine = ExecEngine::new(scenario.exec);
     let seeded = kind.with_seed(scenario.seed);
     let ck = ck.with_meta(encode_scheduler_meta(&seeded, sites));
-    match &seeded {
-        SchedulerKind::Adaptive(cfg) => {
-            let mut s = AdaptiveRl::new(sites, *cfg);
-            engine.run_with_checkpoints(platform, tasks, &mut s, &ck)
-        }
-        SchedulerKind::Online(cfg) => {
-            let mut s = OnlineRl::new(sites, *cfg);
-            engine.run_with_checkpoints(platform, tasks, &mut s, &ck)
-        }
-        SchedulerKind::QPlus(cfg) => {
-            let mut s = QPlusLearning::new(sites, *cfg);
-            engine.run_with_checkpoints(platform, tasks, &mut s, &ck)
-        }
-        SchedulerKind::Prediction(cfg) => {
-            let mut s = PredictionBased::new(sites, *cfg);
-            engine.run_with_checkpoints(platform, tasks, &mut s, &ck)
-        }
-        SchedulerKind::RoundRobin => {
-            let mut s = RoundRobin::new(sites);
-            engine.run_with_checkpoints(platform, tasks, &mut s, &ck)
-        }
-        SchedulerKind::GreedyEdf => {
-            let mut s = GreedyEdf::new(sites);
-            engine.run_with_checkpoints(platform, tasks, &mut s, &ck)
-        }
-    }
+    let mut sched = seeded.build(sites, &Monitor::default());
+    engine.run_with_checkpoints(platform, tasks, &mut *sched, &ck)
 }
 
 /// Resumes a run from a snapshot file written by
@@ -239,36 +212,9 @@ pub fn run_scenario_checkpointed(
 /// build does not understand; never panics on bad input.
 pub fn resume_run(snapshot: &Path) -> Result<RunResult, SnapshotError> {
     let payload = snapshot::read_file(snapshot)?;
-    let meta = snapshot_meta(&payload)?;
-    let (kind, num_sites) = decode_scheduler_meta(&meta)?;
-    let mut r = SnapReader::new(&payload);
-    let _ = r.bytes()?; // skip the meta blob; the engine state follows
-    match kind {
-        SchedulerKind::Adaptive(cfg) => {
-            let mut s = AdaptiveRl::new(num_sites, cfg);
-            resume_from_reader(&mut r, &mut s)
-        }
-        SchedulerKind::Online(cfg) => {
-            let mut s = OnlineRl::new(num_sites, cfg);
-            resume_from_reader(&mut r, &mut s)
-        }
-        SchedulerKind::QPlus(cfg) => {
-            let mut s = QPlusLearning::new(num_sites, cfg);
-            resume_from_reader(&mut r, &mut s)
-        }
-        SchedulerKind::Prediction(cfg) => {
-            let mut s = PredictionBased::new(num_sites, cfg);
-            resume_from_reader(&mut r, &mut s)
-        }
-        SchedulerKind::RoundRobin => {
-            let mut s = RoundRobin::new(num_sites);
-            resume_from_reader(&mut r, &mut s)
-        }
-        SchedulerKind::GreedyEdf => {
-            let mut s = GreedyEdf::new(num_sites);
-            resume_from_reader(&mut r, &mut s)
-        }
-    }
+    let (kind, num_sites) = decode_scheduler_meta(&snapshot_meta(&payload)?)?;
+    let mut sched = kind.build(num_sites, &Monitor::default());
+    resume_from_payload(&payload, &mut *sched)
 }
 
 /// Lists the snapshot files of a checkpoint directory, oldest first
@@ -291,8 +237,11 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<std::path::PathBuf>, SnapshotErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platform::replay_divergence;
+    use platform::{replay_divergence, ScheduleSession};
+    use simcore::time::SimTime;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use workload::submit::SubmitTask;
+    use workload::{Priority, SiteId};
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -355,6 +304,59 @@ mod tests {
                 );
             }
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn session_checkpoint_resume_round_trips_for_every_kind() {
+        // The serving path: a policy from `SchedulerKind::build` admits
+        // submissions into a live session, which checkpoints; a fresh
+        // policy built from the snapshot's meta resumes it, and its own
+        // checkpoint is the same bytes.
+        let sc = Scenario::small(43, 0, 0.6);
+        for kind in SchedulerKind::all_six() {
+            let kind = kind.with_seed(sc.seed);
+            let platform = sc.build_platform();
+            let sites = platform.num_sites();
+            let meta = encode_scheduler_meta(&kind, sites);
+            let exec = ExecEngine::new(sc.exec);
+            let mut sched = kind.build(sites, &Monitor::default());
+            let mut session = ScheduleSession::new(&exec, platform, &mut *sched);
+            let mut events = Vec::new();
+            for i in 0..60u32 {
+                let task = SubmitTask {
+                    size_mi: 600.0 + 113.0 * f64::from(i % 50),
+                    deadline: 30.0 + f64::from(i % 7) * 10.0,
+                    priority: [Priority::Low, Priority::Medium, Priority::High][i as usize % 3],
+                    site: SiteId(i % sites as u32),
+                };
+                session.submit(&[task]).expect("admitted");
+                session.advance_to(SimTime::new(f64::from(i) * 1.5), &mut events);
+            }
+            assert!(
+                session.outstanding() > 0,
+                "{}: checkpoint mid-stream",
+                kind.label()
+            );
+            let payload = session.checkpoint(&meta);
+            let (back, back_sites) =
+                decode_scheduler_meta(&snapshot_meta(&payload).expect("meta")).expect("decode");
+            assert_eq!(back, kind);
+            let mut fresh = back.build(back_sites, &Monitor::default());
+            let mut resumed = ScheduleSession::resume(&payload, &mut *fresh).expect("resume");
+            assert!(
+                resumed.checkpoint(&meta) == payload,
+                "{}: the resumed session checkpoints to different bytes",
+                kind.label()
+            );
+            let end = SimTime::new(1.0e6);
+            session.advance_to(end, &mut events);
+            resumed.advance_to(end, &mut events);
+            let (a, b) = (session.finish(), resumed.finish());
+            assert_eq!(a.incomplete, 0, "{}: tasks left behind", kind.label());
+            if let Some(d) = replay_divergence(&a, &b) {
+                panic!("{}: resumed session diverged: {d}", kind.label());
+            }
         }
     }
 }

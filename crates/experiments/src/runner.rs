@@ -6,7 +6,9 @@ use baselines::{
     GreedyEdf, OnlineRl, OnlineRlConfig, PredictionBased, PredictionConfig, QPlusConfig,
     QPlusLearning, RoundRobin,
 };
-use platform::{ExecConfig, ExecEngine, LiveMetrics, Platform, RunResult, SamplerConfig};
+use platform::{
+    ExecConfig, ExecEngine, LiveMetrics, Platform, RunResult, SamplerConfig, Scheduler,
+};
 use std::sync::Arc;
 use telemetry::{MetricsRegistry, PhaseProfiler, Recorder};
 use workload::Task;
@@ -33,9 +35,6 @@ pub struct Monitor {
     pub sampler: Option<SamplerConfig>,
     /// Phase profiler for `--profile` runs.
     pub profiler: Option<Arc<PhaseProfiler>>,
-    /// Counter stripe this run writes (one per concurrent run; see
-    /// [`MetricsRegistry::with_shards`]).
-    pub shard: usize,
 }
 
 impl Monitor {
@@ -54,7 +53,7 @@ impl Monitor {
             engine = engine.with_recorder(rec.clone());
         }
         if let Some(reg) = &self.registry {
-            engine = engine.with_monitor(LiveMetrics::register(reg, sites, self.shard));
+            engine = engine.with_monitor(LiveMetrics::register(reg, sites));
         }
         if let Some(s) = self.sampler {
             engine = engine.with_sampler(s);
@@ -131,6 +130,46 @@ impl SchedulerKind {
         }
         kind
     }
+
+    /// Builds the policy for a platform of `sites` sites, exactly as
+    /// configured (no seed mask). Adaptive RL gets `monitor`'s recorder
+    /// and profiler; the other attachments belong to the engine.
+    pub fn build(&self, sites: usize, monitor: &Monitor) -> Box<dyn Scheduler + Send> {
+        match *self {
+            SchedulerKind::Adaptive(cfg) => {
+                let mut s = AdaptiveRl::new(sites, cfg);
+                if let Some(r) = &monitor.recorder {
+                    s = s.with_recorder(r.clone());
+                }
+                if let Some(p) = &monitor.profiler {
+                    s = s.with_profiler(p.clone());
+                }
+                Box::new(s)
+            }
+            SchedulerKind::Online(cfg) => Box::new(OnlineRl::new(sites, cfg)),
+            SchedulerKind::QPlus(cfg) => Box::new(QPlusLearning::new(sites, cfg)),
+            SchedulerKind::Prediction(cfg) => Box::new(PredictionBased::new(sites, cfg)),
+            SchedulerKind::RoundRobin => Box::new(RoundRobin::new(sites)),
+            SchedulerKind::GreedyEdf => Box::new(GreedyEdf::new(sites)),
+        }
+    }
+
+    /// Builds the single-site policy owning global site `g` of a sharded
+    /// run over `sites` sites. The Adaptive-RL shard draws the exact
+    /// per-agent stream the sequential engine would
+    /// ([`AdaptiveRl::for_shard`]); each seeded baseline gets an
+    /// independent per-site seed derived from its (already masked) one.
+    pub fn build_shard(&self, g: usize, sites: usize) -> Box<dyn Scheduler + Send> {
+        let mut kind = self.clone();
+        match &mut kind {
+            SchedulerKind::Adaptive(cfg) => return Box::new(AdaptiveRl::for_shard(g, sites, *cfg)),
+            SchedulerKind::Online(c) => c.seed = shard_site_seed(c.seed, g),
+            SchedulerKind::QPlus(c) => c.seed = shard_site_seed(c.seed, g),
+            SchedulerKind::Prediction(c) => c.seed = shard_site_seed(c.seed, g),
+            SchedulerKind::RoundRobin | SchedulerKind::GreedyEdf => {}
+        }
+        kind.build(1, &Monitor::default())
+    }
 }
 
 /// Runs one scenario under one policy.
@@ -163,27 +202,8 @@ pub fn run_tasks(
 ) -> RunResult {
     let sites = platform.num_sites();
     let engine = monitor.attach(ExecEngine::new(exec), sites);
-    match *kind {
-        SchedulerKind::Adaptive(cfg) => {
-            let mut s = AdaptiveRl::new(sites, cfg);
-            if let Some(r) = &monitor.recorder {
-                s = s.with_recorder(r.clone());
-            }
-            if let Some(p) = &monitor.profiler {
-                s = s.with_profiler(p.clone());
-            }
-            engine.run(platform, tasks, &mut s)
-        }
-        SchedulerKind::Online(cfg) => engine.run(platform, tasks, &mut OnlineRl::new(sites, cfg)),
-        SchedulerKind::QPlus(cfg) => {
-            engine.run(platform, tasks, &mut QPlusLearning::new(sites, cfg))
-        }
-        SchedulerKind::Prediction(cfg) => {
-            engine.run(platform, tasks, &mut PredictionBased::new(sites, cfg))
-        }
-        SchedulerKind::RoundRobin => engine.run(platform, tasks, &mut RoundRobin::new(sites)),
-        SchedulerKind::GreedyEdf => engine.run(platform, tasks, &mut GreedyEdf::new(sites)),
-    }
+    let mut sched = kind.build(sites, monitor);
+    engine.run(platform, tasks, &mut *sched)
 }
 
 /// Runs one scenario under one policy on the sharded parallel engine
@@ -195,53 +215,14 @@ pub fn run_tasks(
 /// [`platform::auto_shards`] of the site count for `--shards auto`.
 ///
 /// Shard scheduler construction mirrors [`run_scenario`]'s seeding: the
-/// scenario seed is masked per policy by `with_seed`, then the
-/// Adaptive-RL shard for site `g` draws the exact per-agent stream the
-/// sequential engine would (`derive_indexed("agent", g)`), while each
-/// baseline's per-site config seed derives via
-/// `derive_indexed("shard-site", g)`.
+/// scenario seed is masked per policy by `with_seed`, then
+/// [`SchedulerKind::build_shard`] derives each site's policy from it.
 pub fn run_sharded(scenario: &Scenario, kind: &SchedulerKind, shards: usize) -> RunResult {
     let (platform, tasks) = scenario.build();
     let sites = platform.num_sites();
-    let exec = scenario.exec;
-    match kind.with_seed(scenario.seed) {
-        SchedulerKind::Adaptive(cfg) => {
-            let f = move |g: usize| AdaptiveRl::for_shard(g, sites, cfg);
-            platform::run_sharded(platform, tasks, exec, shards, &f)
-        }
-        SchedulerKind::Online(cfg) => {
-            let f = move |g: usize| {
-                let mut c = cfg;
-                c.seed = shard_site_seed(cfg.seed, g);
-                OnlineRl::new(1, c)
-            };
-            platform::run_sharded(platform, tasks, exec, shards, &f)
-        }
-        SchedulerKind::QPlus(cfg) => {
-            let f = move |g: usize| {
-                let mut c = cfg;
-                c.seed = shard_site_seed(cfg.seed, g);
-                QPlusLearning::new(1, c)
-            };
-            platform::run_sharded(platform, tasks, exec, shards, &f)
-        }
-        SchedulerKind::Prediction(cfg) => {
-            let f = move |g: usize| {
-                let mut c = cfg;
-                c.seed = shard_site_seed(cfg.seed, g);
-                PredictionBased::new(1, c)
-            };
-            platform::run_sharded(platform, tasks, exec, shards, &f)
-        }
-        SchedulerKind::RoundRobin => {
-            let f = |_g: usize| RoundRobin::new(1);
-            platform::run_sharded(platform, tasks, exec, shards, &f)
-        }
-        SchedulerKind::GreedyEdf => {
-            let f = |_g: usize| GreedyEdf::new(1);
-            platform::run_sharded(platform, tasks, exec, shards, &f)
-        }
-    }
+    let seeded = kind.with_seed(scenario.seed);
+    let factory = |g: usize| seeded.build_shard(g, sites);
+    platform::run_sharded(platform, tasks, scenario.exec, shards, &factory)
 }
 
 /// Per-site seed for a baseline shard: an independent derived stream per

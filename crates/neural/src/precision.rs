@@ -2,7 +2,7 @@
 //!
 //! The enum is always compiled so configuration, CLI parsing, and snapshot
 //! metadata can name both precisions; the actual single-precision kernels
-//! ([`crate::network32`]) only exist behind the `f32-kernels` cargo feature.
+//! (`network32`) only exist behind the `f32-kernels` cargo feature.
 //! [`KernelPrecision::available`] tells a caller whether the selected
 //! kernels are present in this build.
 

@@ -51,11 +51,9 @@ pub struct CheckpointConfig {
     /// Write a snapshot every `every` processed events (values below 1 are
     /// treated as 1).
     pub every: u64,
-    /// Directory snapshots land in (created if missing).
+    /// Directory snapshots land in (created if missing); snapshots are
+    /// named `ckpt-{processed:012}.snap`.
     pub dir: PathBuf,
-    /// File-name prefix: snapshots are named
-    /// `{prefix}-{processed:012}.snap`.
-    pub prefix: String,
     /// Opaque caller blob stored at the head of every snapshot payload.
     /// The engine never interprets it; the experiments layer uses it to
     /// record which scheduler (and configuration) the run was using so a
@@ -69,21 +67,14 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Creates a config with the default `"ckpt"` prefix and empty meta.
+    /// Creates a config with empty meta.
     pub fn new(every: u64, dir: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             every,
             dir: dir.into(),
-            prefix: "ckpt".to_string(),
             meta: Vec::new(),
             crash_after: None,
         }
-    }
-
-    /// Replaces the snapshot file-name prefix.
-    pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefix = prefix.into();
-        self
     }
 
     /// Attaches the opaque caller meta blob.
@@ -116,8 +107,8 @@ pub struct CheckpointedRun {
 
 /// The batch checkpoint writer: the driver with a snapshot written from
 /// the engine's after-event hook every `ck.every` processed events.
-struct Checkpointing<'d, 's, S: Scheduler> {
-    driver: Driver<'s, S>,
+struct Checkpointing<'d, 's> {
+    driver: Driver<'s>,
     ck: &'d CheckpointConfig,
     fuse: u64,
     prof: Option<&'d PhaseProfiler>,
@@ -125,7 +116,7 @@ struct Checkpointing<'d, 's, S: Scheduler> {
     write_error: Option<SnapshotError>,
 }
 
-impl<S: Scheduler> Simulation for Checkpointing<'_, '_, S> {
+impl Simulation for Checkpointing<'_, '_> {
     type Event = Ev;
 
     fn on_event(&mut self, now: SimTime, event: Ev, handle: &mut EngineHandle<'_, Ev>) -> bool {
@@ -148,7 +139,7 @@ impl<S: Scheduler> Simulation for Checkpointing<'_, '_, S> {
             pending,
             &ck.meta,
         );
-        let path = ck.dir.join(format!("{}-{processed:012}.snap", ck.prefix));
+        let path = ck.dir.join(format!("ckpt-{processed:012}.snap"));
         let wrote = snapshot::write_atomic(&path, &payload);
         if let (Some(p), Some(start)) = (self.prof, start) {
             p.record_duration(Phase::CheckpointWrite, start.elapsed());
@@ -172,14 +163,14 @@ impl ExecEngine {
     ///
     /// After every `ck.every`-th processed event the full simulation state
     /// is serialized and written atomically to
-    /// `{ck.dir}/{ck.prefix}-{processed:012}.snap`. Checkpointing is
+    /// `{ck.dir}/ckpt-{processed:012}.snap`. Checkpointing is
     /// strictly observing: the run's event sequence and result are
     /// bit-identical to [`ExecEngine::run`] on the same inputs.
-    pub fn run_with_checkpoints<S: Scheduler>(
+    pub fn run_with_checkpoints(
         &self,
         platform: Platform,
         tasks: Vec<Task>,
-        sched: &mut S,
+        sched: &mut dyn Scheduler,
         ck: &CheckpointConfig,
     ) -> CheckpointedRun {
         let (driver, mut engine) = self.prepare(platform, tasks, sched);
@@ -221,34 +212,27 @@ pub fn snapshot_meta(payload: &[u8]) -> Result<Vec<u8>, SnapshotError> {
 /// Any structural problem in the payload (truncation, invalid values,
 /// out-of-range indices, scheduler mismatch) yields a typed
 /// [`SnapshotError`]; this function never panics on corrupt input.
-pub fn resume_from_payload<S: Scheduler>(
+pub fn resume_from_payload(
     payload: &[u8],
-    sched: &mut S,
+    sched: &mut dyn Scheduler,
 ) -> Result<RunResult, SnapshotError> {
-    let mut r = SnapReader::new(payload);
-    let _meta = r.bytes()?;
-    resume_from_reader(&mut r, sched)
-}
-
-/// [`resume_from_payload`] for a reader already positioned past the meta
-/// blob (the experiments layer reads the meta itself to construct `sched`).
-pub fn resume_from_reader<S: Scheduler>(
-    r: &mut SnapReader<'_>,
-    sched: &mut S,
-) -> Result<RunResult, SnapshotError> {
-    let (mut driver, mut engine) = restore_from_reader(r, sched)?;
+    let (mut driver, mut engine) = restore(payload, sched)?;
     let outcome = engine.run(&mut driver);
     Ok(assemble_result(driver, &engine, outcome, None))
 }
 
-/// Decodes a snapshot into a paused `(Driver, Engine)` pair without
-/// running it — the shared restore path behind [`resume_from_reader`]
-/// (which drives it to completion) and the serving session (which
-/// resumes it in paced [`Engine::run_until`] slices).
-pub(crate) fn restore_from_reader<'s, S: Scheduler>(
-    r: &mut SnapReader<'_>,
-    sched: &'s mut S,
-) -> Result<(Driver<'s, S>, Engine<Ev>), SnapshotError> {
+/// Decodes a snapshot payload (meta blob first, then the engine state)
+/// into a paused `(Driver, Engine)` pair without running it — the shared
+/// restore path behind [`resume_from_payload`] (which drives it to
+/// completion) and [`crate::ScheduleSession::resume`] (which resumes it
+/// in paced [`Engine::run_until`] slices).
+pub(crate) fn restore<'s>(
+    payload: &[u8],
+    sched: &'s mut dyn Scheduler,
+) -> Result<(Driver<'s>, Engine<Ev>), SnapshotError> {
+    let mut reader = SnapReader::new(payload);
+    let r = &mut reader;
+    let _meta = r.bytes()?;
     let name = r.str()?;
     if name != sched.name() {
         return Err(corrupt(format!(
@@ -467,8 +451,8 @@ pub(crate) fn restore_from_reader<'s, S: Scheduler>(
 /// Serializes the full mid-run state into a snapshot payload. The engine
 /// arguments come from the checkpoint hook (the driver cannot see the
 /// engine it runs inside).
-pub(crate) fn encode_checkpoint<S: Scheduler>(
-    driver: &mut Driver<'_, S>,
+pub(crate) fn encode_checkpoint(
+    driver: &mut Driver<'_>,
     now: SimTime,
     processed: u64,
     fuse: u64,

@@ -309,10 +309,10 @@ pub(crate) struct Partial {
     pub(crate) attempts: u32,
 }
 
-pub(crate) struct Driver<'s, S: Scheduler> {
+pub(crate) struct Driver<'s> {
     pub(crate) platform: Platform,
     pub(crate) tasks: Vec<Task>,
-    pub(crate) sched: &'s mut S,
+    pub(crate) sched: &'s mut dyn Scheduler,
     pub(crate) cfg: ExecConfig,
     pub(crate) partials: Vec<Partial>,
     pub(crate) completed: usize,
@@ -402,7 +402,7 @@ macro_rules! report {
     };
 }
 
-impl<S: Scheduler> Driver<'_, S> {
+impl Driver<'_> {
     /// Flat processor index (into `epochs` / `offline_until`).
     fn pidx(&self, p: ProcAddr) -> usize {
         self.proc_base[p.node.site.0 as usize][p.node.node as usize] + p.proc as usize
@@ -1081,7 +1081,7 @@ impl<S: Scheduler> Driver<'_, S> {
     }
 }
 
-impl<S: Scheduler> Simulation for Driver<'_, S> {
+impl Simulation for Driver<'_> {
     type Event = Ev;
 
     fn on_event(&mut self, now: SimTime, event: Ev, handle: &mut EngineHandle<'_, Ev>) -> bool {
@@ -1259,8 +1259,9 @@ impl ExecEngine {
         self
     }
 
-    /// Samples a [`TimePoint`] on the given cadence; the series lands in
-    /// [`RunResult::timeseries`]. Strictly observing, like the monitor.
+    /// Samples a [`telemetry::TimePoint`] on the given cadence; the series
+    /// lands in [`RunResult::timeseries`]. Strictly observing, like the
+    /// monitor.
     pub fn with_sampler(mut self, cfg: SamplerConfig) -> Self {
         self.sampler = Some(cfg);
         self
@@ -1285,11 +1286,11 @@ impl ExecEngine {
     /// # Panics
     /// Panics if task ids are not dense from 0 (as the workload generator
     /// produces them).
-    pub fn run<S: Scheduler>(
+    pub fn run(
         &self,
         platform: Platform,
         tasks: Vec<Task>,
-        sched: &mut S,
+        sched: &mut dyn Scheduler,
     ) -> RunResult {
         let (mut driver, mut engine) = self.prepare(platform, tasks, sched);
         let outcome = engine.run(&mut driver);
@@ -1301,12 +1302,12 @@ impl ExecEngine {
     /// checkpointing run in [`crate::checkpoint`], sessions and shards.
     /// Every path must produce bit-identical initial state for
     /// checkpoint/restore determinism to hold.
-    pub(crate) fn prepare<'s, S: Scheduler>(
+    pub(crate) fn prepare<'s>(
         &self,
         platform: Platform,
         tasks: Vec<Task>,
-        sched: &'s mut S,
-    ) -> (Driver<'s, S>, Engine<Ev>) {
+        sched: &'s mut dyn Scheduler,
+    ) -> (Driver<'s>, Engine<Ev>) {
         for (i, t) in tasks.iter().enumerate() {
             assert_eq!(t.id.0, i as u64, "task ids must be dense from 0");
         }
@@ -1413,8 +1414,8 @@ impl ExecEngine {
 /// *global* horizon — the instant the last shard settled — so per-site
 /// energy integrals sum to the whole cluster's draw over one common
 /// interval.
-pub(crate) fn assemble_result<S: Scheduler>(
-    mut driver: Driver<'_, S>,
+pub(crate) fn assemble_result(
+    mut driver: Driver<'_>,
     engine: &Engine<Ev>,
     outcome: RunOutcome,
     horizon_override: Option<SimTime>,
@@ -1672,7 +1673,7 @@ mod tests {
             pending: Vec::new(),
         };
         let reg = std::sync::Arc::new(telemetry::MetricsRegistry::new());
-        let mon = crate::monitor::LiveMetrics::register(&reg, platform.num_sites(), 0);
+        let mon = crate::monitor::LiveMetrics::register(&reg, platform.num_sites());
         let engine = ExecEngine::new(ExecConfig::default())
             .with_monitor(mon)
             .with_sampler(crate::monitor::SamplerConfig {

@@ -4,9 +4,9 @@
 //! [`LiveMetrics`] resolves every metric handle once, at registration
 //! time, so the driver's hot path touches only pre-registered atomics —
 //! one relaxed add per counter site, reached only when a monitor is
-//! attached (see [`crate::probe`]); the `monitoring_is_inert` tests and
-//! the golden suite pin down that attaching a monitor never changes
-//! simulation state.
+//! attached (through the driver's crate-private `probe` module); the
+//! `monitoring_is_inert` tests and the golden suite pin down that
+//! attaching a monitor never changes simulation state.
 //!
 //! Metrics are wall-clock observers of sim state: `arls_sim_time_seconds`
 //! tells a scraper where in simulated time the run currently is, while
@@ -45,14 +45,9 @@ impl Default for SamplerConfig {
 }
 
 /// Pre-registered handles for every metric the engine publishes.
-///
-/// One instance per concurrent run, each with its own `shard` index into
-/// the registry's striped counter cells, so replicated runs never
-/// contend on a cache line. Per-site gauges are indexed by `SiteId`.
+/// Per-site gauges are indexed by `SiteId`.
 #[derive(Debug)]
 pub struct LiveMetrics {
-    /// The stripe this run writes (see [`MetricsRegistry::with_shards`]).
-    pub shard: usize,
     /// Engine events processed.
     pub events: Counter,
     /// Tasks that finished (met or missed).
@@ -99,10 +94,9 @@ pub struct LiveMetrics {
 
 impl LiveMetrics {
     /// Registers the full metric family (idempotent — a second run over
-    /// the same registry re-resolves the same cells) and returns the
-    /// handle set for stripe `shard`.
-    pub fn register(reg: &MetricsRegistry, num_sites: usize, shard: usize) -> Arc<LiveMetrics> {
-        assert!(shard < reg.shards(), "shard index out of range");
+    /// the same registry re-resolves the same cells) and returns its
+    /// handles.
+    pub fn register(reg: &MetricsRegistry, num_sites: usize) -> Arc<LiveMetrics> {
         let c = |name: &str, help: &str| reg.counter(name, help, &[]);
         let mut site_power = Vec::with_capacity(num_sites);
         let mut site_queue = Vec::with_capacity(num_sites);
@@ -127,7 +121,6 @@ impl LiveMetrics {
             ));
         }
         let m = LiveMetrics {
-            shard,
             events: c("arls_events_total", "Engine events processed"),
             tasks_completed: c(
                 "arls_tasks_completed_total",
@@ -278,7 +271,7 @@ impl Probe for MonitorProbe {
         let counter = match hook {
             Hook::Event(..) => &m.events,
             Hook::Decision(secs) => {
-                m.decision_latency.observe(m.shard, secs);
+                m.decision_latency.observe(secs);
                 return;
             }
             Hook::Rejected => &m.dispatch_rejected,
@@ -286,7 +279,7 @@ impl Probe for MonitorProbe {
             Hook::Start(.., true) => &m.split_starts,
             Hook::Finish(.., met) => {
                 if met {
-                    m.tasks_met.inc(m.shard);
+                    m.tasks_met.inc();
                 }
                 &m.tasks_completed
             }
@@ -299,7 +292,7 @@ impl Probe for MonitorProbe {
             Hook::Recover(_) => &m.faults_recovered,
             _ => return,
         };
-        counter.inc(m.shard);
+        counter.inc();
     }
 
     fn times_decisions(&self) -> bool {
@@ -324,12 +317,12 @@ mod tests {
 
     #[test]
     fn registers_and_renders_the_family() {
-        let reg = MetricsRegistry::with_shards(2);
-        let m = LiveMetrics::register(&reg, 3, 1);
-        m.tasks_completed.add(m.shard, 7);
+        let reg = MetricsRegistry::new();
+        let m = LiveMetrics::register(&reg, 3);
+        m.tasks_completed.add(7);
         m.site_power[2].set(180.5);
         m.sim_time.set(42.0);
-        m.decision_latency.observe(m.shard, 33e-6);
+        m.decision_latency.observe(33e-6);
         let text = reg.render();
         assert!(text.contains("arls_tasks_completed_total 7"), "{text}");
         assert!(
@@ -347,20 +340,13 @@ mod tests {
 
     #[test]
     fn registration_is_idempotent_across_runs() {
-        let reg = MetricsRegistry::with_shards(4);
-        let a = LiveMetrics::register(&reg, 2, 0);
-        let b = LiveMetrics::register(&reg, 2, 3);
-        a.tasks_completed.inc(a.shard);
-        b.tasks_completed.inc(b.shard);
+        let reg = MetricsRegistry::new();
+        let a = LiveMetrics::register(&reg, 2);
+        let b = LiveMetrics::register(&reg, 2);
+        a.tasks_completed.inc();
+        b.tasks_completed.inc();
         // Both handles resolve to the same cells: totals aggregate.
         assert_eq!(a.tasks_completed.total(), 2);
         assert_eq!(b.tasks_completed.total(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard index out of range")]
-    fn shard_out_of_range_panics() {
-        let reg = MetricsRegistry::with_shards(2);
-        let _ = LiveMetrics::register(&reg, 1, 2);
     }
 }

@@ -234,6 +234,58 @@ pub trait Scheduler {
     }
 }
 
+/// A boxed policy is a policy, so a runtime-chosen `Box<dyn Scheduler +
+/// Send>` can feed [`crate::run_sharded`]'s factory. Every method
+/// forwards: a missing forwarder would silently fall back to the trait
+/// default instead of the boxed policy's override.
+impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn on_arrivals(&mut self, now: SimTime, site: SiteId, tasks: Vec<Task>) {
+        (**self).on_arrivals(now, site, tasks)
+    }
+    fn dispatch(&mut self, now: SimTime, view: &PlatformView<'_>) -> Vec<Command> {
+        (**self).dispatch(now, view)
+    }
+    fn on_assignment(&mut self, now: SimTime, fb: &AssignmentFeedback) {
+        (**self).on_assignment(now, fb)
+    }
+    fn on_group_complete(&mut self, now: SimTime, fb: &GroupFeedback) {
+        (**self).on_group_complete(now, fb)
+    }
+    fn on_rejected(&mut self, now: SimTime, site: SiteId, tasks: Vec<Task>) {
+        (**self).on_rejected(now, site, tasks)
+    }
+    fn on_orphaned(&mut self, now: SimTime, site: SiteId, tasks: Vec<Task>) {
+        (**self).on_orphaned(now, site, tasks)
+    }
+    fn on_group_aborted(&mut self, now: SimTime, group: GroupId) {
+        (**self).on_group_aborted(now, group)
+    }
+    fn on_tick(&mut self, now: SimTime, view: &PlatformView<'_>) -> Vec<Command> {
+        (**self).on_tick(now, view)
+    }
+    fn drain_sync(&mut self, out: &mut Vec<SyncRecord>) {
+        (**self).drain_sync(out)
+    }
+    fn apply_sync(&mut self, rec: &SyncRecord) {
+        (**self).apply_sync(rec)
+    }
+    fn exploration(&self) -> Option<f64> {
+        (**self).exploration()
+    }
+    fn save_state(&mut self, w: &mut snapshot::SnapWriter) {
+        (**self).save_state(w)
+    }
+    fn load_state(
+        &mut self,
+        r: &mut snapshot::SnapReader<'_>,
+    ) -> Result<(), snapshot::SnapshotError> {
+        (**self).load_state(r)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

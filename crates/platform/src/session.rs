@@ -24,7 +24,7 @@
 //!   `submit` re-primes wake completions for any processor left in that
 //!   state, completing the wake at the admission instant.
 
-use crate::checkpoint::{encode_checkpoint, restore_from_reader};
+use crate::checkpoint::{encode_checkpoint, restore};
 use crate::engine::{assemble_result, Driver, Ev, ExecEngine, Partial, RunResult};
 use crate::ids::{NodeAddr, ProcAddr};
 use crate::monitor::{LiveMetrics, MonitorProbe};
@@ -33,7 +33,7 @@ use crate::scheduler::Scheduler;
 use crate::topology::Platform;
 use simcore::engine::{Engine, RunOutcome};
 use simcore::time::SimTime;
-use snapshot::{SnapReader, SnapshotError};
+use snapshot::SnapshotError;
 use std::sync::Arc;
 use workload::submit::SubmitTask;
 use workload::{Task, TaskId};
@@ -71,8 +71,8 @@ pub enum SessionEvent {
 
 /// A live scheduling session: one warm platform + scheduler pair
 /// accepting submissions and advancing in paced sim-time slices.
-pub struct ScheduleSession<'s, S: Scheduler> {
-    driver: Driver<'s, S>,
+pub struct ScheduleSession<'s> {
+    driver: Driver<'s>,
     engine: Engine<Ev>,
     /// The furthest horizon `advance_to` has integrated to. Admissions
     /// land at `max(horizon, engine.now())`.
@@ -85,7 +85,7 @@ pub struct ScheduleSession<'s, S: Scheduler> {
     tick_interval: f64,
 }
 
-impl<'s, S: Scheduler> ScheduleSession<'s, S> {
+impl<'s> ScheduleSession<'s> {
     /// Opens a session on a fresh platform with no tasks.
     ///
     /// The `exec` engine carries the configuration and any attached
@@ -95,7 +95,7 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
     ///
     /// # Panics
     /// Panics if `exec.cfg.audit` is set.
-    pub fn new(exec: &ExecEngine, platform: Platform, sched: &'s mut S) -> Self {
+    pub fn new(exec: &ExecEngine, platform: Platform, sched: &'s mut dyn Scheduler) -> Self {
         assert!(
             !exec.cfg.audit,
             "the audit oracle does not support live sessions"
@@ -116,20 +116,8 @@ impl<'s, S: Scheduler> ScheduleSession<'s, S> {
     /// [`ScheduleSession::checkpoint`], with the meta blob still at the
     /// head). `sched` must be a fresh scheduler of the checkpointed kind
     /// and configuration; its learning state is restored.
-    pub fn resume(payload: &[u8], sched: &'s mut S) -> Result<Self, SnapshotError> {
-        let mut r = SnapReader::new(payload);
-        let _meta = r.bytes()?;
-        Self::resume_from_reader(&mut r, sched)
-    }
-
-    /// [`ScheduleSession::resume`] for a reader already positioned past
-    /// the meta blob (callers that decode the meta themselves to pick
-    /// the scheduler kind).
-    pub fn resume_from_reader(
-        r: &mut SnapReader<'_>,
-        sched: &'s mut S,
-    ) -> Result<Self, SnapshotError> {
-        let (driver, engine) = restore_from_reader(r, sched)?;
+    pub fn resume(payload: &[u8], sched: &'s mut dyn Scheduler) -> Result<Self, SnapshotError> {
+        let (driver, engine) = restore(payload, sched)?;
         let tick_interval = driver.cfg.tick_interval;
         let mut outstanding = Vec::new();
         let mut placed = Vec::with_capacity(driver.partials.len());
@@ -418,7 +406,7 @@ mod tests {
                 t.snap_write(w);
             }
         }
-        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        fn load_state(&mut self, r: &mut snapshot::SnapReader<'_>) -> Result<(), SnapshotError> {
             let n = r.len_hint()?;
             let mut pending = Vec::with_capacity(n);
             for _ in 0..n {
@@ -594,7 +582,7 @@ mod tests {
     #[test]
     fn checkpoint_resume_is_bit_exact_and_behaviour_preserving() {
         let meta = b"session-test-meta";
-        let mk_events = |session: &mut ScheduleSession<'_, Fcfs>, to: f64| {
+        let mk_events = |session: &mut ScheduleSession<'_>, to: f64| {
             let mut ev = Vec::new();
             session.advance_to(SimTime::new(to), &mut ev);
             ev

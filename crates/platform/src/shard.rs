@@ -467,8 +467,8 @@ fn run_worker<S: Scheduler + Send>(
     results: &[Mutex<Option<RunResult>>],
     window: f64,
 ) {
-    struct ShardSim<'s, S: Scheduler> {
-        driver: crate::engine::Driver<'s, S>,
+    struct ShardSim<'s> {
+        driver: crate::engine::Driver<'s>,
         engine: simcore::engine::Engine<crate::engine::Ev>,
         global_site: u32,
         task_ids: Vec<TaskId>,
@@ -479,7 +479,7 @@ fn run_worker<S: Scheduler + Send>(
         .iter()
         .map(|b| factory(b.global_site as usize))
         .collect();
-    let mut sims: Vec<ShardSim<'_, S>> = scheds
+    let mut sims: Vec<ShardSim<'_>> = scheds
         .iter_mut()
         .zip(bundles)
         .map(|(sched, b)| {

@@ -9,8 +9,6 @@ use crate::metrics::{Counter, MetricsRegistry};
 ///
 /// All counters live in the daemon's shared [`MetricsRegistry`], so a
 /// `/metrics` scrape sees ingest and simulation state in one payload.
-/// The daemon's accept loop is single-threaded, so shard 0 is used
-/// throughout.
 #[derive(Debug, Clone)]
 pub struct IngestMetrics {
     /// Client connections accepted.
@@ -80,11 +78,11 @@ mod tests {
     fn registers_and_renders_the_family() {
         let reg = MetricsRegistry::new();
         let m = IngestMetrics::register(&reg);
-        m.connections.inc(0);
-        m.lines.add(0, 3);
-        m.submissions.add(0, 2);
-        m.tasks.add(0, 7);
-        m.rejections.inc(0);
+        m.connections.inc();
+        m.lines.add(3);
+        m.submissions.add(2);
+        m.tasks.add(7);
+        m.rejections.inc();
         let out = reg.render();
         assert!(out.contains("arls_ingest_connections_total 1\n"), "{out}");
         assert!(out.contains("arls_ingest_lines_total 3\n"), "{out}");
@@ -92,7 +90,7 @@ mod tests {
         assert!(out.contains("arls_ingest_rejections_total 1\n"), "{out}");
         // Re-registration resolves to the same cells.
         let again = IngestMetrics::register(&reg);
-        again.submissions.inc(0);
+        again.submissions.inc();
         assert_eq!(m.submissions.total(), 3);
     }
 }

@@ -9,12 +9,7 @@
 //!    are cheap `Arc` clones the caller stores next to its cached
 //!    trace-gate booleans, so a run without monitoring pays exactly one
 //!    predictable branch per instrumented site.
-//! 2. **Sharded counters.** The replicated runner drives many
-//!    simulations from a thread pool; counter and histogram cells are
-//!    striped per shard (one cache-line-independent row per replication
-//!    thread) and summed only at exposition time, so concurrent runs
-//!    never contend on a single atomic.
-//! 3. **Scrape-safe.** [`MetricsRegistry::write_prometheus`] renders the
+//! 2. **Scrape-safe.** [`MetricsRegistry::write_prometheus`] renders the
 //!    Prometheus text exposition format 0.0.4 — `# HELP`/`# TYPE`
 //!    headers, escaped label values, cumulative `_bucket` series with a
 //!    `+Inf` bound, `_sum`/`_count` — with fully deterministic ordering
@@ -49,59 +44,53 @@ impl MetricKind {
     }
 }
 
-/// A monotonic counter handle, striped over the registry's shards.
-///
-/// `shard` selects the stripe; passing a stable per-thread index keeps
-/// concurrent increments contention-free. Out-of-range shards wrap.
+/// A monotonic counter handle: one relaxed atomic.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cells: Arc<[AtomicU64]>,
+    cell: Arc<[AtomicU64]>,
 }
 
 impl Counter {
     #[inline]
-    pub fn add(&self, shard: usize, delta: u64) {
-        self.cells[shard % self.cells.len()].fetch_add(delta, Ordering::Relaxed);
+    pub fn add(&self, delta: u64) {
+        self.cell[0].fetch_add(delta, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn inc(&self, shard: usize) {
-        self.add(shard, 1);
+    pub fn inc(&self) {
+        self.add(1);
     }
 
-    /// Sum over all shards (exposition-time only).
+    /// The current count.
     pub fn total(&self) -> u64 {
-        self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.cell[0].load(Ordering::Relaxed)
     }
 }
 
-/// A last-value-wins gauge storing an `f64` in atomic bits.
-///
-/// Gauges are written on tick cadence, not per event, so a single global
-/// cell (no shard striping) is deliberate: the freshest write wins, which
-/// is the semantics a scraper expects.
+/// A last-value-wins gauge storing an `f64` in atomic bits: the freshest
+/// write wins, which is the semantics a scraper expects.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    bits: Arc<AtomicU64>,
+    bits: Arc<[AtomicU64]>,
 }
 
 impl Gauge {
     #[inline]
     pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.bits[0].store(v.to_bits(), Ordering::Relaxed);
     }
 
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+        f64::from_bits(self.bits[0].load(Ordering::Relaxed))
     }
 }
 
-/// A fixed-bucket histogram handle, striped over the registry's shards.
+/// A fixed-bucket histogram handle.
 ///
-/// Per shard the layout is `[bucket_0 .. bucket_{B-1}, count, sum_bits]`
-/// where `bucket_i` counts observations with `v <= bounds[i]`
-/// (non-cumulative; cumulated at exposition). `sum_bits` accumulates the
-/// f64 sample sum with a compare-exchange loop.
+/// The layout is `[bucket_0 .. bucket_{B-1}, count, sum_bits]` where
+/// `bucket_i` counts observations with `v <= bounds[i]` (non-cumulative;
+/// cumulated at exposition). `sum_bits` accumulates the f64 sample sum
+/// with a compare-exchange loop.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     cells: Arc<[AtomicU64]>,
@@ -109,21 +98,15 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn stride(&self) -> usize {
-        self.bounds.len() + 2
-    }
-
     #[inline]
-    pub fn observe(&self, shard: usize, v: f64) {
-        let shards = self.cells.len() / self.stride();
-        let base = (shard % shards) * self.stride();
+    pub fn observe(&self, v: f64) {
         // First bucket whose upper bound admits the sample; NaN falls
         // through every bound and lands only in count/sum, mirroring
         // Prometheus client behaviour of an observation beyond +Inf.
         if let Some(i) = self.bounds.iter().position(|&le| v <= le) {
-            self.cells[base + i].fetch_add(1, Ordering::Relaxed);
+            self.cells[i].fetch_add(1, Ordering::Relaxed);
         }
-        let count = base + self.bounds.len();
+        let count = self.bounds.len();
         self.cells[count].fetch_add(1, Ordering::Relaxed);
         let sum = &self.cells[count + 1];
         let mut cur = sum.load(Ordering::Relaxed);
@@ -136,39 +119,22 @@ impl Histogram {
         }
     }
 
-    /// Total observations across all shards.
+    /// Total observations.
     pub fn count(&self) -> u64 {
-        let stride = self.stride();
-        let shards = self.cells.len() / stride;
-        (0..shards)
-            .map(|s| self.cells[s * stride + self.bounds.len()].load(Ordering::Relaxed))
-            .sum()
+        self.cells[self.bounds.len()].load(Ordering::Relaxed)
     }
 
-    /// Sum of all observed values across all shards.
+    /// Sum of all observed values.
     pub fn sum(&self) -> f64 {
-        let stride = self.stride();
-        let shards = self.cells.len() / stride;
-        (0..shards)
-            .map(|s| {
-                f64::from_bits(
-                    self.cells[s * stride + self.bounds.len() + 1].load(Ordering::Relaxed),
-                )
-            })
-            .sum()
+        f64::from_bits(self.cells[self.bounds.len() + 1].load(Ordering::Relaxed))
     }
 
-    /// Merged (shard-summed) non-cumulative bucket counts.
+    /// Non-cumulative bucket counts.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        let stride = self.stride();
-        let shards = self.cells.len() / stride;
-        let mut out = vec![0u64; self.bounds.len()];
-        for s in 0..shards {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot += self.cells[s * stride + i].load(Ordering::Relaxed);
-            }
-        }
-        out
+        self.cells[..self.bounds.len()]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Bucket-interpolated quantile estimate (q in [0, 1]).
@@ -200,16 +166,12 @@ impl Histogram {
     }
 }
 
-enum Cells {
-    Counter(Arc<[AtomicU64]>),
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<[AtomicU64]>),
-}
-
 struct SeriesSlot {
     /// Label pairs sorted by label name; the identity key within a family.
     labels: Vec<(String, String)>,
-    cells: Cells,
+    /// One cell for a counter or gauge, the [`Histogram`] layout for a
+    /// histogram.
+    cells: Arc<[AtomicU64]>,
 }
 
 struct Family {
@@ -224,22 +186,15 @@ struct Family {
 /// The registry. Metadata lives behind one mutex taken only at
 /// registration and exposition time; recorded values live in the
 /// lock-free cells the handles point at.
+#[derive(Default)]
 pub struct MetricsRegistry {
-    shards: usize,
     families: Mutex<Vec<Family>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let n = self.families.lock().map(|g| g.len()).unwrap_or(0);
         f.debug_struct("MetricsRegistry")
-            .field("shards", &self.shards)
             .field("families", &n)
             .finish()
     }
@@ -287,22 +242,9 @@ fn sorted_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 impl MetricsRegistry {
-    /// Single-shard registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_shards(1)
-    }
-
-    /// Registry with `shards` counter/histogram stripes (clamped to >= 1).
-    /// Size this to the replication thread count.
-    pub fn with_shards(shards: usize) -> Self {
-        MetricsRegistry {
-            shards: shards.max(1),
-            families: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn shards(&self) -> usize {
-        self.shards
+        Self::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Family>> {
@@ -318,7 +260,7 @@ impl MetricsRegistry {
         kind: MetricKind,
         labels: &[(&str, &str)],
         bounds: &[f64],
-    ) -> Cells {
+    ) -> Arc<[AtomicU64]> {
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
         if kind == MetricKind::Histogram {
             assert!(
@@ -362,47 +304,32 @@ impl MetricsRegistry {
             }
         };
         if let Some(slot) = family.series.iter().find(|s| s.labels == labels) {
-            return match &slot.cells {
-                Cells::Counter(c) => Cells::Counter(c.clone()),
-                Cells::Gauge(g) => Cells::Gauge(g.clone()),
-                Cells::Histogram(h) => Cells::Histogram(h.clone()),
-            };
+            return slot.cells.clone();
         }
-        let cells = match kind {
-            MetricKind::Counter => {
-                let row: Arc<[AtomicU64]> = (0..self.shards).map(|_| AtomicU64::new(0)).collect();
-                Cells::Counter(row)
-            }
-            MetricKind::Gauge => Cells::Gauge(Arc::new(AtomicU64::new(0.0f64.to_bits()))),
-            MetricKind::Histogram => {
-                let row: Arc<[AtomicU64]> = (0..self.shards * (bounds.len() + 2))
-                    .map(|_| AtomicU64::new(0))
-                    .collect();
-                Cells::Histogram(row)
-            }
+        // A gauge's zero cell reads 0.0: `0.0f64.to_bits() == 0`.
+        let len = match kind {
+            MetricKind::Counter | MetricKind::Gauge => 1,
+            MetricKind::Histogram => bounds.len() + 2,
         };
-        let out = match &cells {
-            Cells::Counter(c) => Cells::Counter(c.clone()),
-            Cells::Gauge(g) => Cells::Gauge(g.clone()),
-            Cells::Histogram(h) => Cells::Histogram(h.clone()),
-        };
-        family.series.push(SeriesSlot { labels, cells });
-        out
+        let cells: Arc<[AtomicU64]> = (0..len).map(|_| AtomicU64::new(0)).collect();
+        family.series.push(SeriesSlot {
+            labels,
+            cells: cells.clone(),
+        });
+        cells
     }
 
     /// Registers (or re-resolves) a labeled counter.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, help, MetricKind::Counter, labels, &[]) {
-            Cells::Counter(cells) => Counter { cells },
-            _ => unreachable!("register returned mismatched cells"),
+        Counter {
+            cell: self.register(name, help, MetricKind::Counter, labels, &[]),
         }
     }
 
     /// Registers (or re-resolves) a labeled gauge.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, MetricKind::Gauge, labels, &[]) {
-            Cells::Gauge(bits) => Gauge { bits },
-            _ => unreachable!("register returned mismatched cells"),
+        Gauge {
+            bits: self.register(name, help, MetricKind::Gauge, labels, &[]),
         }
     }
 
@@ -415,12 +342,9 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Histogram {
-        match self.register(name, help, MetricKind::Histogram, labels, bounds) {
-            Cells::Histogram(cells) => Histogram {
-                cells,
-                bounds: bounds.into(),
-            },
-            _ => unreachable!("register returned mismatched cells"),
+        Histogram {
+            cells: self.register(name, help, MetricKind::Histogram, labels, bounds),
+            bounds: bounds.into(),
         }
     }
 
@@ -442,18 +366,18 @@ impl MetricsRegistry {
             let mut series: Vec<&SeriesSlot> = f.series.iter().collect();
             series.sort_by(|a, b| a.labels.cmp(&b.labels));
             for s in series {
-                match &s.cells {
-                    Cells::Counter(cells) => {
-                        let total: u64 = cells.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+                match f.kind {
+                    MetricKind::Counter => {
+                        let total = s.cells[0].load(Ordering::Relaxed);
                         push_sample(&mut out, &f.name, "", &s.labels, None, Num::U64(total));
                     }
-                    Cells::Gauge(bits) => {
-                        let v = f64::from_bits(bits.load(Ordering::Relaxed));
+                    MetricKind::Gauge => {
+                        let v = f64::from_bits(s.cells[0].load(Ordering::Relaxed));
                         push_sample(&mut out, &f.name, "", &s.labels, None, Num::F64(v));
                     }
-                    Cells::Histogram(cells) => {
+                    MetricKind::Histogram => {
                         let h = Histogram {
-                            cells: cells.clone(),
+                            cells: s.cells.clone(),
                             bounds: f.bounds.clone(),
                         };
                         let mut cum = 0u64;
@@ -607,16 +531,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_across_shards() {
-        let reg = MetricsRegistry::with_shards(4);
+    fn counters_accumulate_across_registrations() {
+        let reg = MetricsRegistry::new();
         let c = reg.counter("arls_tasks_total", "Tasks completed.", &[("site", "0")]);
-        for shard in 0..8 {
-            c.add(shard, 2);
+        for _ in 0..8 {
+            c.add(2);
         }
         assert_eq!(c.total(), 16);
-        // Re-registration resolves to the same cells.
+        // Re-registration resolves to the same cell.
         let again = reg.counter("arls_tasks_total", "Tasks completed.", &[("site", "0")]);
-        again.inc(0);
+        again.inc();
         assert_eq!(c.total(), 17);
     }
 
@@ -631,10 +555,10 @@ mod tests {
 
     #[test]
     fn histogram_counts_sum_and_buckets_agree() {
-        let reg = MetricsRegistry::with_shards(2);
+        let reg = MetricsRegistry::new();
         let h = reg.histogram("lat", "Latency.", &[], &[0.1, 1.0, 10.0]);
-        for (shard, v) in [(0, 0.05), (1, 0.5), (0, 5.0), (1, 50.0)] {
-            h.observe(shard, v);
+        for v in [0.05, 0.5, 5.0, 50.0] {
+            h.observe(v);
         }
         assert_eq!(h.count(), 4);
         assert!((h.sum() - 55.55).abs() < 1e-9);
@@ -666,7 +590,7 @@ mod tests {
         let h = reg.histogram("q", "Quantiles.", &[], &[1.0, 2.0, 4.0]);
         assert_eq!(h.quantile(0.5), None);
         for v in [0.5, 1.5, 1.6, 3.0] {
-            h.observe(0, v);
+            h.observe(v);
         }
         let p50 = h.quantile(0.5).unwrap();
         assert!((1.0..=2.0).contains(&p50), "p50 {p50} outside its bucket");
@@ -677,7 +601,7 @@ mod tests {
         );
         // Everything beyond the last bound clamps to it.
         let hh = reg.histogram("q2", "Overflow.", &[], &[1.0]);
-        hh.observe(0, 99.0);
+        hh.observe(99.0);
         assert_eq!(hh.quantile(0.99), Some(1.0));
     }
 
@@ -687,10 +611,10 @@ mod tests {
         // finite bound, no finite bucket satisfies the rank and the
         // estimate must clamp to the last finite edge — never
         // interpolate into the +Inf bucket or return inf/NaN.
-        let reg = MetricsRegistry::with_shards(2);
+        let reg = MetricsRegistry::new();
         let h = reg.histogram("ovf", "All overflow.", &[], &[1.0, 2.0, 4.0]);
-        for (shard, v) in [(0, 10.0), (1, 100.0), (0, 1e12), (1, f64::INFINITY)] {
-            h.observe(shard, v);
+        for v in [10.0, 100.0, 1e12, f64::INFINITY] {
+            h.observe(v);
         }
         assert_eq!(h.bucket_counts(), vec![0, 0, 0]);
         assert_eq!(h.count(), 4);
@@ -702,9 +626,9 @@ mod tests {
         // Mixed mass: high quantiles whose rank exceeds the finite
         // cumulative count clamp the same way.
         let m = reg.histogram("mix", "Partial overflow.", &[], &[1.0, 2.0]);
-        m.observe(0, 0.5);
-        m.observe(0, 50.0);
-        m.observe(0, 50.0);
+        m.observe(0.5);
+        m.observe(50.0);
+        m.observe(50.0);
         let p99 = m.quantile(0.99).unwrap();
         assert_eq!(p99, 2.0, "rank beyond finite buckets clamps to last edge");
     }
@@ -807,7 +731,7 @@ mod tests {
     fn write_prometheus_matches_render() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("w_total", "Writer parity.", &[]);
-        c.add(0, 3);
+        c.add(3);
         let mut buf = Vec::new();
         reg.write_prometheus(&mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), reg.render());

@@ -211,7 +211,7 @@ mod tests {
     fn serves_metrics_and_rejects_other_paths() {
         let registry = Arc::new(MetricsRegistry::new());
         let c = registry.counter("arls_up_total", "Liveness.", &[]);
-        c.add(0, 5);
+        c.add(5);
         let mut server = MetricsServer::serve("127.0.0.1:0", registry.clone()).expect("bind");
         let addr = server.local_addr();
 
@@ -220,7 +220,7 @@ mod tests {
         assert!(body.contains("arls_up_total 5\n"), "{body}");
 
         // A scrape sees live values, not a snapshot from bind time.
-        c.add(0, 2);
+        c.add(2);
         let (_, body) = request(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(body.contains("arls_up_total 7\n"), "{body}");
 

@@ -87,12 +87,23 @@ fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing or non-numeric '{key}'"))
 }
 
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    let raw = req_f64(v, key)?;
-    if raw < 0.0 || raw.fract() != 0.0 || raw > u64::MAX as f64 {
-        return Err(format!("'{key}' = {raw} is not an unsigned integer"));
+/// `raw` as a `u64`, or an error naming `key` when it is negative,
+/// fractional or at least 2^64 (`u64::MAX as f64` rounds up to 2^64, so
+/// the bound is exclusive).
+fn to_u64(raw: f64, key: &str) -> Result<u64, String> {
+    if raw < 0.0 || raw.fract() != 0.0 || raw >= u64::MAX as f64 {
+        return Err(format!("'{key}' = {raw} is not an unsigned 64-bit integer"));
     }
     Ok(raw as u64)
+}
+
+fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
+    to_u64(req_f64(v, key)?, key)
+}
+
+fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
+    let raw = req_u64(v, key)?;
+    u32::try_from(raw).map_err(|_| format!("'{key}' = {raw} exceeds the 32-bit range"))
 }
 
 impl Submission {
@@ -119,7 +130,7 @@ impl Submission {
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("task {i}: missing 'priority'"))
                     .and_then(|s| parse_priority(s).map_err(|e| format!("task {i}: {e}")))?,
-                site: SiteId(req_u64(t, "site").map_err(|e| format!("task {i}: {e}"))? as u32),
+                site: SiteId(req_u32(t, "site").map_err(|e| format!("task {i}: {e}"))?),
             };
             task.validate().map_err(|e| format!("task {i}: {e}"))?;
             tasks.push(task);
@@ -262,10 +273,8 @@ impl Notification {
                 .ok_or("ack missing 'tasks'")?
                 .iter()
                 .map(|t| {
-                    t.as_f64()
-                        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-                        .map(|x| x as u64)
-                        .ok_or_else(|| "non-integer task id in ack".to_string())
+                    let raw = t.as_f64().ok_or("non-numeric task id in ack")?;
+                    to_u64(raw, "tasks")
                 })
                 .collect::<Result<Vec<u64>, String>>()?;
             return Ok(Notification::Ack {
@@ -287,8 +296,8 @@ impl Notification {
         if let Some(p) = v.get("placed") {
             return Ok(Notification::Placed {
                 task: req_u64(p, "task")?,
-                site: req_u64(p, "site")? as u32,
-                node: req_u64(p, "node")? as u32,
+                site: req_u32(p, "site")?,
+                node: req_u32(p, "node")?,
                 t: req_f64(p, "t")?,
             });
         }
@@ -390,6 +399,52 @@ mod tests {
             r#"{"submit":{"id":1,"tasks":[{"size_mi":1,"deadline":1,"priority":"low"}]}}"#,
         ] {
             assert!(Submission::parse_line(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn submission_integers_out_of_range_are_rejected_not_wrapped() {
+        let task = |site: &str| {
+            format!(
+                r#"{{"submit":{{"id":1,"tasks":[{{"size_mi":1,"deadline":1,"priority":"low","site":{site}}}]}}}}"#
+            )
+        };
+        assert_eq!(
+            Submission::parse_line(&task("4294967295")).unwrap().tasks[0].site,
+            SiteId(u32::MAX)
+        );
+        let err = Submission::parse_line(&task("4294967297")).unwrap_err();
+        assert!(err.contains("'site'"), "{err}");
+        // 2^64 is one past u64::MAX: rejected, not saturated.
+        let err = Submission::parse_line(
+            r#"{"submit":{"id":18446744073709551616,"tasks":[{"size_mi":1,"deadline":1,"priority":"low","site":0}]}}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("'id'"), "{err}");
+    }
+
+    #[test]
+    fn notification_integers_out_of_range_are_rejected_not_wrapped() {
+        for (line, field) in [
+            (
+                r#"{"placed":{"task":1,"site":4294967296,"node":0,"t":1}}"#,
+                "'site'",
+            ),
+            (
+                r#"{"placed":{"task":1,"site":0,"node":4294967296,"t":1}}"#,
+                "'node'",
+            ),
+            (
+                r#"{"placed":{"task":18446744073709551616,"site":0,"node":0,"t":1}}"#,
+                "'task'",
+            ),
+            (
+                r#"{"ack":{"id":1,"tasks":[18446744073709551616],"t":1}}"#,
+                "'tasks'",
+            ),
+        ] {
+            let err = Notification::parse_line(line).unwrap_err();
+            assert!(err.contains(field), "{line}: {err}");
         }
     }
 }
