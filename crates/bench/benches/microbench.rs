@@ -1,16 +1,14 @@
-//! Microbenchmarks of the hot substrate paths: the event queue, the RNG
-//! streams, one full engine run per scheduler, the value estimator, and
-//! the flat-buffer MLP kernels (`predict` / `train_step` / `score_into`).
+//! Microbenchmarks of the hot substrate paths: the event queue (calendar
+//! wheel vs the binary heap it replaced), the RNG streams, and the
+//! flat-buffer MLP kernels (`predict` / `train_step` / `score_into`, f64
+//! and, with `--features f32-kernels`, f32). Whole runs are timed by the
+//! repository benchmark (`perfbench/`), not here.
 
-use adaptive_rl::{AdaptiveRl, AdaptiveRlConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use experiments::{runner, Scenario, SchedulerKind};
 use neural::{Activation, Mlp, Sgd, Workspace};
-use platform::{ExecConfig, ExecEngine, Platform, PlatformSpec};
 use simcore::rng::RngStream;
 use simcore::{EventQueue, SimTime};
 use std::hint::black_box;
-use workload::{Workload, WorkloadSpec};
 
 fn event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -174,60 +172,6 @@ fn rng_streams(c: &mut Criterion) {
     });
 }
 
-fn engine_run(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_run_500_tasks");
-    group.sample_size(10);
-    for kind in SchedulerKind::paper_four() {
-        let sc = Scenario::small(9006, 500, 0.9);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.label()),
-            &(sc, kind),
-            |b, (sc, kind)| b.iter(|| black_box(runner::run_scenario(sc, kind).total_energy)),
-        );
-    }
-    group.finish();
-}
-
-fn scalability(c: &mut Criterion) {
-    // Events-per-second scaling with platform size: the engine must stay
-    // roughly linear in event count as sites multiply.
-    let mut group = c.benchmark_group("engine_scalability");
-    group.sample_size(10);
-    for sites in [1u32, 2, 4] {
-        let sc = {
-            let mut sc = Scenario::small(9008, 400, 0.8);
-            sc.platform = PlatformSpec::small(sites, 3, 4);
-            sc
-        };
-        let kind = SchedulerKind::Adaptive(Default::default());
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{sites}_sites")),
-            &(sc, kind),
-            |b, (sc, kind)| b.iter(|| black_box(runner::run_scenario(sc, kind).makespan)),
-        );
-    }
-    group.finish();
-}
-
-fn value_estimator(c: &mut Criterion) {
-    c.bench_function("adaptive_rl_full_learning_run", |b| {
-        let rng = RngStream::root(9007);
-        let platform = Platform::generate(PlatformSpec::small(2, 3, 4), &rng.derive("p"));
-        let mut wspec = WorkloadSpec::paper(300, 2, platform.reference_speed());
-        wspec.mean_interarrival = 0.5;
-        let wl = Workload::generate(wspec, &rng.derive("w"));
-        b.iter(|| {
-            let mut sched = AdaptiveRl::new(2, AdaptiveRlConfig::default());
-            let r = ExecEngine::new(ExecConfig::default()).run(
-                platform.clone(),
-                wl.tasks.clone(),
-                &mut sched,
-            );
-            black_box(r.makespan)
-        })
-    });
-}
-
 /// The value net of the decide→train cycle: `[11, 16, 1]`, Tanh hidden.
 fn value_net() -> (Mlp, Workspace) {
     let net = Mlp::new(&[11, 16, 1], Activation::Tanh, Sgd::new(0.05, 0.5), 42);
@@ -303,8 +247,7 @@ fn mlp32_kernels(_c: &mut Criterion) {}
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = event_queue, event_queue_heap_vs_calendar, rng_streams, engine_run,
-        scalability, value_estimator,
+    targets = event_queue, event_queue_heap_vs_calendar, rng_streams,
         mlp_predict, mlp_train_step, mlp_score_into, mlp32_kernels
 }
 criterion_main!(benches);

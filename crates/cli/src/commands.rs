@@ -573,12 +573,25 @@ pub fn trace(args: &Args) -> Result<String, CmdError> {
                 return Err(CmdError::Other("trace is empty".into()));
             }
             let kind = scheduler_from(args)?;
-            let seed = args.get_or("seed", 2011u64)?;
-            // The platform must span every site the trace references.
-            let max_site = tasks.iter().map(|t| t.site.0).max().unwrap_or(0);
-            let mut sc = Scenario::new(seed, tasks.len(), 1.0);
-            sc.platform.num_sites = sc.platform.num_sites.max(max_site + 1);
+            // The same platform flags as `trace generate`, so a trace made
+            // with `--sites N` replays with `--sites N`.
+            let sc = scenario_from(args)?;
             let platform = sc.build_platform();
+            let sites = platform.num_sites();
+            for (i, t) in tasks.iter().enumerate() {
+                if t.id.0 != i as u64 {
+                    return Err(CmdError::Other(format!(
+                        "task {} is record {i}: task ids must be dense from 0 in file order",
+                        t.id.0
+                    )));
+                }
+                if t.site.0 as usize >= sites {
+                    return Err(CmdError::Other(format!(
+                        "task {} names site {}, but the platform has {sites} sites (set --sites)",
+                        t.id.0, t.site.0
+                    )));
+                }
+            }
             let rec = recorder_from(args)?;
             let monitor = Monitor {
                 recorder: rec.clone(),
@@ -595,162 +608,6 @@ pub fn trace(args: &Args) -> Result<String, CmdError> {
         _ => Err(CmdError::Other(
             "usage: arls trace <generate|show|run> …".into(),
         )),
-    }
-}
-
-/// One comparable row of a `BENCH_throughput.json` file.
-struct BenchRow {
-    label: String,
-    precision: String,
-    /// Sharded-engine worker count; rows written before the field
-    /// existed (all single-loop) default to `1`. Keying deltas on
-    /// `(label, precision, shards)` keeps a scaled-out row from
-    /// tripping against a single-worker baseline of the same scheduler.
-    shards: u64,
-    tasks_per_s: f64,
-}
-
-/// The parts of a bench file `arls bench diff` compares.
-struct BenchFile {
-    mode: String,
-    stamp: String,
-    commit: String,
-    rows: Vec<BenchRow>,
-    aggregate: Option<f64>,
-}
-
-fn load_bench(path: &str) -> Result<BenchFile, CmdError> {
-    let text = std::fs::read_to_string(path)?;
-    let v = telemetry::json::parse(&text)
-        .map_err(|e| CmdError::Other(format!("{path}: not valid JSON: {e}")))?;
-    let field = |name: &str, fallback: &str| {
-        v.get(name)
-            .and_then(|m| m.as_str())
-            .unwrap_or(fallback)
-            .to_string()
-    };
-    let rows = v
-        .get("schedulers")
-        .and_then(|s| s.as_array())
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|o| {
-                    Some(BenchRow {
-                        label: o.get("label")?.as_str()?.to_string(),
-                        // Rows written before the precision field existed
-                        // were all f64, matching check_regression in the
-                        // throughput binary.
-                        precision: o
-                            .get("precision")
-                            .and_then(|p| p.as_str())
-                            .unwrap_or("f64")
-                            .to_string(),
-                        shards: o
-                            .get("shards")
-                            .and_then(|s| s.as_f64())
-                            .map(|s| s as u64)
-                            .unwrap_or(1),
-                        tasks_per_s: o.get("tasks_per_s")?.as_f64()?,
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    Ok(BenchFile {
-        mode: field("mode", "?"),
-        stamp: field("generated_utc", "unstamped"),
-        commit: field("git_commit", "unknown"),
-        rows,
-        aggregate: v
-            .path(&["aggregate", "tasks_per_s"])
-            .and_then(|x| x.as_f64()),
-    })
-}
-
-/// `arls bench diff OLD NEW` — per-(label, precision) throughput deltas
-/// between two `BENCH_throughput.json` files, so the perf trajectory
-/// across PRs is recoverable from committed artifacts.
-pub fn bench(args: &Args) -> Result<String, CmdError> {
-    let usage = "usage: arls bench diff OLD.json NEW.json";
-    match args.subcommand() {
-        Some("diff") => {
-            let old_path = args
-                .positional
-                .get(2)
-                .ok_or_else(|| CmdError::Other(usage.into()))?;
-            let new_path = args
-                .positional
-                .get(3)
-                .ok_or_else(|| CmdError::Other(usage.into()))?;
-            let old = load_bench(old_path)?;
-            let new = load_bench(new_path)?;
-            let mut out = String::new();
-            out.push_str(&format!(
-                "old: {old_path} (mode {}, {}, commit {})\n",
-                old.mode, old.stamp, old.commit
-            ));
-            out.push_str(&format!(
-                "new: {new_path} (mode {}, {}, commit {})\n",
-                new.mode, new.stamp, new.commit
-            ));
-            if old.mode != new.mode {
-                out.push_str("WARNING: modes differ; rates are not directly comparable\n");
-            }
-            out.push('\n');
-            out.push_str(&format!(
-                "{:<28} {:>5} {:>3} {:>14} {:>14} {:>8}\n",
-                "scheduler", "prec", "sh", "old tasks/s", "new tasks/s", "delta"
-            ));
-            let same = |a: &BenchRow, b: &BenchRow| {
-                a.label == b.label && a.precision == b.precision && a.shards == b.shards
-            };
-            for row in &new.rows {
-                let old_rate = old
-                    .rows
-                    .iter()
-                    .find(|o| same(o, row))
-                    .map(|o| o.tasks_per_s);
-                match old_rate {
-                    Some(o) if o > 0.0 => out.push_str(&format!(
-                        "{:<28} {:>5} {:>3} {:>14.0} {:>14.0} {:>+7.1}%\n",
-                        row.label,
-                        row.precision,
-                        row.shards,
-                        o,
-                        row.tasks_per_s,
-                        100.0 * (row.tasks_per_s / o - 1.0)
-                    )),
-                    _ => out.push_str(&format!(
-                        "{:<28} {:>5} {:>3} {:>14} {:>14.0} {:>8}\n",
-                        row.label, row.precision, row.shards, "-", row.tasks_per_s, "new"
-                    )),
-                }
-            }
-            for row in &old.rows {
-                let gone = !new.rows.iter().any(|n| same(n, row));
-                if gone {
-                    out.push_str(&format!(
-                        "{:<28} {:>5} {:>3} {:>14.0} {:>14} {:>8}\n",
-                        row.label, row.precision, row.shards, row.tasks_per_s, "-", "gone"
-                    ));
-                }
-            }
-            if let (Some(o), Some(n)) = (old.aggregate, new.aggregate) {
-                if o > 0.0 {
-                    out.push_str(&format!(
-                        "{:<28} {:>5} {:>3} {:>14.0} {:>14.0} {:>+7.1}%\n",
-                        "aggregate",
-                        "",
-                        "",
-                        o,
-                        n,
-                        100.0 * (n / o - 1.0)
-                    ));
-                }
-            }
-            Ok(out)
-        }
-        _ => Err(CmdError::Other(usage.into())),
     }
 }
 
@@ -933,6 +790,84 @@ mod tests {
         ]))
         .expect("run");
         assert!(run.contains("Greedy EDF"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn temp_bin(name: &str) -> (std::path::PathBuf, String) {
+        let path = std::env::temp_dir().join(format!("arls_cli_{name}_{}.bin", std::process::id()));
+        let s = path.to_string_lossy().into_owned();
+        (path, s)
+    }
+
+    /// Writes one task per `(id, site)` pair as a trace file.
+    fn trace_file(name: &str, tasks: &[(u64, u32)]) -> (std::path::PathBuf, String) {
+        let tasks: Vec<Task> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, &(id, site))| Task {
+                id: workload::TaskId(id),
+                size_mi: 1000.0,
+                arrival: simcore::time::SimTime::new(i as f64),
+                deadline: simcore::time::SimTime::new(i as f64 + 50.0),
+                priority: workload::Priority::Medium,
+                site: workload::SiteId(site),
+            })
+            .collect();
+        let (path, path_str) = temp_bin(name);
+        save_trace(&path, &tasks).expect("write trace");
+        (path, path_str)
+    }
+
+    fn run_err(path: &str) -> String {
+        trace(&parse(&["trace", "run", path]))
+            .expect_err("hostile trace must be rejected")
+            .to_string()
+    }
+
+    #[test]
+    fn trace_with_an_overflowing_record_count_is_rejected() {
+        // A valid header declaring ~5e17 records, then 40 body bytes.
+        let (path, path_str) = temp_bin("hugecount");
+        let mut raw = b"ARLW\x01".to_vec();
+        raw.extend(498_560_650_640_798_693u64.to_le_bytes());
+        raw.extend([0u8; 40]);
+        std::fs::write(&path, &raw).expect("write trace");
+        assert!(trace(&parse(&["trace", "show", &path_str])).is_err());
+        assert!(run_err(&path_str).contains("truncated"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_run_rejects_non_dense_ids() {
+        let (path, path_str) = trace_file("sparse", &[(5, 0), (7, 1)]);
+        let err = run_err(&path_str);
+        assert!(err.contains("task 5") && err.contains("dense"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_run_rejects_sites_outside_the_platform() {
+        for site in [u32::MAX, 2_000_000, 5] {
+            let (path, path_str) = trace_file("farsite", &[(0, 0), (1, site)]);
+            let err = run_err(&path_str);
+            assert!(
+                err.contains("task 1") && err.contains(&format!("site {site}")),
+                "{err}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn trace_run_replays_on_the_generating_platform() {
+        let (path, path_str) = temp_bin("sites8");
+        trace(&parse(&[
+            "trace", "generate", "--tasks", "80", "--sites", "8", "--out", &path_str,
+        ]))
+        .expect("generate");
+        trace(&parse(&["trace", "run", &path_str, "--sites", "8"])).expect("replay on 8 sites");
+        // The default 5-site platform lacks sites 5..8.
+        assert!(run_err(&path_str).contains("--sites"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1316,81 +1251,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_reports_per_row_deltas() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let old = dir.join(format!("arls_cli_bench_old_{pid}.json"));
-        let new = dir.join(format!("arls_cli_bench_new_{pid}.json"));
-        std::fs::write(
-            &old,
-            r#"{"mode":"full","generated_utc":"2026-08-01T00:00:00Z","git_commit":"aaaa",
-               "schedulers":[
-                 {"label":"Adaptive-RL","precision":"f64","tasks_per_s":1000.0},
-                 {"label":"Old only","precision":"f64","tasks_per_s":50.0}],
-               "aggregate":{"tasks_per_s":1000.0}}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &new,
-            r#"{"mode":"full","generated_utc":"2026-08-02T00:00:00Z","git_commit":"bbbb",
-               "schedulers":[
-                 {"label":"Adaptive-RL","precision":"f64","tasks_per_s":1200.0},
-                 {"label":"Adaptive-RL","precision":"f32","tasks_per_s":1500.0}],
-               "aggregate":{"tasks_per_s":1200.0}}"#,
-        )
-        .unwrap();
-        let (old_str, new_str) = (
-            old.to_string_lossy().into_owned(),
-            new.to_string_lossy().into_owned(),
-        );
-        let out = bench(&parse(&["bench", "diff", &old_str, &new_str])).expect("diff");
-        assert!(out.contains("+20.0%"), "missing f64 delta in {out}");
-        assert!(out.contains("new"), "unmatched new row not marked: {out}");
-        assert!(out.contains("gone"), "vanished old row not marked: {out}");
-        assert!(out.contains("aggregate"), "missing aggregate row: {out}");
-        assert!(out.contains("aaaa") && out.contains("bbbb"));
-        std::fs::remove_file(&old).ok();
-        std::fs::remove_file(&new).ok();
-    }
-
-    #[test]
-    fn bench_diff_tolerates_pre_stamp_pre_precision_old_files() {
-        // An OLD file written before the `precision` row field and the
-        // `generated_utc`/`git_commit` stamps existed must diff cleanly
-        // (defaults applied), not panic or error.
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let old = dir.join(format!("arls_cli_bench_oldfmt_{pid}.json"));
-        let new = dir.join(format!("arls_cli_bench_newfmt_{pid}.json"));
-        std::fs::write(
-            &old,
-            r#"{"mode":"full",
-               "schedulers":[{"label":"Adaptive-RL","tasks_per_s":1000.0}],
-               "aggregate":{"tasks_per_s":1000.0}}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &new,
-            r#"{"mode":"full","generated_utc":"2026-08-02T00:00:00Z","git_commit":"bbbb",
-               "schedulers":[
-                 {"label":"Adaptive-RL","precision":"f64","tasks_per_s":1100.0}],
-               "aggregate":{"tasks_per_s":1100.0}}"#,
-        )
-        .unwrap();
-        let (old_str, new_str) = (
-            old.to_string_lossy().into_owned(),
-            new.to_string_lossy().into_owned(),
-        );
-        let out = bench(&parse(&["bench", "diff", &old_str, &new_str])).expect("old-format diff");
-        // The unstamped old row defaults to f64 precision, so it matches
-        // the new f64 row and reports a delta rather than new/gone.
-        assert!(out.contains("+10.0%"), "missing delta in {out}");
-        assert!(out.contains("unstamped"), "missing stamp default in {out}");
-        std::fs::remove_file(&old).ok();
-        std::fs::remove_file(&new).ok();
-    }
-
-    #[test]
     fn saturated_timeseries_ring_warns_about_dropped_points() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
@@ -1481,9 +1341,6 @@ mod tests {
             "--profile"
         ]))
         .is_err());
-        assert!(bench(&parse(&["bench"])).is_err());
-        assert!(bench(&parse(&["bench", "diff"])).is_err());
-        assert!(bench(&parse(&["bench", "diff", "/no/old.json", "/no/new.json"])).is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ USAGE:
       --scale selects the 100-site / ~100k-processor scaling platform
       (the sharding study's shape; --sites still overrides the count)
 
-  fault flags (simulate, compare, trace generate):
+  fault flags (simulate, compare, trace generate, trace run):
       --faults                 enable fault injection (needs a source below)
       --fault-proc-mtbf T      mean time between per-processor failures (0 = off)
       --fault-proc-mttr T      mean per-processor repair time
@@ -91,8 +91,9 @@ USAGE:
   arls trace show PATH
       print a profile summary of a trace file
 
-  arls trace run PATH [--scheduler S] [--seed N]
-      replay a trace file through a scheduler
+  arls trace run PATH [--scheduler S] [--seed N] [--sites N]
+      replay a trace file through a scheduler, on the platform
+      `trace generate` builds from the same flags
 
   arls serve [--listen HOST:PORT] [--scheduler S] [--seed N] [--sites N]
              [--pace F] [--metrics-addr HOST:PORT] [--port-file PATH]
@@ -111,10 +112,6 @@ USAGE:
       writes the bound addresses for scripts; --run-for-secs bounds the
       run for tests. drive it with the load_driver bin:
       cargo run --release -p arl-experiments --bin load_driver -- --addr …
-
-  arls bench diff OLD.json NEW.json
-      compare two BENCH_throughput.json files per (scheduler, precision,
-      shards) row; rows predating the shards field count as shards = 1
 
   arls settings
       print the paper-vs-reproduction experiment settings table

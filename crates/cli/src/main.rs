@@ -11,7 +11,6 @@ fn main() {
         Some("resume") => commands::resume(&args),
         Some("compare") => commands::compare(&args),
         Some("trace") => commands::trace(&args),
-        Some("bench") => commands::bench(&args),
         Some("serve") => arl_cli::serve::serve(&args),
         Some("settings") => {
             // Same content as the arl-experiments `settings` binary.

@@ -85,8 +85,8 @@ impl Scenario {
     /// The datacenter-scale platform of the sharded-engine scaling study:
     /// 100 resource sites of 180–190 nodes × 5–6 processors, ≈100 k
     /// processors in total. One site is one shard, so this is the shape
-    /// the `--shards` flag and the throughput benchmark's sharded rows
-    /// exercise.
+    /// the `--shards` flag and the repository benchmark's `scale-sharded`
+    /// workload exercise.
     pub fn scaling_platform() -> PlatformSpec {
         PlatformSpec {
             num_sites: 100,

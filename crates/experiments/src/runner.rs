@@ -96,8 +96,9 @@ impl SchedulerKind {
     }
 
     /// Every policy with default settings — the paper four plus the two
-    /// non-learning references. The throughput benchmark and golden
-    /// determinism tests cover this full set.
+    /// non-learning references. The golden determinism tests cover this
+    /// full set, and the repository benchmark's `paper-baselines`
+    /// workload runs all but Adaptive RL.
     pub fn all_six() -> Vec<SchedulerKind> {
         let mut kinds = Self::paper_four();
         kinds.push(SchedulerKind::RoundRobin);

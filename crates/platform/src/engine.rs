@@ -210,8 +210,8 @@ pub struct RunResult {
     pub platform_spec: PlatformSpec,
     /// How the event loop ended.
     pub outcome: String,
-    /// Simulation events processed by the event loop — the numerator of
-    /// the throughput benchmark's events/sec figure.
+    /// Simulation events processed by the event loop — the repository
+    /// benchmark's `simcore.events` count.
     pub events_processed: u64,
     /// Peak number of pending future events the event queue held at any
     /// point of the run — sizes the calendar queue's bucket wheel.

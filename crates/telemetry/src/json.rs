@@ -1,9 +1,9 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! The workspace vendors no JSON crate, but the telemetry sinks *emit*
-//! JSON and two consumers need to read it back: the exporter tests
-//! (validity, monotonic `ts`, matched span pairs) and the `throughput`
-//! bin's regression guard against the committed `BENCH_throughput.json`.
+//! JSON and two consumers need to read JSON: the `arls serve` wire
+//! protocol (`workload::submit` parses every submission line with it)
+//! and the exporter tests (validity, monotonic `ts`, matched span pairs).
 //! This covers the full JSON grammar minus `\u` surrogate pairs being
 //! combined (escapes decode to the code point; lone surrogates are
 //! rejected).

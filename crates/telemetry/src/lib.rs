@@ -3,8 +3,8 @@
 //! The design goal is *zero cost when disabled*: a run without a sink
 //! attaches no recorder at all, and every emission is guarded by a
 //! boolean cached when the recorder is attached (`Recorder::wants(level)`)
-//! — no allocation or formatting below the configured level. The `golden_determinism` suite and the
-//! `BENCH_throughput.json` baseline pin this down.
+//! — no allocation or formatting below the configured level. The
+//! `golden_determinism` suite and the `perfbench/` benchmark pin this down.
 //!
 //! Layers:
 //!

@@ -90,8 +90,14 @@ pub fn read_trace(mut buf: &[u8]) -> Result<Vec<Task>, TraceError> {
     if version != VERSION {
         return Err(TraceError::BadVersion(version));
     }
-    let count = buf.get_u64_le() as usize;
-    if buf.remaining() < count * RECORD_LEN {
+    // The declared count is untrusted: size it checked, so a header that
+    // claims more records than the buffer holds is refused before any
+    // allocation.
+    let count = usize::try_from(buf.get_u64_le()).map_err(|_| TraceError::Truncated)?;
+    if count
+        .checked_mul(RECORD_LEN)
+        .is_none_or(|len| len > buf.remaining())
+    {
         return Err(TraceError::Truncated);
     }
     let mut tasks = Vec::with_capacity(count);
@@ -174,6 +180,10 @@ mod tests {
         let cut = &raw[..raw.len() - 5];
         assert_eq!(read_trace(cut), Err(TraceError::Truncated));
         assert_eq!(read_trace(&raw[..6]), Err(TraceError::Truncated));
+        // A declared count whose byte length overflows usize.
+        let mut huge = raw.to_vec();
+        huge[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(read_trace(&huge), Err(TraceError::Truncated));
     }
 
     #[test]

@@ -81,6 +81,27 @@ proptest! {
     }
 
     #[test]
+    fn hostile_record_counts_never_panic(
+        count in any::<u64>(),
+        body in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        // A well-formed header declaring any record count over any body:
+        // the decoder may accept only what the body holds (37-byte
+        // records), and must refuse the rest without panicking.
+        let mut raw = b"ARLW\x01".to_vec();
+        raw.extend(count.to_le_bytes());
+        raw.extend(&body);
+        if let Ok(tasks) = read_trace(&raw) {
+            prop_assert!(
+                tasks.len() <= body.len() / 37,
+                "{} tasks from {} bytes",
+                tasks.len(),
+                body.len()
+            );
+        }
+    }
+
+    #[test]
     fn profile_totals_match((spec, seed) in spec_strategy()) {
         let tasks: Vec<Task> = Workload::generate(spec, &RngStream::root(seed)).tasks;
         let p = WorkloadProfile::from_tasks(&tasks);
