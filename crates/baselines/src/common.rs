@@ -8,6 +8,7 @@
 
 use platform::{Command, GroupPolicy, NodeAddr, PlatformView};
 use simcore::time::SimTime;
+use snapshot::{Codec, SnapshotError};
 use workload::{SiteId, Task};
 
 /// Per-site pending pools.
@@ -39,20 +40,22 @@ impl SitePools {
         &mut self.pools[site]
     }
 
-    /// Read access to one site's pool (checkpointing).
-    pub fn pool(&self, site: usize) -> &[Task] {
-        &self.pools[site]
-    }
-
     /// Total pending tasks across sites.
     pub fn total_pending(&self) -> usize {
         self.pools.iter().map(|p| p.len()).sum()
+    }
+
+    /// Snapshot field list: one pool per site (the site count is fixed at
+    /// construction).
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.len_eq(self.pools.len(), "site pools")?;
+        self.pools.iter_mut().try_for_each(|p| c.seq(p, Task::snap))
     }
 }
 
 /// Tracks queue slots claimed during one dispatch round so consecutive
 /// groups don't over-commit a node.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SlotLedger {
     used: Vec<(NodeAddr, usize)>,
 }

@@ -32,7 +32,6 @@ pub mod online_rl;
 pub mod prediction;
 pub mod q_plus;
 pub mod reference;
-mod snap;
 pub mod tabular;
 
 pub use online_rl::{OnlineRl, OnlineRlConfig};

@@ -14,14 +14,13 @@
 //! scheduler in the comparison ([`common::dispatch_least_loaded`]).
 
 use crate::common::{self, SitePools};
-use crate::snap;
 use crate::tabular::{bucketize, QTable};
 use platform::{Command, GroupFeedback, NodeAddr, PlatformView, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
-use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
-use workload::{SiteId, Task};
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
+use workload::{SimCodec, SiteId, Task};
 
 /// Throttle levels the controller can select.
 pub const THROTTLE_LEVELS: [f64; 4] = [0.8, 0.9, 0.95, 1.0];
@@ -68,7 +67,23 @@ impl Default for OnlineRlConfig {
     }
 }
 
-#[derive(Debug)]
+impl OnlineRlConfig {
+    /// Snapshot field list (the checkpoint meta blob's copy).
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.unit(&mut self.alpha, "Online-RL rate")?;
+        c.unit(&mut self.gamma, "Online-RL rate")?;
+        c.unit(&mut self.epsilon0, "Online-RL rate")?;
+        c.unit(&mut self.epsilon_decay, "Online-RL rate")?;
+        c.unit(&mut self.epsilon_floor, "Online-RL rate")?;
+        c.finite(&mut self.powercap0)?;
+        c.finite(&mut self.cap_step)?;
+        c.finite(&mut self.cap_range.0)?;
+        c.finite(&mut self.cap_range.1)?;
+        c.u64(&mut self.seed)
+    }
+}
+
+#[derive(Debug, Clone)]
 struct NodeCtl {
     q: QTable,
     powercap: f64,
@@ -99,6 +114,31 @@ impl NodeCtl {
         }
     }
 
+    /// Snapshot field list.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.q.snap(c)?;
+        c.finite(&mut self.powercap)?;
+        c.opt(&mut self.last, |(s, a), c| {
+            c.usize(s)?;
+            c.usize(a)
+        })?;
+        let (states, actions) = (self.q.num_states(), self.q.num_actions());
+        if let Some((s, a)) = self.last {
+            c.check(s < states && a < actions, || {
+                format!("pending (state {s}, action {a}) outside the Q-table")
+            })?;
+        }
+        c.nonneg(&mut self.energy_prev)?;
+        c.nonneg(&mut self.tick_prev)?;
+        c.nonneg(&mut self.resp_sum)?;
+        c.u32(&mut self.resp_n)?;
+        c.usize(&mut self.action)?;
+        let action = self.action;
+        c.check(action < THROTTLE_LEVELS.len(), || {
+            format!("throttle action {action} out of range")
+        })
+    }
+
     fn state(&self, queue_len: usize, power_per_proc: f64) -> usize {
         let load_b = bucketize(queue_len as f64, 0.0, 8.0, LOAD_BUCKETS);
         // Gap to the cap: under / near / over.
@@ -108,7 +148,14 @@ impl NodeCtl {
     }
 }
 
+impl Default for NodeCtl {
+    fn default() -> Self {
+        NodeCtl::new()
+    }
+}
+
 /// The Online-RL baseline scheduler.
+#[derive(Clone)]
 pub struct OnlineRl {
     cfg: OnlineRlConfig,
     pools: SitePools,
@@ -162,8 +209,32 @@ impl OnlineRl {
             .collect();
     }
 
-    fn ctl(&mut self, addr: NodeAddr) -> &mut NodeCtl {
-        &mut self.ctls[self.site_base[addr.site.0 as usize] + addr.node as usize]
+    /// The node's controller; `None` only when a restored index does not
+    /// fit the platform (a corrupt snapshot).
+    fn ctl(&mut self, addr: NodeAddr) -> Option<&mut NodeCtl> {
+        let base = self.site_base.get(addr.site.0 as usize)?;
+        self.ctls.get_mut(base + addr.node as usize)
+    }
+
+    /// Snapshot field list.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.pools.snap(c)?;
+        c.rng(&mut self.rng)?;
+        c.unit(&mut self.epsilon, "Online-RL epsilon")?;
+        c.bool(&mut self.initialized)?;
+        c.seq(&mut self.site_base, |v, c| c.usize(v))?;
+        c.seq(&mut self.ctls, NodeCtl::snap)?;
+        let (bases, n_ctls) = (&self.site_base, self.ctls.len());
+        c.check(bases.is_empty() == (n_ctls == 0), || {
+            "node index and controller table out of sync".into()
+        })?;
+        c.check(
+            bases.is_empty()
+                || (bases.len() == self.pools.num_sites()
+                    && bases.windows(2).all(|p| p[0] <= p[1])
+                    && bases.iter().all(|&b| b <= n_ctls)),
+            || "node index does not fit the sites and controllers".into(),
+        )
     }
 }
 
@@ -183,15 +254,19 @@ impl Scheduler for OnlineRl {
             // Apply the conservative initial throttle everywhere once.
             self.initialized = true;
             for addr in view.node_addrs() {
-                let level = THROTTLE_LEVELS[self.ctl(addr).action];
-                cmds.push(Command::SetThrottle { node: addr, level });
+                if let Some(ctl) = self.ctl(addr) {
+                    let level = THROTTLE_LEVELS[ctl.action];
+                    cmds.push(Command::SetThrottle { node: addr, level });
+                }
             }
         }
         cmds
     }
 
     fn on_group_complete(&mut self, _now: SimTime, fb: &GroupFeedback) {
-        let ctl = self.ctl(fb.node);
+        let Some(ctl) = self.ctl(fb.node) else {
+            return;
+        };
         ctl.resp_sum += fb.completed_at.since(fb.enqueued_at).as_f64();
         ctl.resp_n += 1;
     }
@@ -208,7 +283,9 @@ impl Scheduler for OnlineRl {
             let walk_up = self.rng.chance(0.5);
             let explore = self.rng.chance(self.epsilon);
             let explore_pick = self.rng.pick(THROTTLE_LEVELS.len());
-            let ctl = self.ctl(addr);
+            let Some(ctl) = self.ctl(addr) else {
+                continue;
+            };
             let dt = now.as_f64() - ctl.tick_prev;
             if dt <= 0.0 {
                 continue;
@@ -258,101 +335,11 @@ impl Scheduler for OnlineRl {
     }
 
     fn save_state(&mut self, w: &mut SnapWriter) {
-        snap::write_pools(w, &self.pools);
-        snap::write_rng(w, &self.rng);
-        w.f64(self.epsilon);
-        w.bool(self.initialized);
-        w.usize(self.site_base.len());
-        for &base in &self.site_base {
-            w.usize(base);
-        }
-        w.usize(self.ctls.len());
-        for ctl in &self.ctls {
-            snap::write_qtable(w, &ctl.q);
-            w.f64(ctl.powercap);
-            match ctl.last {
-                Some((s, a)) => {
-                    w.bool(true);
-                    w.usize(s);
-                    w.usize(a);
-                }
-                None => w.bool(false),
-            }
-            w.f64(ctl.energy_prev);
-            w.f64(ctl.tick_prev);
-            w.f64(ctl.resp_sum);
-            w.u32(ctl.resp_n);
-            w.usize(ctl.action);
-        }
+        w.encode(|w| self.snap(w));
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let pools = snap::read_pools(r, self.pools.num_sites())?;
-        let rng = snap::read_rng(r)?;
-        let epsilon = snap::read_unit_interval(r, "Online-RL epsilon")?;
-        let initialized = r.bool()?;
-        let n_base = r.len_hint()?;
-        let mut site_base = Vec::with_capacity(n_base);
-        for _ in 0..n_base {
-            site_base.push(r.usize()?);
-        }
-        let n_ctls = r.len_hint()?;
-        let mut ctls = Vec::with_capacity(n_ctls);
-        for _ in 0..n_ctls {
-            let mut ctl = NodeCtl::new();
-            snap::read_qtable_into(r, &mut ctl.q)?;
-            ctl.powercap = r.f64_finite()?;
-            ctl.last = if r.bool()? {
-                let s = r.usize()?;
-                let a = r.usize()?;
-                if s >= ctl.q.num_states() || a >= ctl.q.num_actions() {
-                    return Err(corrupt(format!(
-                        "pending (state {s}, action {a}) outside the Q-table"
-                    )));
-                }
-                Some((s, a))
-            } else {
-                None
-            };
-            ctl.energy_prev = r.f64_time()?;
-            ctl.tick_prev = r.f64_time()?;
-            ctl.resp_sum = r.f64_time()?;
-            ctl.resp_n = r.u32()?;
-            ctl.action = r.usize()?;
-            if ctl.action >= THROTTLE_LEVELS.len() {
-                return Err(corrupt(format!(
-                    "throttle action {} out of range",
-                    ctl.action
-                )));
-            }
-            ctls.push(ctl);
-        }
-        // The lazy node index builds both vectors together: they must be
-        // consistently empty (pre-first-dispatch) or consistently built.
-        if site_base.is_empty() != ctls.is_empty() {
-            return Err(corrupt("node index and controller table out of sync"));
-        }
-        if !site_base.is_empty() {
-            if site_base.len() != pools.num_sites() {
-                return Err(corrupt(format!(
-                    "node index covers {} sites, pools have {}",
-                    site_base.len(),
-                    pools.num_sites()
-                )));
-            }
-            if site_base.windows(2).any(|p| p[0] > p[1])
-                || site_base.iter().any(|&b| b > ctls.len())
-            {
-                return Err(corrupt("node index bases are not monotone within bounds"));
-            }
-        }
-        self.pools = pools;
-        self.rng = rng;
-        self.epsilon = epsilon;
-        self.initialized = initialized;
-        self.site_base = site_base;
-        self.ctls = ctls;
-        Ok(())
+        r.restore(self, Self::snap)
     }
 }
 

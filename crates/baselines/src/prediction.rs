@@ -19,11 +19,10 @@
 //! is what makes consolidation overpack under bursty load.
 
 use crate::common::{self, SitePools, SlotLedger};
-use crate::snap;
 use platform::{AssignmentFeedback, Command, GroupFeedback, GroupPolicy, PlatformView, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
-use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::collections::{HashMap, VecDeque};
 use workload::{SiteId, Task};
 
@@ -46,6 +45,15 @@ impl Default for PredictionConfig {
             margin: 1.0,
             seed: 0x9ED1,
         }
+    }
+}
+
+impl PredictionConfig {
+    /// Snapshot field list (the checkpoint meta blob's copy).
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.finite(&mut self.lr)?;
+        c.finite(&mut self.margin)?;
+        c.u64(&mut self.seed)
     }
 }
 
@@ -89,15 +97,11 @@ impl<const D: usize> LinReg<D> {
         self.samples
     }
 
-    /// Weight vector, bias first (checkpointing).
-    pub fn weights(&self) -> &[f64; D] {
-        &self.w
-    }
-
-    /// Restores regressor state captured by a checkpoint.
-    pub fn restore(&mut self, w: [f64; D], samples: u64) {
-        self.w = w;
-        self.samples = samples;
+    /// Snapshot field list: the raw weights, bias first, then the sample
+    /// count. The learning rate is configuration, not state.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.w.iter_mut().try_for_each(|w| c.f64(w))?;
+        c.u64(&mut self.samples)
     }
 }
 
@@ -114,9 +118,16 @@ fn completion_features(work_mi: f64, raw_speed: f64) -> [f64; 4] {
     ]
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PredSample {
     features: [f64; 4],
+}
+
+impl PredSample {
+    /// Snapshot field list: the raw feature bits.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.features.iter_mut().try_for_each(|f| c.f64(f))
+    }
 }
 
 /// Owned snapshot of one candidate node, reusable across decisions.
@@ -132,6 +143,7 @@ struct Candidate {
 }
 
 /// The prediction-based consolidation scheduler.
+#[derive(Clone)]
 pub struct PredictionBased {
     cfg: PredictionConfig,
     pools: SitePools,
@@ -161,6 +173,14 @@ impl PredictionBased {
     /// Training samples the completion model has seen.
     pub fn model_samples(&self) -> u64 {
         self.model.samples()
+    }
+
+    /// Snapshot field list.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.pools.snap(c)?;
+        self.model.snap(c)?;
+        c.deque(&mut self.issued, PredSample::snap)?;
+        c.map(&mut self.in_flight, PredSample::snap)
     }
 }
 
@@ -281,62 +301,11 @@ impl Scheduler for PredictionBased {
     }
 
     fn save_state(&mut self, w: &mut SnapWriter) {
-        snap::write_pools(w, &self.pools);
-        for &weight in self.model.weights() {
-            w.f64(weight);
-        }
-        w.u64(self.model.samples());
-        w.usize(self.issued.len());
-        for sample in &self.issued {
-            for &f in &sample.features {
-                w.f64(f);
-            }
-        }
-        // Canonical bytes: the in-flight map is written in key order.
-        let mut keys: Vec<u64> = self.in_flight.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for key in keys {
-            w.u64(key);
-            for &f in &self.in_flight[&key].features {
-                w.f64(f);
-            }
-        }
+        w.encode(|w| self.snap(w));
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        fn read_sample(r: &mut SnapReader<'_>) -> Result<PredSample, SnapshotError> {
-            let mut features = [0.0f64; 4];
-            for f in &mut features {
-                *f = r.f64()?;
-            }
-            Ok(PredSample { features })
-        }
-        let pools = snap::read_pools(r, self.pools.num_sites())?;
-        let mut weights = [0.0f64; 4];
-        for weight in &mut weights {
-            *weight = r.f64()?;
-        }
-        let samples = r.u64()?;
-        let n_issued = r.len_hint()?;
-        let mut issued = VecDeque::with_capacity(n_issued);
-        for _ in 0..n_issued {
-            issued.push_back(read_sample(r)?);
-        }
-        let n_flight = r.len_hint()?;
-        let mut in_flight = HashMap::with_capacity(n_flight);
-        for _ in 0..n_flight {
-            let key = r.u64()?;
-            let sample = read_sample(r)?;
-            if in_flight.insert(key, sample).is_some() {
-                return Err(corrupt(format!("duplicate in-flight group id {key}")));
-            }
-        }
-        self.pools = pools;
-        self.model.restore(weights, samples);
-        self.issued = issued;
-        self.in_flight = in_flight;
-        Ok(())
+        r.restore(self, Self::snap)
     }
 }
 

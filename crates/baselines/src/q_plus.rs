@@ -16,14 +16,13 @@
 //! Task grouping and node selection follow the shared strategy.
 
 use crate::common::{self, SitePools};
-use crate::snap;
 use crate::tabular::{bucketize, QTable};
 use platform::{Command, PlatformView, ProcAddr, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
-use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
-use workload::{SiteId, Task};
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
+use workload::{SimCodec, SiteId, Task};
 
 const IDLE_BUCKETS: usize = 4;
 const BACKLOG_BUCKETS: usize = 3;
@@ -69,6 +68,26 @@ impl Default for QPlusConfig {
     }
 }
 
+impl QPlusConfig {
+    /// Snapshot field list (the checkpoint meta blob's copy). The spread
+    /// is bounded by the Q-table's state count.
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.unit(&mut self.alpha, "Q+ rate")?;
+        c.unit(&mut self.gamma, "Q+ rate")?;
+        c.unit(&mut self.epsilon0, "Q+ rate")?;
+        c.unit(&mut self.epsilon_decay, "Q+ rate")?;
+        c.unit(&mut self.epsilon_floor, "Q+ rate")?;
+        c.usize(&mut self.spread)?;
+        let spread = self.spread;
+        c.check(spread <= IDLE_BUCKETS * BACKLOG_BUCKETS, || {
+            format!("Q+ spread {spread} exceeds the state count")
+        })?;
+        c.finite(&mut self.spread_decay)?;
+        c.finite(&mut self.delay_weight)?;
+        c.u64(&mut self.seed)
+    }
+}
+
 #[derive(Debug, Default, Clone, Copy)]
 struct ProcCtl {
     idle_since: Option<f64>,
@@ -76,7 +95,25 @@ struct ProcCtl {
     pending: Option<(usize, usize, f64, f64)>,
 }
 
+impl ProcCtl {
+    /// Snapshot field list; `states` bounds a pending decision's state.
+    fn snap<C: Codec>(&mut self, c: &mut C, states: usize) -> Result<(), SnapshotError> {
+        c.opt(&mut self.idle_since, |t, c| c.nonneg(t))?;
+        c.opt(&mut self.pending, |(s, a, at, energy), c| {
+            c.usize(s)?;
+            c.usize(a)?;
+            let (s, a) = (*s, *a);
+            c.check(s < states && a < ACTIONS, || {
+                format!("pending (state {s}, action {a}) outside the Q-table")
+            })?;
+            c.nonneg(at)?;
+            c.f64(energy)
+        })
+    }
+}
+
 /// The Q+ learning baseline scheduler.
+#[derive(Clone)]
 pub struct QPlusLearning {
     cfg: QPlusConfig,
     pools: SitePools,
@@ -120,6 +157,17 @@ impl QPlusLearning {
         let back_b = bucketize(backlog as f64, 0.0, 4.0, BACKLOG_BUCKETS);
         idle_b * BACKLOG_BUCKETS + back_b
     }
+
+    /// Snapshot field list.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.pools.snap(c)?;
+        c.rng(&mut self.rng)?;
+        c.unit(&mut self.epsilon, "Q+ epsilon")?;
+        c.u64(&mut self.decisions)?;
+        self.q.snap(c)?;
+        let states = self.q.num_states();
+        c.seq(&mut self.procs, |p, c| p.snap(c, states))
+    }
 }
 
 impl Scheduler for QPlusLearning {
@@ -138,15 +186,8 @@ impl Scheduler for QPlusLearning {
     fn on_tick(&mut self, now: SimTime, view: &PlatformView<'_>) -> Vec<Command> {
         let cfg = self.cfg;
         let mut cmds = Vec::new();
-        if self.procs.is_empty() {
-            // Topology is fixed for a run; size the dense controller table
-            // once, in the same site-major order the tick loop walks.
-            let total: usize = view
-                .node_addrs()
-                .map(|a| view.node(a).num_processors())
-                .sum();
-            self.procs = vec![ProcCtl::default(); total];
-        }
+        // The dense controller table follows the site-major order the loop
+        // walks; it grows to the platform's processor count on first use.
         let mut dense = 0usize;
         for addr in view.node_addrs() {
             let nv = view.node(addr);
@@ -162,6 +203,9 @@ impl Scheduler for QPlusLearning {
                 let is_asleep = nv.proc_is_asleep(p);
                 let explore = self.rng.chance(self.epsilon);
                 let explore_pick = self.rng.pick(ACTIONS);
+                if dense == self.procs.len() {
+                    self.procs.push(ProcCtl::default());
+                }
                 let ctl = &mut self.procs[dense];
                 dense += 1;
 
@@ -223,68 +267,11 @@ impl Scheduler for QPlusLearning {
     }
 
     fn save_state(&mut self, w: &mut SnapWriter) {
-        snap::write_pools(w, &self.pools);
-        snap::write_rng(w, &self.rng);
-        w.f64(self.epsilon);
-        w.u64(self.decisions);
-        snap::write_qtable(w, &self.q);
-        w.usize(self.procs.len());
-        for ctl in &self.procs {
-            w.opt_f64(ctl.idle_since);
-            match ctl.pending {
-                Some((s, a, at, energy)) => {
-                    w.bool(true);
-                    w.usize(s);
-                    w.usize(a);
-                    w.f64(at);
-                    w.f64(energy);
-                }
-                None => w.bool(false),
-            }
-        }
+        w.encode(|w| self.snap(w));
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let pools = snap::read_pools(r, self.pools.num_sites())?;
-        let rng = snap::read_rng(r)?;
-        let epsilon = snap::read_unit_interval(r, "Q+ epsilon")?;
-        let decisions = r.u64()?;
-        let mut q = self.q.clone();
-        snap::read_qtable_into(r, &mut q)?;
-        let n_procs = r.len_hint()?;
-        let mut procs = Vec::with_capacity(n_procs);
-        for _ in 0..n_procs {
-            let idle_since = match r.opt_f64()? {
-                Some(t) if t.is_finite() && t >= 0.0 => Some(t),
-                Some(t) => return Err(corrupt(format!("idle-since timestamp {t} invalid"))),
-                None => None,
-            };
-            let pending = if r.bool()? {
-                let s = r.usize()?;
-                let a = r.usize()?;
-                if s >= q.num_states() || a >= ACTIONS {
-                    return Err(corrupt(format!(
-                        "pending (state {s}, action {a}) outside the Q-table"
-                    )));
-                }
-                let at = r.f64_time()?;
-                let energy = r.f64()?;
-                Some((s, a, at, energy))
-            } else {
-                None
-            };
-            procs.push(ProcCtl {
-                idle_since,
-                pending,
-            });
-        }
-        self.pools = pools;
-        self.rng = rng;
-        self.epsilon = epsilon;
-        self.decisions = decisions;
-        self.q = q;
-        self.procs = procs;
-        Ok(())
+        r.restore(self, Self::snap)
     }
 }
 

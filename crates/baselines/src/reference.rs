@@ -6,13 +6,13 @@
 //! under load.
 
 use crate::common::{self, SitePools, SlotLedger};
-use crate::snap;
 use platform::{Command, GroupPolicy, NodeAddr, PlatformView, Scheduler};
 use simcore::time::SimTime;
-use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use workload::{SiteId, Task};
 
 /// Dispatches every task alone, cycling over the site's nodes.
+#[derive(Clone)]
 pub struct RoundRobin {
     pools: SitePools,
     cursor: Vec<usize>,
@@ -25,6 +25,21 @@ impl RoundRobin {
             pools: SitePools::new(num_sites),
             cursor: vec![0; num_sites],
         }
+    }
+
+    /// Snapshot field list: the pools, then one cursor per site. A cursor
+    /// is a node index, so it fits a `u32`.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.pools.snap(c)?;
+        c.len_eq(self.cursor.len(), "round-robin cursors")?;
+        for cur in &mut self.cursor {
+            c.usize(cur)?;
+            let v = *cur;
+            c.check(u32::try_from(v).is_ok(), || {
+                format!("cursor {v} is not a node index")
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -77,34 +92,17 @@ impl Scheduler for RoundRobin {
     }
 
     fn save_state(&mut self, w: &mut SnapWriter) {
-        snap::write_pools(w, &self.pools);
-        w.usize(self.cursor.len());
-        for &c in &self.cursor {
-            w.usize(c);
-        }
+        w.encode(|w| self.snap(w));
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let pools = snap::read_pools(r, self.pools.num_sites())?;
-        let n = r.len_hint()?;
-        if n != self.cursor.len() {
-            return Err(corrupt(format!(
-                "checkpoint has {n} round-robin cursors, scheduler expects {}",
-                self.cursor.len()
-            )));
-        }
-        let mut cursor = Vec::with_capacity(n);
-        for _ in 0..n {
-            cursor.push(r.usize()?);
-        }
-        self.pools = pools;
-        self.cursor = cursor;
-        Ok(())
+        r.restore(self, Self::snap)
     }
 }
 
 /// Greedy EDF: groups pending tasks (shared strategy) and always targets
 /// the node with the highest current processing capacity.
+#[derive(Clone)]
 pub struct GreedyEdf {
     pools: SitePools,
 }
@@ -176,12 +174,11 @@ impl Scheduler for GreedyEdf {
     }
 
     fn save_state(&mut self, w: &mut SnapWriter) {
-        snap::write_pools(w, &self.pools);
+        w.encode(|w| self.pools.snap(w));
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.pools = snap::read_pools(r, self.pools.num_sites())?;
-        Ok(())
+        r.restore(&mut self.pools, SitePools::snap)
     }
 }
 

@@ -6,6 +6,7 @@
 //! refresh several entries at different learning rates.
 
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 
 /// Dense `states × actions` Q-table of expected costs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -115,26 +116,13 @@ impl QTable {
         self.actions
     }
 
-    /// The dense `states × actions` cost block (checkpointing).
-    pub fn q_values(&self) -> &[f64] {
-        &self.q
-    }
-
-    /// The dense per-entry visit counters (checkpointing).
-    pub fn visit_counts(&self) -> &[u32] {
-        &self.visits
-    }
-
-    /// Restores table contents captured by a checkpoint. Returns `false`
-    /// (leaving the table untouched) when either buffer length does not
-    /// match this table's dimensions.
-    pub fn restore(&mut self, q: &[f64], visits: &[u32]) -> bool {
-        if q.len() != self.q.len() || visits.len() != self.visits.len() {
-            return false;
-        }
-        self.q.copy_from_slice(q);
-        self.visits.copy_from_slice(visits);
-        true
+    /// Snapshot field list: the dimensions, which must match this
+    /// table's, then the raw cost bits, then the visit counters.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.len_eq(self.states, "Q-table states")?;
+        c.len_eq(self.actions, "Q-table actions")?;
+        self.q.iter_mut().try_for_each(|v| c.f64(v))?;
+        self.visits.iter_mut().try_for_each(|v| c.u32(v))
     }
 }
 

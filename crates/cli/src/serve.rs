@@ -30,9 +30,8 @@
 use crate::args::Args;
 use crate::commands::CmdError;
 use crate::select::scheduler_from;
-use experiments::checkpoint::{decode_scheduler_meta, encode_scheduler_meta};
+use experiments::checkpoint::{encode_scheduler_meta, scheduler_of};
 use experiments::{Monitor, Scenario};
-use platform::checkpoint::snapshot_meta;
 use platform::{ExecEngine, LiveMetrics, PlatformSpec, ScheduleSession, SessionEvent};
 use simcore::time::SimTime;
 use std::collections::HashMap;
@@ -164,8 +163,7 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
     };
     let (kind, num_sites, meta, sc) = match &resume_payload {
         Some(payload) => {
-            let meta = snapshot_meta(payload)?;
-            let (kind, sites) = decode_scheduler_meta(&meta)?;
+            let (kind, sites, meta) = scheduler_of(payload)?;
             (kind, sites, meta, None)
         }
         None => {
@@ -364,6 +362,9 @@ fn run_daemon(
             let target = base + start.elapsed().as_secs_f64() * opts.pace;
             events.clear();
             session.advance_to(SimTime::new(target), &mut events);
+            if let Some(why) = session.halt_reason() {
+                return Err(CmdError::Other(format!("serve halted: {why}")));
+            }
             active |= !events.is_empty();
             for ev in &events {
                 let (task, n) = match ev {

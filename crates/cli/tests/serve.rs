@@ -293,3 +293,48 @@ fn serve_rejects_and_drops_an_unterminated_oversized_line() {
     assert!(out.contains("1 rejected"), "stdout: {out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_rejects_a_deeply_nested_line_and_keeps_serving() {
+    let dir = scratch_dir("nested");
+    let port_file = dir.join("ports.txt");
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--pace",
+        "200",
+    ]);
+    let (ingest_addr, _) = wait_for_ports(&port_file, &mut daemon);
+
+    // 300 KB, well under the line cap, but nested far deeper than any
+    // wire document: a typed reject, then a normal ack on the same
+    // connection.
+    let conn = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = conn.try_clone().expect("clone stream");
+    let mut deep = b"{\"submit\":".to_vec();
+    deep.extend(std::iter::repeat_n(b'[', 300_000));
+    deep.push(b'\n');
+    writer.write_all(&deep).expect("write nested line");
+    writer
+        .write_all(
+            b"{\"submit\":{\"id\":1,\"tasks\":[{\"size_mi\":1500,\"deadline\":120,\
+              \"priority\":\"high\",\"site\":0}]}}\n",
+        )
+        .expect("write submission");
+    let mut reader = BufReader::new(conn);
+    let mut reject = String::new();
+    reader.read_line(&mut reject).expect("read reject");
+    assert!(reject.contains("\"reject\""), "{reject}");
+    let mut ack = String::new();
+    reader.read_line(&mut ack).expect("read ack");
+    assert!(ack.contains("\"ack\"") && ack.contains("\"id\":1"), "{ack}");
+
+    sigterm(&daemon);
+    let out = wait_exit(daemon);
+    assert!(out.contains("1 rejected"), "stdout: {out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,13 +5,15 @@
 //! identical priority (§IV.D.1) — and (b) the target group size `opnum`.
 
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 use std::fmt;
 
 /// Merge policy selector (the concrete priority class of an identical
 /// merge is determined by the tasks themselves at grouping time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// Mixed-priority merge: group tasks as they arrive, EDF-sorted.
+    #[default]
     Mixed,
     /// Identical-priority merge: group per priority class, EDF-sorted.
     Identical,
@@ -27,7 +29,7 @@ impl fmt::Display for PolicyKind {
 }
 
 /// One point in the action space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ActionChoice {
     /// Merge policy.
     pub policy: PolicyKind,
@@ -38,6 +40,14 @@ pub struct ActionChoice {
 }
 
 impl ActionChoice {
+    /// Snapshot field list: the policy tag, then a positive `opnum`.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let blanks = [PolicyKind::Mixed, PolicyKind::Identical];
+        c.variant(&mut self.policy, &blanks, "policy")?;
+        c.usize(&mut self.opnum)?;
+        c.check(self.opnum > 0, || "action opnum must be positive".into())
+    }
+
     /// Enumerates the candidate actions for a site whose largest node has
     /// `max_procs` processors.
     ///

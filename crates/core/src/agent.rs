@@ -12,10 +12,11 @@ use crate::memory::SharedLearningMemory;
 use crate::state::SiteObservation;
 use crate::value::ValueEstimator;
 use simcore::rng::RngStream;
-use workload::{SiteId, Task};
+use snapshot::{Codec, SnapshotError};
+use workload::{SimCodec, SiteId, Task};
 
 /// One scheduling agent (one per resource site).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Agent {
     /// The site this agent manages.
     pub site: SiteId,
@@ -144,14 +145,13 @@ impl Agent {
         }
     }
 
-    /// The agent's exploration RNG (checkpointing reads its seed/state).
-    pub fn rng(&self) -> &RngStream {
-        &self.rng
-    }
-
-    /// Replaces the exploration RNG with one rebuilt from a checkpoint.
-    pub fn set_rng(&mut self, rng: RngStream) {
-        self.rng = rng;
+    /// Snapshot field list: the pending pool, the reward memory and the
+    /// exploration RNG.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.seq(&mut self.pending, Task::snap)?;
+        c.opt(&mut self.last_success, |v, c| c.f64(v))?;
+        c.bool(&mut self.consult_memory)?;
+        c.rng(&mut self.rng)
     }
 
     /// Feeds back the success fraction of a completed cycle; arms the

@@ -3,6 +3,7 @@
 use crate::action::PolicyKind;
 use neural::KernelPrecision;
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 
 /// Configuration of the Adaptive-RL scheduler.
 ///
@@ -104,37 +105,77 @@ impl AdaptiveRlConfig {
     /// # Panics
     /// Panics on out-of-range values.
     pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.epsilon0),
-            "epsilon0 must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.epsilon_decay),
-            "epsilon_decay must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.epsilon_floor) && self.epsilon_floor <= self.epsilon0,
-            "epsilon_floor must be in [0, epsilon0]"
-        );
-        assert!(self.lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&self.momentum),
-            "momentum must be in [0, 1)"
-        );
-        assert!(self.hidden > 0, "hidden width must be positive");
-        assert!(self.memory_depth > 0, "memory depth must be positive");
-        assert!(self.error_floor > 0.0, "error floor must be positive");
-        assert!(self.flush_age >= 0.0, "flush age must be non-negative");
-        assert!(
-            self.availability_penalty >= 0.0,
-            "availability penalty must be non-negative"
-        );
-        assert!(
-            self.precision.available(),
-            "precision {} requires kernels not compiled into this build \
-             (rebuild with `--features f32-kernels`)",
-            self.precision.label()
-        );
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
+    }
+
+    /// The first out-of-range hyper-parameter, if any (the non-panicking
+    /// form of [`AdaptiveRlConfig::validate`]).
+    pub fn check(&self) -> Result<(), String> {
+        let unit = |v: f64| (0.0..=1.0).contains(&v);
+        let rules = [
+            (unit(self.epsilon0), "epsilon0 must be in [0, 1]"),
+            (unit(self.epsilon_decay), "epsilon_decay must be in [0, 1]"),
+            (
+                unit(self.epsilon_floor) && self.epsilon_floor <= self.epsilon0,
+                "epsilon_floor must be in [0, epsilon0]",
+            ),
+            (self.lr > 0.0, "learning rate must be positive"),
+            (
+                (0.0..1.0).contains(&self.momentum),
+                "momentum must be in [0, 1)",
+            ),
+            (self.hidden > 0, "hidden width must be positive"),
+            (self.memory_depth > 0, "memory depth must be positive"),
+            (self.error_floor > 0.0, "error floor must be positive"),
+            (self.flush_age >= 0.0, "flush age must be non-negative"),
+            (
+                self.availability_penalty >= 0.0,
+                "availability penalty must be non-negative",
+            ),
+        ];
+        if let Some((_, why)) = rules.iter().find(|(ok, _)| !ok) {
+            return Err((*why).into());
+        }
+        if !self.precision.available() {
+            return Err(format!(
+                "precision {} requires kernels not compiled into this build \
+                 (rebuild with `--features f32-kernels`)",
+                self.precision.label()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Snapshot field list (the checkpoint meta blob's copy); decoding
+    /// rejects what [`AdaptiveRlConfig::check`] rejects.
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.finite(&mut self.epsilon0)?;
+        c.finite(&mut self.epsilon_decay)?;
+        c.finite(&mut self.epsilon_floor)?;
+        c.finite(&mut self.lr)?;
+        c.finite(&mut self.momentum)?;
+        c.usize(&mut self.hidden)?;
+        c.usize(&mut self.memory_depth)?;
+        c.finite(&mut self.error_floor)?;
+        c.finite(&mut self.flush_age)?;
+        c.bool(&mut self.use_shared_memory)?;
+        c.bool(&mut self.use_value_net)?;
+        c.bool(&mut self.use_error_feedback)?;
+        c.bool(&mut self.use_reward_feedback)?;
+        c.u64(&mut self.seed)?;
+        let forced = [None, Some(PolicyKind::Mixed), Some(PolicyKind::Identical)];
+        c.variant(&mut self.force_policy, &forced, "force-policy")?;
+        c.bool(&mut self.power_gating)?;
+        c.finite(&mut self.availability_penalty)?;
+        c.variant(
+            &mut self.precision,
+            &KernelPrecision::ALL,
+            "kernel-precision",
+        )?;
+        let checked = self.check();
+        c.check(checked.is_ok(), || checked.unwrap_err())
     }
 }
 

@@ -10,10 +10,11 @@
 
 use crate::action::ActionChoice;
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 use std::collections::VecDeque;
 
 /// One remembered learning cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Experience {
     /// The agent (site index) that produced it.
     pub agent: u32,
@@ -23,6 +24,17 @@ pub struct Experience {
     pub l_val: f64,
     /// Learning-cycle index when recorded.
     pub cycle: u64,
+}
+
+impl Experience {
+    /// Snapshot field list. The agent is the ring's index and is not
+    /// stored; the learning value keeps its raw bits, since a diverged
+    /// learner can legitimately record a NaN.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.action.snap(c)?;
+        c.f64(&mut self.l_val)?;
+        c.u64(&mut self.cycle)
+    }
 }
 
 /// Bounded per-agent experience rings with cross-agent queries.
@@ -42,9 +54,7 @@ impl SharedLearningMemory {
         assert!(depth > 0, "memory depth must be positive");
         SharedLearningMemory {
             depth,
-            rings: (0..agents)
-                .map(|_| VecDeque::with_capacity(depth))
-                .collect(),
+            rings: vec![VecDeque::new(); agents],
         }
     }
 
@@ -107,13 +117,20 @@ impl SharedLearningMemory {
         self.rings.len()
     }
 
-    /// The experiences of one agent, oldest first (checkpointing replays
-    /// them through [`SharedLearningMemory::record`] on restore).
-    ///
-    /// # Panics
-    /// Panics on an out-of-range agent index.
-    pub fn iter_of(&self, agent: u32) -> impl Iterator<Item = &Experience> {
-        self.rings[agent as usize].iter()
+    /// Snapshot field list: one ring per agent, oldest first, each within
+    /// the configured depth.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.len_eq(self.rings.len(), "memory rings")?;
+        let depth = self.depth;
+        for (agent, ring) in self.rings.iter_mut().enumerate() {
+            c.deque(ring, Experience::snap)?;
+            let n = ring.len();
+            c.check(n <= depth, || {
+                format!("ring {agent} holds {n} experiences, depth is {depth}")
+            })?;
+            ring.iter_mut().for_each(|e| e.agent = agent as u32);
+        }
+        Ok(())
     }
 }
 

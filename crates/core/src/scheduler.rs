@@ -15,17 +15,31 @@ use platform::{
 };
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use telemetry::{Phase, PhaseProfiler, Recorder, TraceLevel, Value};
 use workload::{SiteId, Task};
 
 /// A dispatched-but-unresolved sample awaiting its reward.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Sample {
     obs: SiteObservation,
     action: ActionChoice,
     site: u32,
+}
+
+impl Sample {
+    /// Snapshot field list; the site must be one of the `sites` agents.
+    fn snap<C: Codec>(&mut self, c: &mut C, sites: usize) -> Result<(), SnapshotError> {
+        self.obs.snap(c)?;
+        self.action.snap(c)?;
+        c.u32(&mut self.site)?;
+        let site = self.site;
+        c.check((site as usize) < sites, || {
+            format!("sample site {site} out of range")
+        })
+    }
 }
 
 /// One site's phase-A decision, awaiting the batched scoring pass.
@@ -73,6 +87,7 @@ struct NodeCand {
 /// assert_eq!(result.incomplete, 0);
 /// assert!(sched.cycles() > 0, "the agent learned from completed groups");
 /// ```
+#[derive(Clone)]
 pub struct AdaptiveRl {
     cfg: AdaptiveRlConfig,
     agents: Vec<Agent>,
@@ -385,6 +400,21 @@ impl AdaptiveRl {
             }
             best.map(|(a, _)| a)
         }
+    }
+
+    /// Snapshot field list.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.unit(&mut self.epsilon, "epsilon")?;
+        c.u64(&mut self.cycles)?;
+        c.u64(&mut self.mem_hits)?;
+        c.u64(&mut self.mem_misses)?;
+        c.len_eq(self.agents.len(), "agents")?;
+        self.agents.iter_mut().try_for_each(|a| a.snap(c))?;
+        self.memory.snap(c)?;
+        self.value.snap(c)?;
+        let sites = self.agents.len();
+        c.deque(&mut self.issued, |s, c| s.snap(c, sites))?;
+        c.map(&mut self.in_flight, |s, c| s.snap(c, sites))
     }
 }
 
@@ -707,227 +737,13 @@ impl Scheduler for AdaptiveRl {
         });
     }
 
-    fn save_state(&mut self, w: &mut snapshot::SnapWriter) {
-        w.f64(self.epsilon);
-        w.u64(self.cycles);
-        w.u64(self.mem_hits);
-        w.u64(self.mem_misses);
-        w.usize(self.agents.len());
-        for a in &self.agents {
-            w.usize(a.pending.len());
-            for t in &a.pending {
-                t.snap_write(w);
-            }
-            w.opt_f64(a.last_success);
-            w.bool(a.consult_memory);
-            w.u64(a.rng().seed());
-            for s in a.rng().state() {
-                w.u64(s);
-            }
-        }
-        w.usize(self.memory.num_agents());
-        for agent in 0..self.memory.num_agents() {
-            w.usize(self.memory.len_of(agent as u32));
-            for exp in self.memory.iter_of(agent as u32) {
-                write_action(w, exp.action);
-                // Raw bits: a diverged learner can legitimately record a
-                // NaN learning value (it must survive the round trip).
-                w.f64(exp.l_val);
-                w.u64(exp.cycle);
-            }
-        }
-        // The snapshot surface is f64 in both kernel precisions (f32 → f64
-        // widening is exact), so the byte stream matches the pre-batching
-        // format and f32 runs resume bit-exactly.
-        let mut params = Vec::new();
-        let mut velocity = Vec::new();
-        let steps = self.value.snapshot_into(&mut params, &mut velocity);
-        w.usize(params.len());
-        for &p in &params {
-            w.f64(p);
-        }
-        w.usize(velocity.len());
-        for &v in &velocity {
-            w.f64(v);
-        }
-        w.u64(steps);
-        w.usize(self.issued.len());
-        for s in &self.issued {
-            write_sample(w, s);
-        }
-        let mut keys: Vec<u64> = self.in_flight.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            w.u64(k);
-            write_sample(w, &self.in_flight[&k]);
-        }
+    fn save_state(&mut self, w: &mut SnapWriter) {
+        w.encode(|w| self.snap(w));
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut snapshot::SnapReader<'_>,
-    ) -> Result<(), snapshot::SnapshotError> {
-        use snapshot::corrupt;
-        let epsilon = r.f64_finite()?;
-        if !(0.0..=1.0).contains(&epsilon) {
-            return Err(corrupt(format!("epsilon {epsilon} outside [0, 1]")));
-        }
-        let cycles = r.u64()?;
-        let mem_hits = r.u64()?;
-        let mem_misses = r.u64()?;
-        let n_agents = r.len_hint()?;
-        if n_agents != self.agents.len() {
-            return Err(corrupt(format!(
-                "snapshot has {n_agents} agents, scheduler has {}",
-                self.agents.len()
-            )));
-        }
-        for a in &mut self.agents {
-            let n_pending = r.len_hint()?;
-            let mut pending = Vec::with_capacity(n_pending);
-            for _ in 0..n_pending {
-                pending.push(Task::snap_read(r)?);
-            }
-            a.pending = pending;
-            a.last_success = r.opt_f64()?;
-            a.consult_memory = r.bool()?;
-            let seed = r.u64()?;
-            let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            a.set_rng(RngStream::from_parts(seed, state));
-        }
-        let n_rings = r.len_hint()?;
-        if n_rings != self.memory.num_agents() {
-            return Err(corrupt(format!(
-                "snapshot has {n_rings} memory rings, scheduler has {}",
-                self.memory.num_agents()
-            )));
-        }
-        let mut memory = SharedLearningMemory::new(n_rings, self.memory.depth());
-        for agent in 0..n_rings {
-            let n_exp = r.len_hint()?;
-            if n_exp > self.memory.depth() {
-                return Err(corrupt(format!(
-                    "ring {agent} holds {n_exp} experiences, depth is {}",
-                    self.memory.depth()
-                )));
-            }
-            for _ in 0..n_exp {
-                let action = read_action(r)?;
-                let l_val = r.f64()?;
-                let cycle = r.u64()?;
-                memory.record(Experience {
-                    agent: agent as u32,
-                    action,
-                    l_val,
-                    cycle,
-                });
-            }
-        }
-        let n_params = r.len_hint()?;
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            params.push(r.f64()?);
-        }
-        let n_vel = r.len_hint()?;
-        let mut velocity = Vec::with_capacity(n_vel);
-        for _ in 0..n_vel {
-            velocity.push(r.f64()?);
-        }
-        let steps = r.u64()?;
-        if !self
-            .value
-            .restore_snapshot(&params, velocity.as_slice(), steps)
-        {
-            return Err(corrupt(format!(
-                "value net shape mismatch: snapshot has {n_params} params / {n_vel} velocities, \
-                 network has {}",
-                self.value.param_count()
-            )));
-        }
-        let n_issued = r.len_hint()?;
-        let mut issued = VecDeque::with_capacity(n_issued);
-        for _ in 0..n_issued {
-            issued.push_back(read_sample(r, n_agents)?);
-        }
-        let n_flight = r.len_hint()?;
-        let mut in_flight = HashMap::with_capacity(n_flight);
-        for _ in 0..n_flight {
-            let key = r.u64()?;
-            let sample = read_sample(r, n_agents)?;
-            if in_flight.insert(key, sample).is_some() {
-                return Err(corrupt(format!("duplicate in-flight group {key}")));
-            }
-        }
-        self.epsilon = epsilon;
-        self.cycles = cycles;
-        self.mem_hits = mem_hits;
-        self.mem_misses = mem_misses;
-        self.memory = memory;
-        self.issued = issued;
-        self.in_flight = in_flight;
-        Ok(())
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        r.restore(self, Self::snap)
     }
-}
-
-fn write_action(w: &mut snapshot::SnapWriter, a: ActionChoice) {
-    w.u8(match a.policy {
-        crate::action::PolicyKind::Mixed => 0,
-        crate::action::PolicyKind::Identical => 1,
-    });
-    w.usize(a.opnum);
-}
-
-fn read_action(r: &mut snapshot::SnapReader<'_>) -> Result<ActionChoice, snapshot::SnapshotError> {
-    let policy = match r.u8()? {
-        0 => crate::action::PolicyKind::Mixed,
-        1 => crate::action::PolicyKind::Identical,
-        t => return Err(snapshot::corrupt(format!("unknown policy tag {t}"))),
-    };
-    let opnum = r.usize()?;
-    if opnum == 0 {
-        return Err(snapshot::corrupt("action opnum must be positive"));
-    }
-    Ok(ActionChoice { policy, opnum })
-}
-
-fn write_sample(w: &mut snapshot::SnapWriter, s: &Sample) {
-    w.f64(s.obs.mean_load);
-    w.f64(s.obs.mean_queue_free);
-    w.f64(s.obs.mean_power_frac);
-    w.f64(s.obs.mean_capacity);
-    w.usize(s.obs.max_procs);
-    w.usize(s.obs.pending);
-    for &m in &s.obs.priority_mix {
-        w.f64(m);
-    }
-    w.f64(s.obs.availability);
-    write_action(w, s.action);
-    w.u32(s.site);
-}
-
-fn read_sample(
-    r: &mut snapshot::SnapReader<'_>,
-    num_sites: usize,
-) -> Result<Sample, snapshot::SnapshotError> {
-    let obs = SiteObservation {
-        mean_load: r.f64_finite()?,
-        mean_queue_free: r.f64_finite()?,
-        mean_power_frac: r.f64_finite()?,
-        mean_capacity: r.f64_finite()?,
-        max_procs: r.usize()?,
-        pending: r.usize()?,
-        priority_mix: [r.f64_finite()?, r.f64_finite()?, r.f64_finite()?],
-        availability: r.f64_finite()?,
-    };
-    let action = read_action(r)?;
-    let site = r.u32()?;
-    if site as usize >= num_sites {
-        return Err(snapshot::corrupt(format!(
-            "sample site {site} out of range"
-        )));
-    }
-    Ok(Sample { obs, action, site })
 }
 
 #[cfg(test)]

@@ -8,13 +8,14 @@
 
 use platform::PlatformView;
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 use workload::{Priority, SiteId, Task};
 
 /// Number of state features produced by [`SiteObservation::features`].
 pub const STATE_FEATURES: usize = 8;
 
 /// Aggregated observation of one site at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SiteObservation {
     /// Mean queued processing weight across the site's nodes (`Load`).
     pub mean_load: f64,
@@ -36,6 +37,20 @@ pub struct SiteObservation {
     /// 8-wide feature vector — the paper's state has no failure component —
     /// but exposed so a degradation-aware assignment penalty can use it.
     pub availability: f64,
+}
+
+impl SiteObservation {
+    /// Snapshot field list: every float finite.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.finite(&mut self.mean_load)?;
+        c.finite(&mut self.mean_queue_free)?;
+        c.finite(&mut self.mean_power_frac)?;
+        c.finite(&mut self.mean_capacity)?;
+        c.usize(&mut self.max_procs)?;
+        c.usize(&mut self.pending)?;
+        self.priority_mix.iter_mut().try_for_each(|m| c.finite(m))?;
+        c.finite(&mut self.availability)
+    }
 }
 
 /// Memo slot for the platform-derived half of a [`SiteObservation`] —

@@ -30,6 +30,7 @@ use crate::state::{SiteObservation, STATE_FEATURES};
 use neural::{Activation, KernelPrecision, Mlp, Sgd, Workspace};
 #[cfg(feature = "f32-kernels")]
 use neural::{MlpF32, WorkspaceF32};
+use snapshot::{Codec, SnapshotError};
 
 /// Width of the estimator's input: state features plus action features.
 pub const INPUT_WIDTH: usize = STATE_FEATURES + 3;
@@ -282,35 +283,41 @@ impl ValueEstimator {
         }
     }
 
-    /// Captures the network's training state for a checkpoint as f64
-    /// buffers (exact in both precisions) and returns the step count.
-    pub fn snapshot_into(&self, params: &mut Vec<f64>, velocity: &mut Vec<f64>) -> u64 {
-        match &self.kernel {
+    /// Snapshot field list: parameters, momentum velocities and the step
+    /// count. The snapshot surface is f64 in both kernel precisions (f32 →
+    /// f64 widening is exact), so f32 runs resume bit-exactly. Decoding
+    /// rejects an architecture mismatch and leaves the network untouched.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let (mut params, mut velocity) = (Vec::new(), Vec::new());
+        let mut steps = match &self.kernel {
             Kernel::F64(net) => {
-                params.clear();
                 params.extend_from_slice(net.params());
-                velocity.clear();
                 velocity.extend_from_slice(net.velocity());
                 net.steps()
             }
             #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => {
-                net.params_f64_into(params);
-                net.velocity_f64_into(velocity);
+                net.params_f64_into(&mut params);
+                net.velocity_f64_into(&mut velocity);
                 net.steps()
             }
-        }
-    }
-
-    /// Restores the training state captured by
-    /// [`ValueEstimator::snapshot_into`]. Returns `false` (leaving the
-    /// estimator untouched) on an architecture mismatch.
-    pub fn restore_snapshot(&mut self, params: &[f64], velocity: &[f64], steps: u64) -> bool {
-        match &mut self.kernel {
-            Kernel::F64(net) => net.restore_training_state(params, velocity, steps),
-            #[cfg(feature = "f32-kernels")]
-            Kernel::F32(net) => net.restore_training_state(params, velocity, steps),
-        }
+        };
+        c.seq(&mut params, |v, c| c.f64(v))?;
+        c.seq(&mut velocity, |v, c| c.f64(v))?;
+        c.u64(&mut steps)?;
+        let restored = !C::DECODE
+            || match &mut self.kernel {
+                Kernel::F64(net) => net.restore_training_state(&params, &velocity, steps),
+                #[cfg(feature = "f32-kernels")]
+                Kernel::F32(net) => net.restore_training_state(&params, &velocity, steps),
+            };
+        let (n_params, n_vel, want) = (params.len(), velocity.len(), self.param_count());
+        c.check(restored, || {
+            format!(
+                "value net shape mismatch: snapshot has {n_params} params / {n_vel} \
+                 velocities, network has {want}"
+            )
+        })
     }
 
     /// Single-sample forward passes run so far (the counting probe behind
@@ -332,6 +339,7 @@ impl ValueEstimator {
 mod tests {
     use super::*;
     use crate::action::PolicyKind;
+    use snapshot::{SnapReader, SnapWriter};
 
     fn obs() -> SiteObservation {
         SiteObservation {
@@ -487,17 +495,16 @@ mod tests {
         for i in 0..40 {
             v.train(&o, a, (i % 5) as f64 / 5.0);
         }
-        let mut params = Vec::new();
-        let mut velocity = Vec::new();
-        let steps = v.snapshot_into(&mut params, &mut velocity);
-        assert_eq!(steps, 40);
-        assert_eq!(params.len(), v.param_count());
+        let mut w = SnapWriter::new();
+        w.encode(|w| v.snap(w));
+        let bytes = w.into_bytes();
         let before = v.predict(&o, a);
         let mut fresh = ValueEstimator::new(8, 0.05, 0.5, 19);
-        assert!(fresh.restore_snapshot(&params, &velocity, steps));
+        fresh.snap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(fresh.steps(), 40);
         assert_eq!(fresh.predict(&o, a).to_bits(), before.to_bits());
         let mut wrong = ValueEstimator::new(4, 0.05, 0.5, 19);
-        assert!(!wrong.restore_snapshot(&params, &velocity, steps));
+        assert!(wrong.snap(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

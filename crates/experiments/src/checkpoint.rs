@@ -9,177 +9,77 @@
 
 use crate::config::Scenario;
 use crate::runner::{Monitor, SchedulerKind};
-use adaptive_rl::{AdaptiveRlConfig, KernelPrecision, PolicyKind};
-use baselines::{OnlineRlConfig, PredictionConfig, QPlusConfig};
 use platform::checkpoint::{resume_from_payload, snapshot_meta};
 use platform::{CheckpointConfig, CheckpointedRun, ExecEngine, RunResult};
-use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::path::Path;
 
 /// Version byte of the experiments meta blob (v2 added the Adaptive-RL
 /// kernel-precision tag).
 const META_VERSION: u8 = 2;
 
+/// The meta blob's field list: version, site count, then the scheduler
+/// kind's tag and its seeded configuration.
+fn meta<C: Codec>(
+    c: &mut C,
+    kind: &mut SchedulerKind,
+    num_sites: &mut usize,
+) -> Result<(), SnapshotError> {
+    let mut version = META_VERSION;
+    c.u8(&mut version)?;
+    c.check(version == META_VERSION, || {
+        format!("unknown experiments meta version {version} (expected {META_VERSION})")
+    })?;
+    c.usize(num_sites)?;
+    c.variant(kind, &SchedulerKind::all_six(), "scheduler")?;
+    match kind {
+        SchedulerKind::Adaptive(cfg) => cfg.snap(c),
+        SchedulerKind::Online(cfg) => cfg.snap(c),
+        SchedulerKind::QPlus(cfg) => cfg.snap(c),
+        SchedulerKind::Prediction(cfg) => cfg.snap(c),
+        SchedulerKind::RoundRobin | SchedulerKind::GreedyEdf => Ok(()),
+    }
+}
+
 /// Encodes the scheduler kind, its (already seeded) configuration and the
 /// site count into the snapshot meta blob.
 pub fn encode_scheduler_meta(kind: &SchedulerKind, num_sites: usize) -> Vec<u8> {
+    let (mut kind, mut num_sites) = (kind.clone(), num_sites);
     let mut w = SnapWriter::new();
-    w.u8(META_VERSION);
-    w.usize(num_sites);
-    match kind {
-        SchedulerKind::Adaptive(c) => {
-            w.u8(0);
-            w.f64(c.epsilon0);
-            w.f64(c.epsilon_decay);
-            w.f64(c.epsilon_floor);
-            w.f64(c.lr);
-            w.f64(c.momentum);
-            w.usize(c.hidden);
-            w.usize(c.memory_depth);
-            w.f64(c.error_floor);
-            w.f64(c.flush_age);
-            w.bool(c.use_shared_memory);
-            w.bool(c.use_value_net);
-            w.bool(c.use_error_feedback);
-            w.bool(c.use_reward_feedback);
-            w.u64(c.seed);
-            w.u8(match c.force_policy {
-                None => 0,
-                Some(PolicyKind::Mixed) => 1,
-                Some(PolicyKind::Identical) => 2,
-            });
-            w.bool(c.power_gating);
-            w.f64(c.availability_penalty);
-            w.u8(c.precision.tag());
-        }
-        SchedulerKind::Online(c) => {
-            w.u8(1);
-            w.f64(c.alpha);
-            w.f64(c.gamma);
-            w.f64(c.epsilon0);
-            w.f64(c.epsilon_decay);
-            w.f64(c.epsilon_floor);
-            w.f64(c.powercap0);
-            w.f64(c.cap_step);
-            w.f64(c.cap_range.0);
-            w.f64(c.cap_range.1);
-            w.u64(c.seed);
-        }
-        SchedulerKind::QPlus(c) => {
-            w.u8(2);
-            w.f64(c.alpha);
-            w.f64(c.gamma);
-            w.f64(c.epsilon0);
-            w.f64(c.epsilon_decay);
-            w.f64(c.epsilon_floor);
-            w.usize(c.spread);
-            w.f64(c.spread_decay);
-            w.f64(c.delay_weight);
-            w.u64(c.seed);
-        }
-        SchedulerKind::Prediction(c) => {
-            w.u8(3);
-            w.f64(c.lr);
-            w.f64(c.margin);
-            w.u64(c.seed);
-        }
-        SchedulerKind::RoundRobin => w.u8(4),
-        SchedulerKind::GreedyEdf => w.u8(5),
-    }
+    w.encode(|w| meta(w, &mut kind, &mut num_sites));
     w.into_bytes()
 }
 
-/// Decodes a meta blob written by [`encode_scheduler_meta`].
+/// Reads the scheduler (and the meta blob, written by
+/// [`encode_scheduler_meta`]) a snapshot payload was taken with, checking
+/// the sizes it would allocate against the payload before anything is
+/// built: the site count must be the platform's, and Adaptive RL's hidden
+/// width must fit the value net's bytes (8 per parameter, one or more
+/// parameters per hidden unit).
 ///
 /// # Errors
-/// Typed [`SnapshotError`] on truncated bytes, an unknown version or an
-/// unknown scheduler tag.
-pub fn decode_scheduler_meta(meta: &[u8]) -> Result<(SchedulerKind, usize), SnapshotError> {
-    let mut r = SnapReader::new(meta);
-    let version = r.u8()?;
-    if version != META_VERSION {
-        return Err(corrupt(format!(
-            "unknown experiments meta version {version} (expected {META_VERSION})"
-        )));
-    }
-    let num_sites = r.usize()?;
-    let tag = r.u8()?;
-    let kind = match tag {
-        0 => SchedulerKind::Adaptive(AdaptiveRlConfig {
-            epsilon0: r.f64_finite()?,
-            epsilon_decay: r.f64_finite()?,
-            epsilon_floor: r.f64_finite()?,
-            lr: r.f64_finite()?,
-            momentum: r.f64_finite()?,
-            hidden: r.usize()?,
-            memory_depth: r.usize()?,
-            error_floor: r.f64_finite()?,
-            flush_age: r.f64_finite()?,
-            use_shared_memory: r.bool()?,
-            use_value_net: r.bool()?,
-            use_error_feedback: r.bool()?,
-            use_reward_feedback: r.bool()?,
-            seed: r.u64()?,
-            force_policy: match r.u8()? {
-                0 => None,
-                1 => Some(PolicyKind::Mixed),
-                2 => Some(PolicyKind::Identical),
-                t => return Err(corrupt(format!("unknown force-policy tag {t}"))),
-            },
-            power_gating: r.bool()?,
-            availability_penalty: r.f64_finite()?,
-            precision: {
-                let tag = r.u8()?;
-                let p = KernelPrecision::from_tag(tag)
-                    .ok_or_else(|| corrupt(format!("unknown kernel-precision tag {tag}")))?;
-                if !p.available() {
-                    return Err(corrupt(format!(
-                        "snapshot needs {} kernels not compiled into this build \
-                         (rebuild with `--features f32-kernels`)",
-                        p.label()
-                    )));
-                }
-                p
-            },
-        }),
-        1 => SchedulerKind::Online(OnlineRlConfig {
-            alpha: r.f64_finite()?,
-            gamma: r.f64_finite()?,
-            epsilon0: r.f64_finite()?,
-            epsilon_decay: r.f64_finite()?,
-            epsilon_floor: r.f64_finite()?,
-            powercap0: r.f64_finite()?,
-            cap_step: r.f64_finite()?,
-            cap_range: (r.f64_finite()?, r.f64_finite()?),
-            seed: r.u64()?,
-        }),
-        2 => SchedulerKind::QPlus(QPlusConfig {
-            alpha: r.f64_finite()?,
-            gamma: r.f64_finite()?,
-            epsilon0: r.f64_finite()?,
-            epsilon_decay: r.f64_finite()?,
-            epsilon_floor: r.f64_finite()?,
-            spread: r.usize()?,
-            spread_decay: r.f64_finite()?,
-            delay_weight: r.f64_finite()?,
-            seed: r.u64()?,
-        }),
-        3 => SchedulerKind::Prediction(PredictionConfig {
-            lr: r.f64_finite()?,
-            margin: r.f64_finite()?,
-            seed: r.u64()?,
-        }),
-        4 => SchedulerKind::RoundRobin,
-        5 => SchedulerKind::GreedyEdf,
-        t => return Err(corrupt(format!("unknown scheduler tag {t}"))),
+/// Typed [`SnapshotError`] on a corrupt meta blob or one the payload
+/// contradicts.
+pub fn scheduler_of(payload: &[u8]) -> Result<(SchedulerKind, usize, Vec<u8>), SnapshotError> {
+    let (bytes, platform_sites) = snapshot_meta(payload)?;
+    let (mut kind, mut num_sites) = (SchedulerKind::RoundRobin, 0);
+    let mut r = SnapReader::new(&bytes);
+    meta(&mut r, &mut kind, &mut num_sites)?;
+    let (n, len) = (r.remaining(), payload.len());
+    r.check(n == 0, || {
+        format!("{n} trailing bytes after scheduler meta")
+    })?;
+    r.check(num_sites == platform_sites, || {
+        format!("meta blob names {num_sites} sites, the snapshot platform has {platform_sites}")
+    })?;
+    let hidden = match &kind {
+        SchedulerKind::Adaptive(c) => c.hidden,
+        _ => 0,
     };
-    if !r.is_exhausted() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after scheduler meta",
-            r.remaining()
-        )));
-    }
-    Ok((kind, num_sites))
+    r.check(hidden <= len / 8, || {
+        format!("hidden width {hidden} exceeds what a {len}-byte payload can hold")
+    })?;
+    Ok((kind, num_sites, bytes))
 }
 
 /// [`crate::runner::run_scenario`] with periodic checkpointing.
@@ -212,7 +112,7 @@ pub fn run_scenario_checkpointed(
 /// build does not understand; never panics on bad input.
 pub fn resume_run(snapshot: &Path) -> Result<RunResult, SnapshotError> {
     let payload = snapshot::read_file(snapshot)?;
-    let (kind, num_sites) = decode_scheduler_meta(&snapshot_meta(&payload)?)?;
+    let (kind, num_sites, _) = scheduler_of(&payload)?;
     let mut sched = kind.build(num_sites, &Monitor::default());
     resume_from_payload(&payload, &mut *sched)
 }
@@ -250,6 +150,12 @@ mod tests {
             std::env::temp_dir().join(format!("arl-exp-ckpt-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn decode_scheduler_meta(bytes: &[u8]) -> Result<(SchedulerKind, usize), SnapshotError> {
+        let (mut kind, mut num_sites) = (SchedulerKind::RoundRobin, 0);
+        meta(&mut SnapReader::new(bytes), &mut kind, &mut num_sites)?;
+        Ok((kind, num_sites))
     }
 
     #[test]
@@ -339,8 +245,8 @@ mod tests {
                 kind.label()
             );
             let payload = session.checkpoint(&meta);
-            let (back, back_sites) =
-                decode_scheduler_meta(&snapshot_meta(&payload).expect("meta")).expect("decode");
+            let (back, back_sites, back_meta) = scheduler_of(&payload).expect("meta");
+            assert_eq!(back_meta, meta);
             assert_eq!(back, kind);
             let mut fresh = back.build(back_sites, &Monitor::default());
             let mut resumed = ScheduleSession::resume(&payload, &mut *fresh).expect("resume");

@@ -39,22 +39,8 @@ impl KernelPrecision {
         }
     }
 
-    /// Stable single-byte tag for snapshot metadata.
-    pub fn tag(self) -> u8 {
-        match self {
-            KernelPrecision::F64 => 0,
-            KernelPrecision::F32 => 1,
-        }
-    }
-
-    /// Inverse of [`KernelPrecision::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(KernelPrecision::F64),
-            1 => Some(KernelPrecision::F32),
-            _ => None,
-        }
-    }
+    /// Every precision, in the order of its snapshot tag.
+    pub const ALL: [KernelPrecision; 2] = [KernelPrecision::F64, KernelPrecision::F32];
 
     /// Whether this precision's kernels are compiled into the current
     /// build (`F32` requires the `f32-kernels` cargo feature).
@@ -72,12 +58,10 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        for p in [KernelPrecision::F64, KernelPrecision::F32] {
+        for p in KernelPrecision::ALL {
             assert_eq!(KernelPrecision::parse(p.label()), Some(p));
-            assert_eq!(KernelPrecision::from_tag(p.tag()), Some(p));
         }
         assert_eq!(KernelPrecision::parse("f16"), None);
-        assert_eq!(KernelPrecision::from_tag(7), None);
     }
 
     #[test]

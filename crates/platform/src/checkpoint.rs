@@ -17,32 +17,32 @@
 //! Every decode path is bounds- and invariant-checked and returns a typed
 //! [`SnapshotError`]; corrupt input must never panic.
 //!
-//! Cached aggregates (node power sums, site stats, queue loads, the flat
-//! processor layout) are deliberately **not** serialized: the decoder
-//! rebuilds them from restored ground truth via [`ComputeNode::new`],
-//! `Platform::from_parts` and `proc_layout`, so a snapshot cannot smuggle
-//! in an inconsistent cache.
+//! Each snapshotted type lists its fields once, in a `snap` function next
+//! to its definition; [`snapshot::Codec`] runs that one list to encode
+//! (`encode_checkpoint`) and to decode (`restore`). Cached aggregates
+//! (node power sums, site stats, queue loads, the flat processor layout)
+//! are deliberately **not** serialized: decoding rebuilds them from the
+//! restored ground truth, so a snapshot cannot smuggle in an inconsistent
+//! cache.
 
 use crate::engine::{
     assemble_result, proc_layout, CycleSample, Driver, Ev, ExecConfig, ExecEngine, Partial,
     RunResult,
 };
-use crate::fault::{FaultSpec, FaultTarget, PlannedFault};
-use crate::group::{GroupId, GroupPolicy, TaskGroup};
+use crate::fault::{FaultTarget, PlannedFault};
 use crate::ids::{NodeAddr, ProcAddr};
-use crate::node::ComputeNode;
-use crate::power::PowerParams;
+use crate::node::MIN_THROTTLE;
 use crate::processor::{ProcState, Processor};
 use crate::queue::QueuedGroup;
 use crate::scheduler::Scheduler;
-use crate::topology::{Platform, PlatformSpec, Site};
+use crate::topology::{Platform, PlatformSpec};
 use simcore::engine::{Engine, EngineHandle, Simulation};
 use simcore::event::{EventQueue, ScheduledEvent};
 use simcore::time::SimTime;
-use snapshot::{corrupt, SnapReader, SnapWriter, SnapshotError};
+use snapshot::{corrupt, Codec, SnapReader, SnapWriter, SnapshotError};
 use std::path::PathBuf;
 use telemetry::{Phase, PhaseProfiler};
-use workload::{Priority, SiteId, Task, TaskId};
+use workload::{SimCodec, Task};
 
 /// Periodic-checkpoint configuration for
 /// [`ExecEngine::run_with_checkpoints`].
@@ -193,11 +193,21 @@ impl ExecEngine {
     }
 }
 
-/// Extracts the opaque caller meta blob from a snapshot payload (as
-/// returned by [`snapshot::read_file`]).
-pub fn snapshot_meta(payload: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    let mut r = SnapReader::new(payload);
-    Ok(r.bytes()?.to_vec())
+/// Reads the head of a snapshot payload (as returned by
+/// [`snapshot::read_file`]): the opaque caller meta blob and the site count
+/// of the snapshot's platform. A resumer builds its scheduler from these
+/// before handing the payload to [`resume_from_payload`].
+pub fn snapshot_meta(payload: &[u8]) -> Result<(Vec<u8>, usize), SnapshotError> {
+    let (mut meta, mut name) = (Vec::new(), Vec::new());
+    let (mut cfg, mut spec) = (ExecConfig::default(), PlatformSpec::paper(1));
+    head(
+        &mut SnapReader::new(payload),
+        &mut meta,
+        &mut name,
+        &mut cfg,
+        &mut spec,
+    )?;
+    Ok((meta, spec.num_sites as usize))
 }
 
 /// Resumes a run from a snapshot payload, driving it to completion.
@@ -211,242 +221,45 @@ pub fn snapshot_meta(payload: &[u8]) -> Result<Vec<u8>, SnapshotError> {
 /// # Errors
 /// Any structural problem in the payload (truncation, invalid values,
 /// out-of-range indices, scheduler mismatch) yields a typed
-/// [`SnapshotError`]; this function never panics on corrupt input.
+/// [`SnapshotError`], and so does a restored policy that dispatches a task
+/// the run never issued (the run halts there); this function never panics
+/// on corrupt input.
 pub fn resume_from_payload(
     payload: &[u8],
     sched: &mut dyn Scheduler,
 ) -> Result<RunResult, SnapshotError> {
     let (mut driver, mut engine) = restore(payload, sched)?;
     let outcome = engine.run(&mut driver);
+    if let Some(why) = driver.halted {
+        return Err(corrupt(why));
+    }
     Ok(assemble_result(driver, &engine, outcome, None))
 }
 
-/// Decodes a snapshot payload (meta blob first, then the engine state)
-/// into a paused `(Driver, Engine)` pair without running it — the shared
-/// restore path behind [`resume_from_payload`] (which drives it to
-/// completion) and [`crate::ScheduleSession::resume`] (which resumes it
-/// in paced [`Engine::run_until`] slices).
+/// Decodes a snapshot payload into a paused `(Driver, Engine)` pair
+/// without running it — the shared restore path behind
+/// [`resume_from_payload`] (which drives it to completion) and
+/// [`crate::ScheduleSession::resume`] (which resumes it in paced
+/// [`Engine::run_until`] slices).
 pub(crate) fn restore<'s>(
-    payload: &[u8],
+    bytes: &[u8],
     sched: &'s mut dyn Scheduler,
 ) -> Result<(Driver<'s>, Engine<Ev>), SnapshotError> {
-    let mut reader = SnapReader::new(payload);
-    let r = &mut reader;
-    let _meta = r.bytes()?;
-    let name = r.str()?;
-    if name != sched.name() {
-        return Err(corrupt(format!(
-            "snapshot was taken with scheduler '{name}', resume requested with '{}'",
-            sched.name()
-        )));
-    }
-    let cfg = read_cfg(r)?;
-    let platform = read_platform(r)?;
-
-    let num_tasks = r.len_hint()?;
-    let mut tasks = Vec::with_capacity(num_tasks);
-    for i in 0..num_tasks {
-        let t = read_task(r)?;
-        if t.id.0 != i as u64 {
-            return Err(corrupt(format!(
-                "task ids not dense from 0: slot {i} holds id {}",
-                t.id.0
-            )));
-        }
-        if (t.site.0 as usize) >= platform.sites.len() {
-            return Err(corrupt(format!(
-                "task {} site {} out of range",
-                t.id.0, t.site.0
-            )));
-        }
-        tasks.push(t);
-    }
-
-    let n_partials = r.len_hint()?;
-    if n_partials != num_tasks {
-        return Err(corrupt(format!(
-            "{n_partials} partials for {num_tasks} tasks"
-        )));
-    }
-    let mut partials = Vec::with_capacity(n_partials);
-    for _ in 0..n_partials {
-        partials.push(read_partial(r, &platform)?);
-    }
-
-    let completed = r.usize()?;
-    let finished_work = r.f64_time()?;
-    let n_cycles = r.len_hint()?;
-    let mut cycles = Vec::with_capacity(n_cycles);
-    for _ in 0..n_cycles {
-        cycles.push(CycleSample {
-            cycle: r.u64()?,
-            time: r.f64_time()?,
-            work_mi: r.f64_time()?,
-        });
-    }
-    let cycle = r.u64()?;
-    let next_group = r.u64()?;
-    let groups_dispatched = r.u64()?;
-    let groups_completed = r.u64()?;
-    let split_starts = r.u64()?;
-    let rejections = r.u64()?;
-    let last_completion = read_time(r)?;
-
-    let n_plan = r.len_hint()?;
-    let mut plan = Vec::with_capacity(n_plan);
-    for _ in 0..n_plan {
-        plan.push(read_planned_fault(r, &platform)?);
-    }
-
-    let (proc_base, flat) = proc_layout(&platform);
-    let n_epochs = r.len_hint()?;
-    if n_epochs != flat {
-        return Err(corrupt(format!(
-            "{n_epochs} fault epochs for {flat} processors"
-        )));
-    }
-    let mut epochs = Vec::with_capacity(n_epochs);
-    for _ in 0..n_epochs {
-        epochs.push(r.u32()?);
-    }
-    let n_offline = r.len_hint()?;
-    if n_offline != flat {
-        return Err(corrupt(format!(
-            "{n_offline} offline-until entries for {flat} processors"
-        )));
-    }
-    let mut offline_until = Vec::with_capacity(n_offline);
-    for _ in 0..n_offline {
-        // May legitimately be +INFINITY (permanently dead processor), so
-        // only NaN and negatives are rejected.
-        let v = r.f64()?;
-        if v.is_nan() || v < 0.0 {
-            return Err(corrupt(format!("invalid offline-until value {v}")));
-        }
-        offline_until.push(v);
-    }
-    let n_perm = r.len_hint()?;
-    if n_perm != platform.num_sites() {
-        return Err(corrupt(format!(
-            "{n_perm} per-site processor counts for {} sites",
-            platform.num_sites()
-        )));
-    }
-    let mut site_perm_procs = Vec::with_capacity(n_perm);
-    for s in 0..n_perm {
-        let v = r.usize()?;
-        let site_procs: usize = platform.sites[s]
-            .nodes
-            .iter()
-            .map(|n| n.num_processors())
-            .sum();
-        if v > site_procs {
-            return Err(corrupt(format!(
-                "site {s} claims {v} live processors of {site_procs}"
-            )));
-        }
-        site_perm_procs.push(v);
-    }
-    let failed_tasks = r.usize()?;
-    let faults_injected = r.u64()?;
-    let faults_recovered = r.u64()?;
-    let preemptions = r.u64()?;
-    let retries = r.u64()?;
-    let groups_aborted = r.u64()?;
-    let events_seen = r.u64()?;
-    let met_count = r.usize()?;
-    let settled_at = read_time(r)?;
-    if completed > num_tasks || failed_tasks > num_tasks || met_count > num_tasks {
-        return Err(corrupt("task counters exceed the task population"));
-    }
-
-    let blob = r.bytes()?;
-    {
-        let mut sr = SnapReader::new(blob);
-        sched.load_state(&mut sr)?;
-        if !sr.is_exhausted() {
-            return Err(corrupt(format!(
-                "scheduler state has {} unconsumed bytes",
-                sr.remaining()
-            )));
-        }
-    }
-
-    let now = read_time(r)?;
-    let processed = r.u64()?;
-    let fuse = r.u64()?;
-    let next_seq = r.u64()?;
-    let n_entries = r.len_hint()?;
-    let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let time = read_time(r)?;
-        if time < now {
-            return Err(corrupt(format!(
-                "pending event at t={} predates the restored clock t={}",
-                time.as_f64(),
-                now.as_f64()
-            )));
-        }
-        let seq = r.u64()?;
-        if seq >= next_seq {
-            return Err(corrupt(format!(
-                "event sequence {seq} not below the counter {next_seq}"
-            )));
-        }
-        let event = read_ev(r, &platform, num_tasks, plan.len())?;
-        entries.push(ScheduledEvent { time, seq, event });
-    }
-    if !r.is_exhausted() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after engine state",
-            r.remaining()
-        )));
-    }
-
-    let driver = Driver {
-        platform,
-        tasks,
-        sched,
-        cfg,
-        partials,
-        completed,
-        finished_work,
-        cycles,
-        cycle,
-        next_group,
-        groups_dispatched,
-        groups_completed,
-        split_starts,
-        rejections,
-        last_completion,
-        plan,
-        proc_base,
-        epochs,
-        offline_until,
-        site_perm_procs,
-        failed_tasks,
-        faults_injected,
-        faults_recovered,
-        preemptions,
-        retries,
-        groups_aborted,
-        touched_scratch: Vec::new(),
-        ev_scratch: Vec::new(),
-        events_seen,
-        met_count,
-        // Resumed runs start unobserved: no probe state is part of the
-        // replay-divergence contract, and none of it is checkpointable.
-        probes: Vec::new(),
-        settled_at,
-    };
-    let queue = EventQueue::from_entries(entries, next_seq);
-    let engine = Engine::from_parts(queue, now, processed, fuse);
+    let blank = Platform::from_parts(PlatformSpec::paper(1), Vec::new());
+    let (mut driver, _) = ExecEngine::new(ExecConfig::default()).prepare(blank, Vec::new(), sched);
+    let mut engine = EngineState::default();
+    let mut r = SnapReader::new(bytes);
+    payload(&mut r, &mut Vec::new(), &mut driver, &mut engine)?;
+    let left = r.remaining();
+    ensure(left == 0, || {
+        format!("{left} trailing bytes after engine state")
+    })?;
+    driver.proc_base = proc_layout(&driver.platform).0;
+    validate(&driver, &engine)?;
+    let queue = EventQueue::from_entries(engine.events, engine.next_seq);
+    let engine = Engine::from_parts(queue, engine.now, engine.processed, engine.fuse);
     Ok((driver, engine))
 }
-
-// ---------------------------------------------------------------------------
-// Encoding.
-// ---------------------------------------------------------------------------
 
 /// Serializes the full mid-run state into a snapshot payload. The engine
 /// arguments come from the checkpoint hook (the driver cannot see the
@@ -459,747 +272,335 @@ pub(crate) fn encode_checkpoint(
     queue: &EventQueue<Ev>,
     meta: &[u8],
 ) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.bytes(meta);
-    w.str(driver.sched.name());
-    write_cfg(&mut w, &driver.cfg);
-    write_platform(&mut w, &driver.platform);
-
-    w.usize(driver.tasks.len());
-    for t in &driver.tasks {
-        write_task(&mut w, t);
-    }
-
-    w.usize(driver.partials.len());
-    for p in &driver.partials {
-        write_partial(&mut w, p);
-    }
-    w.usize(driver.completed);
-    w.f64(driver.finished_work);
-    w.usize(driver.cycles.len());
-    for c in &driver.cycles {
-        w.u64(c.cycle);
-        w.f64(c.time);
-        w.f64(c.work_mi);
-    }
-    w.u64(driver.cycle);
-    w.u64(driver.next_group);
-    w.u64(driver.groups_dispatched);
-    w.u64(driver.groups_completed);
-    w.u64(driver.split_starts);
-    w.u64(driver.rejections);
-    w.f64(driver.last_completion.as_f64());
-    w.usize(driver.plan.len());
-    for f in &driver.plan {
-        write_planned_fault(&mut w, f);
-    }
-    w.usize(driver.epochs.len());
-    for &e in &driver.epochs {
-        w.u32(e);
-    }
-    w.usize(driver.offline_until.len());
-    for &v in &driver.offline_until {
-        w.f64(v);
-    }
-    w.usize(driver.site_perm_procs.len());
-    for &v in &driver.site_perm_procs {
-        w.usize(v);
-    }
-    w.usize(driver.failed_tasks);
-    w.u64(driver.faults_injected);
-    w.u64(driver.faults_recovered);
-    w.u64(driver.preemptions);
-    w.u64(driver.retries);
-    w.u64(driver.groups_aborted);
-    w.u64(driver.events_seen);
-    w.usize(driver.met_count);
-    w.f64(driver.settled_at.as_f64());
-
-    let mut sw = SnapWriter::new();
-    driver.sched.save_state(&mut sw);
-    w.bytes(&sw.into_bytes());
-
-    w.f64(now.as_f64());
-    w.u64(processed);
-    w.u64(fuse);
-    w.u64(queue.pushed());
     // Heap iteration order is unspecified; sort by the unique sequence
     // number so identical states produce identical bytes.
-    let mut entries: Vec<&ScheduledEvent<Ev>> = queue.entries().collect();
-    entries.sort_by_key(|e| e.seq);
-    w.usize(entries.len());
-    for e in entries {
-        w.f64(e.time.as_f64());
-        w.u64(e.seq);
-        write_ev(&mut w, e.event);
-    }
+    let mut events: Vec<ScheduledEvent<Ev>> = queue.entries().cloned().collect();
+    events.sort_by_key(|e| e.seq);
+    let mut engine = EngineState {
+        now,
+        processed,
+        fuse,
+        next_seq: queue.pushed(),
+        events,
+    };
+    let mut w = SnapWriter::new();
+    w.encode(|w| payload(w, &mut meta.to_vec(), driver, &mut engine));
     w.into_bytes()
 }
 
-fn write_cfg(w: &mut SnapWriter, cfg: &ExecConfig) {
-    w.bool(cfg.split_enabled);
-    w.f64(cfg.tick_interval);
-    w.u64(cfg.fuse);
-    w.f64(cfg.max_time);
-    // A resumed run never carries the oracle (its mid-run state is not
-    // checkpointable), so the audit flag is pinned off in the snapshot.
-    w.bool(false);
-    let f = &cfg.faults;
-    w.bool(f.enabled);
-    w.f64(f.proc_mtbf);
-    w.f64(f.proc_mttr);
-    w.f64(f.node_mtbf);
-    w.f64(f.node_mttr);
-    w.f64(f.permanent_fraction);
-    w.u32(f.max_retries);
-    w.f64(f.horizon);
-    w.u64(f.seed);
+/// The payload's head: everything a resumer needs before it can build the
+/// scheduler (see [`snapshot_meta`]).
+fn head<C: Codec>(
+    c: &mut C,
+    meta: &mut Vec<u8>,
+    name: &mut Vec<u8>,
+    cfg: &mut ExecConfig,
+    spec: &mut PlatformSpec,
+) -> Result<(), SnapshotError> {
+    c.bytes(meta)?;
+    c.bytes(name)?;
+    cfg.snap(c)?;
+    spec.snap(c)
 }
 
-fn write_platform(w: &mut SnapWriter, p: &Platform) {
-    let spec = &p.spec;
-    w.u32(spec.num_sites);
-    w.u32(spec.nodes_per_site.0);
-    w.u32(spec.nodes_per_site.1);
-    w.u32(spec.procs_per_node.0);
-    w.u32(spec.procs_per_node.1);
-    w.f64(spec.speed_range.0);
-    w.f64(spec.speed_range.1);
-    w.opt_f64(spec.heterogeneity_cv);
-    w.usize(spec.queue_capacity);
-    let pw = &spec.power;
-    w.f64(pw.p_idle);
-    w.f64(pw.p_peak_min);
-    w.f64(pw.p_peak_max);
-    w.f64(pw.p_sleep);
-    w.f64(pw.wake_latency);
-    w.f64(pw.speed_floor);
-    w.f64(pw.speed_ceil);
+/// The whole payload's field list: the head, the driver with the
+/// scheduler's state nested inside, then the engine.
+fn payload<C: Codec>(
+    c: &mut C,
+    meta: &mut Vec<u8>,
+    d: &mut Driver<'_>,
+    e: &mut EngineState,
+) -> Result<(), SnapshotError> {
+    let mut name = d.sched.name().as_bytes().to_vec();
+    head(c, meta, &mut name, &mut d.cfg, &mut d.platform.spec)?;
+    let want = d.sched.name();
+    c.check(name == want.as_bytes(), || {
+        let name = String::from_utf8_lossy(&name);
+        format!("snapshot was taken with scheduler '{name}', resume requested with '{want}'")
+    })?;
+    d.snap(c)?;
+    e.snap(c)
+}
 
-    w.usize(p.sites.len());
-    for site in &p.sites {
-        w.u32(site.id.0);
-        w.usize(site.nodes.len());
-        for node in &site.nodes {
-            w.u32(node.addr.site.0);
-            w.u32(node.addr.node);
-            w.f64(node.throttle);
-            w.usize(node.processors.len());
-            for proc in &node.processors {
-                write_processor(w, proc);
-            }
-            w.usize(node.queue.len());
-            for qg in node.queue.iter() {
-                write_queued_group(w, qg);
-            }
-        }
+impl Driver<'_> {
+    /// The driver's field list after the head. Derived state — the flat
+    /// processor layout, scratch buffers and probes — is not listed.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.platform.snap_sites(c)?;
+        c.seq(&mut self.tasks, Task::snap)?;
+        c.seq(&mut self.partials, Partial::snap)?;
+        c.usize(&mut self.completed)?;
+        c.nonneg(&mut self.finished_work)?;
+        c.seq(&mut self.cycles, CycleSample::snap)?;
+        c.u64(&mut self.cycle)?;
+        c.u64(&mut self.next_group)?;
+        c.u64(&mut self.groups_dispatched)?;
+        c.u64(&mut self.groups_completed)?;
+        c.u64(&mut self.split_starts)?;
+        c.u64(&mut self.rejections)?;
+        c.time(&mut self.last_completion)?;
+        c.seq(&mut self.plan, PlannedFault::snap)?;
+        c.seq(&mut self.epochs, |v, c| c.u32(v))?;
+        // May legitimately be +INFINITY (a permanently dead processor), so
+        // only NaN and negatives are rejected.
+        c.seq(&mut self.offline_until, |v, c| {
+            c.f64(v)?;
+            let v = *v;
+            c.check(v >= 0.0, || format!("invalid offline-until value {v}"))
+        })?;
+        c.seq(&mut self.site_perm_procs, |v, c| c.usize(v))?;
+        c.usize(&mut self.failed_tasks)?;
+        c.u64(&mut self.faults_injected)?;
+        c.u64(&mut self.faults_recovered)?;
+        c.u64(&mut self.preemptions)?;
+        c.u64(&mut self.retries)?;
+        c.u64(&mut self.groups_aborted)?;
+        c.u64(&mut self.events_seen)?;
+        c.usize(&mut self.met_count)?;
+        c.time(&mut self.settled_at)?;
+        c.nested(
+            &mut *self.sched,
+            |s, w| s.save_state(w),
+            |s, r| s.load_state(r),
+        )
     }
 }
 
-fn write_processor(w: &mut SnapWriter, p: &Processor) {
-    w.f64(p.speed_mips);
-    w.f64(p.p_peak);
-    write_proc_state(w, &p.state());
-    w.f64(p.last_transition().as_f64());
-    w.f64(p.busy_time_raw());
-    w.f64(p.idle_time());
-    w.f64(p.sleep_time());
-    w.f64(p.failed_time());
-    w.f64(p.energy_raw());
-    w.u64(p.tasks_executed());
-    w.f64(p.p_idle());
-    w.f64(p.p_sleep());
+/// The engine half of a checkpoint: clock, counters and the pending
+/// events in sequence order.
+#[derive(Default)]
+struct EngineState {
+    now: SimTime,
+    processed: u64,
+    fuse: u64,
+    next_seq: u64,
+    events: Vec<ScheduledEvent<Ev>>,
 }
 
-fn write_proc_state(w: &mut SnapWriter, s: &ProcState) {
-    match *s {
-        ProcState::Idle => w.u8(0),
-        ProcState::Busy {
-            task,
-            group,
-            finish,
-            power,
-        } => {
-            w.u8(1);
-            w.u64(task.0);
-            w.u64(group.0);
-            w.f64(finish.as_f64());
-            w.f64(power);
-        }
-        ProcState::Asleep => w.u8(2),
-        ProcState::Waking { until } => {
-            w.u8(3);
-            w.f64(until.as_f64());
-        }
-        ProcState::Failed => w.u8(4),
+impl EngineState {
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.time(&mut self.now)?;
+        c.u64(&mut self.processed)?;
+        c.u64(&mut self.fuse)?;
+        c.u64(&mut self.next_seq)?;
+        let (now, next_seq) = (self.now, self.next_seq);
+        c.seq(&mut self.events, |e, c| {
+            c.time(&mut e.time)?;
+            let t = e.time;
+            c.check(t >= now, || {
+                format!(
+                    "pending event at t={} predates the restored clock t={}",
+                    t.as_f64(),
+                    now.as_f64()
+                )
+            })?;
+            c.u64(&mut e.seq)?;
+            let seq = e.seq;
+            c.check(seq < next_seq, || {
+                format!("event sequence {seq} not below the counter {next_seq}")
+            })?;
+            e.event.snap(c)
+        })
     }
 }
 
-fn write_queued_group(w: &mut SnapWriter, qg: &QueuedGroup) {
-    w.u64(qg.group.id.0);
-    write_policy(w, qg.group.policy);
-    w.usize(qg.group.tasks.len());
-    for t in &qg.group.tasks {
-        write_task(w, t);
-    }
-    w.f64(qg.enqueued_at.as_f64());
-    w.f64(qg.pw);
-    w.usize(qg.next_start);
-    w.u32(qg.running);
-    w.u32(qg.done);
-    w.u32(qg.lost);
-    w.u32(qg.met);
-    w.opt_f64(qg.first_start.map(|t| t.as_f64()));
-    w.bool(qg.split_mode);
-    w.f64(qg.assign_error);
+/// Fails with [`SnapshotError::Corrupt`] carrying `why()` unless `ok`.
+fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), SnapshotError> {
+    ok.then_some(()).ok_or_else(|| corrupt(why()))
 }
 
-fn write_policy(w: &mut SnapWriter, p: GroupPolicy) {
-    match p {
-        GroupPolicy::Mixed => w.u8(0),
-        GroupPolicy::Identical(prio) => {
-            w.u8(1);
-            w.u8(prio.index() as u8);
-        }
-    }
-}
-
-fn write_task(w: &mut SnapWriter, t: &Task) {
-    t.snap_write(w);
-}
-
-fn write_partial(w: &mut SnapWriter, p: &Partial) {
-    match p.node {
-        Some(n) => {
-            w.u8(1);
-            w.u32(n.site.0);
-            w.u32(n.node);
-        }
-        None => w.u8(0),
-    }
-    w.opt_u64(p.group.map(|g| g.0));
-    w.opt_f64(p.dispatched.map(|t| t.as_f64()));
-    w.opt_f64(p.started.map(|t| t.as_f64()));
-    w.opt_f64(p.finished.map(|t| t.as_f64()));
-    w.opt_f64(p.failed_at.map(|t| t.as_f64()));
-    w.bool(p.met);
-    w.bool(p.split);
-    w.u32(p.attempts);
-}
-
-fn write_planned_fault(w: &mut SnapWriter, f: &PlannedFault) {
-    w.f64(f.at.as_f64());
-    match f.target {
-        FaultTarget::Proc(p) => {
-            w.u8(0);
-            w.u32(p.node.site.0);
-            w.u32(p.node.node);
-            w.u32(p.proc);
-        }
-        FaultTarget::Node(n) => {
-            w.u8(1);
-            w.u32(n.site.0);
-            w.u32(n.node);
-        }
-    }
-    w.opt_f64(f.recover_at.map(|t| t.as_f64()));
-}
-
-fn write_ev(w: &mut SnapWriter, ev: Ev) {
-    match ev {
-        Ev::Arrival(i) => {
-            w.u8(0);
-            w.u32(i);
-        }
-        Ev::TaskDone(p, epoch) => {
-            w.u8(1);
-            w.u32(p.node.site.0);
-            w.u32(p.node.node);
-            w.u32(p.proc);
-            w.u32(epoch);
-        }
-        Ev::WakeDone(p, epoch) => {
-            w.u8(2);
-            w.u32(p.node.site.0);
-            w.u32(p.node.node);
-            w.u32(p.proc);
-            w.u32(epoch);
-        }
-        Ev::Tick => w.u8(3),
-        Ev::Fault(i) => {
-            w.u8(4);
-            w.u32(i);
-        }
-        Ev::Recover(i) => {
-            w.u8(5);
-            w.u32(i);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Decoding.
-// ---------------------------------------------------------------------------
-
-fn read_time(r: &mut SnapReader<'_>) -> Result<SimTime, SnapshotError> {
-    Ok(SimTime::new(r.f64_time()?))
-}
-
-fn read_opt_time(r: &mut SnapReader<'_>) -> Result<Option<SimTime>, SnapshotError> {
-    match r.opt_f64()? {
-        None => Ok(None),
-        Some(v) => {
-            if !v.is_finite() || v < 0.0 {
-                return Err(corrupt(format!("invalid optional time {v}")));
-            }
-            Ok(Some(SimTime::new(v)))
-        }
-    }
-}
-
-fn read_cfg(r: &mut SnapReader<'_>) -> Result<ExecConfig, SnapshotError> {
-    let split_enabled = r.bool()?;
-    let tick_interval = r.f64_time()?;
-    if tick_interval <= 0.0 {
-        return Err(corrupt("tick interval must be positive"));
-    }
-    let fuse = r.u64()?;
-    let max_time = r.f64()?;
-    if max_time.is_nan() {
-        return Err(corrupt("max_time is NaN"));
-    }
-    let audit = r.bool()?;
-    let faults = FaultSpec {
-        enabled: r.bool()?,
-        proc_mtbf: r.f64_time()?,
-        proc_mttr: r.f64_time()?,
-        node_mtbf: r.f64_time()?,
-        node_mttr: r.f64_time()?,
-        permanent_fraction: {
-            let v = r.f64_finite()?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(corrupt(format!("permanent fraction {v} outside [0, 1]")));
-            }
-            v
-        },
-        max_retries: r.u32()?,
-        horizon: r.f64_time()?,
-        seed: r.u64()?,
+/// The cross-field invariants of a decoded checkpoint, checked in one pass
+/// once the platform and the task table are known: every index and
+/// address in range, the counters equal to what the task records say, and
+/// the execution state the event handlers rely on — a busy processor runs
+/// a started task of a group queued on its node and has exactly one live
+/// completion pending, a waking processor at most one live wake-up, and a
+/// task not yet arrived exactly one arrival.
+fn validate(d: &Driver<'_>, e: &EngineState) -> Result<(), SnapshotError> {
+    let p = &d.platform;
+    let n_tasks = d.tasks.len();
+    let node_ok = |n: NodeAddr| {
+        (p.sites.get(n.site.0 as usize)).is_some_and(|s| (n.node as usize) < s.nodes.len())
     };
-    Ok(ExecConfig {
-        split_enabled,
-        tick_interval,
-        fuse,
-        max_time,
-        faults,
-        audit,
-    })
-}
+    let proc_ok =
+        |a: ProcAddr| node_ok(a.node) && (a.proc as usize) < p.node(a.node).num_processors();
 
-fn read_platform(r: &mut SnapReader<'_>) -> Result<Platform, SnapshotError> {
-    let num_sites = r.u32()?;
-    let nodes_per_site = (r.u32()?, r.u32()?);
-    let procs_per_node = (r.u32()?, r.u32()?);
-    let speed_range = (r.f64_finite()?, r.f64_finite()?);
-    let heterogeneity_cv = match r.opt_f64()? {
-        None => None,
-        Some(v) => {
-            if !v.is_finite() || v < 0.0 {
-                return Err(corrupt(format!("invalid heterogeneity CV {v}")));
+    for (i, t) in d.tasks.iter().enumerate() {
+        ensure(
+            t.id.0 == i as u64 && (t.site.0 as usize) < p.sites.len(),
+            || format!("task slot {i} holds task {} of site {}", t.id, t.site),
+        )?;
+    }
+    ensure(d.partials.len() == n_tasks, || {
+        format!("{} partials for {n_tasks} tasks", d.partials.len())
+    })?;
+    for (i, pt) in d.partials.iter().enumerate() {
+        let placed = [pt.dispatched, pt.started].iter().all(Option::is_some);
+        let dispatched = pt.node.is_some() && pt.group.is_some() && placed;
+        let ok = pt.node.is_none_or(node_ok)
+            && (pt.finished.is_none() || (pt.failed_at.is_none() && dispatched));
+        ensure(ok, || format!("task {i} has an impossible record"))?;
+    }
+    let count = |f: fn(&Partial) -> bool| d.partials.iter().filter(|p| f(p)).count();
+    ensure(
+        d.completed == count(|p| p.finished.is_some())
+            && d.failed_tasks == count(|p| p.failed_at.is_some())
+            && d.met_count == count(|p| p.finished.is_some() && p.met),
+        || "task counters disagree with the task records".into(),
+    )?;
+    for f in &d.plan {
+        let ok = match f.target {
+            FaultTarget::Proc(a) => proc_ok(a),
+            FaultTarget::Node(n) => node_ok(n),
+        };
+        ensure(ok, || "fault target outside the platform".into())?;
+    }
+    let (_, flat) = proc_layout(p);
+    ensure(
+        d.epochs.len() == flat
+            && d.offline_until.len() == flat
+            && d.site_perm_procs.len() == p.sites.len(),
+        || format!("per-processor state does not cover the {flat} processors"),
+    )?;
+    for (s, &live) in d.site_perm_procs.iter().enumerate() {
+        let alive = d.alive_procs(s);
+        ensure(live == alive, || {
+            format!("site {s} claims {live} live processors, {alive} are not dead")
+        })?;
+    }
+
+    // Live completions and wake-ups per processor, pending arrivals per
+    // task.
+    let mut done_at: Vec<Option<SimTime>> = vec![None; flat];
+    let mut waking = vec![false; flat];
+    let mut arriving = vec![false; n_tasks];
+    for ev in &e.events {
+        let ok = match ev.event {
+            Ev::Arrival(i) => d.tasks.get(i as usize).is_some_and(|t| {
+                t.arrival == ev.time && !std::mem::replace(&mut arriving[i as usize], true)
+            }),
+            Ev::TaskDone(a, epoch) | Ev::WakeDone(a, epoch) if proc_ok(a) => {
+                let i = d.pidx(a);
+                let until = match p.node(a.node).processors[a.proc as usize].state() {
+                    ProcState::Waking { until } => until,
+                    _ => SimTime::MAX,
+                };
+                d.epochs[i] != epoch
+                    || match ev.event {
+                        Ev::TaskDone(..) => done_at[i].replace(ev.time).is_none(),
+                        _ => until <= ev.time && !std::mem::replace(&mut waking[i], true),
+                    }
             }
-            Some(v)
-        }
-    };
-    let queue_capacity = r.usize()?;
-    if queue_capacity == 0 {
-        return Err(corrupt("queue capacity must be positive"));
+            Ev::TaskDone(..) | Ev::WakeDone(..) => false,
+            Ev::Tick => true,
+            Ev::Fault(i) | Ev::Recover(i) => (i as usize) < d.plan.len(),
+        };
+        ensure(ok, || {
+            let (kind, t) = (ev.event.name(), ev.time.as_f64());
+            format!("pending {kind} event at t={t} does not fit the restored state")
+        })?;
     }
-    let power = PowerParams {
-        p_idle: r.f64_finite()?,
-        p_peak_min: r.f64_finite()?,
-        p_peak_max: r.f64_finite()?,
-        p_sleep: r.f64_finite()?,
-        wake_latency: r.f64_time()?,
-        speed_floor: r.f64_finite()?,
-        speed_ceil: r.f64_finite()?,
-    };
-    let spec = PlatformSpec {
-        num_sites,
-        nodes_per_site,
-        procs_per_node,
-        speed_range,
-        heterogeneity_cv,
-        queue_capacity,
-        power,
-    };
+    for (i, t) in d.tasks.iter().enumerate() {
+        ensure(arriving[i] || t.arrival <= e.now, || {
+            format!("task {i} has not arrived and no arrival is pending")
+        })?;
+    }
 
-    let n_sites = r.len_hint()?;
-    if n_sites == 0 || n_sites != num_sites as usize {
-        return Err(corrupt(format!(
-            "{n_sites} serialized sites for a spec of {num_sites}"
-        )));
-    }
-    let mut sites = Vec::with_capacity(n_sites);
-    for s in 0..n_sites {
-        let id = r.u32()?;
-        if id as usize != s {
-            return Err(corrupt(format!("site {s} carries id {id}")));
-        }
-        let n_nodes = r.len_hint()?;
-        if n_nodes == 0 {
-            return Err(corrupt(format!("site {s} has no nodes")));
-        }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for n in 0..n_nodes {
-            nodes.push(read_node(r, s as u32, n as u32, queue_capacity)?);
-        }
-        sites.push(Site {
-            id: SiteId(s as u32),
-            nodes,
-        });
-    }
-    Ok(Platform::from_parts(spec, sites))
-}
-
-fn read_node(
-    r: &mut SnapReader<'_>,
-    site: u32,
-    node_idx: u32,
-    queue_capacity: usize,
-) -> Result<ComputeNode, SnapshotError> {
-    let a_site = r.u32()?;
-    let a_node = r.u32()?;
-    if a_site != site || a_node != node_idx {
-        return Err(corrupt(format!(
-            "node S{site}/n{node_idx} carries address S{a_site}/n{a_node}"
-        )));
-    }
-    let throttle = r.f64_finite()?;
-    if !(0.1..=1.0).contains(&throttle) {
-        return Err(corrupt(format!("throttle {throttle} outside [0.1, 1.0]")));
-    }
-    let n_procs = r.len_hint()?;
-    if n_procs == 0 {
-        return Err(corrupt(format!(
-            "node S{site}/n{node_idx} has no processors"
-        )));
-    }
-    let mut procs = Vec::with_capacity(n_procs);
-    for _ in 0..n_procs {
-        procs.push(read_processor(r)?);
-    }
-    // `ComputeNode::new` recomputes every cached aggregate (power sums,
-    // idle/asleep/failed counts) from the restored processor states.
-    let mut node = ComputeNode::new(
-        NodeAddr {
-            site: SiteId(site),
-            node: node_idx,
-        },
-        procs,
-        queue_capacity,
-    );
-    node.throttle = throttle;
-    let n_queued = r.len_hint()?;
-    for _ in 0..n_queued {
-        let qg = read_queued_group(r)?;
-        // Front-to-back pushes re-derive the cached queue load with the
-        // exact same summation order as the original run.
-        node.queue
-            .push(qg)
-            .map_err(|_| corrupt("queued groups exceed queue capacity"))?;
-    }
-    Ok(node)
-}
-
-fn read_processor(r: &mut SnapReader<'_>) -> Result<Processor, SnapshotError> {
-    let speed_mips = r.f64_finite()?;
-    if speed_mips <= 0.0 {
-        return Err(corrupt(format!(
-            "processor speed {speed_mips} not positive"
-        )));
-    }
-    let p_peak = r.f64_finite()?;
-    let state = read_proc_state(r)?;
-    let last_transition = read_time(r)?;
-    let busy_time = r.f64_time()?;
-    let idle_time = r.f64_time()?;
-    let sleep_time = r.f64_time()?;
-    let failed_time = r.f64_time()?;
-    let energy = r.f64_time()?;
-    let tasks_executed = r.u64()?;
-    let p_idle = r.f64_finite()?;
-    let p_sleep = r.f64_finite()?;
-    Ok(Processor::from_parts(
-        speed_mips,
-        p_peak,
-        state,
-        last_transition,
-        busy_time,
-        idle_time,
-        sleep_time,
-        failed_time,
-        energy,
-        tasks_executed,
-        p_idle,
-        p_sleep,
-    ))
-}
-
-fn read_proc_state(r: &mut SnapReader<'_>) -> Result<ProcState, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(ProcState::Idle),
-        1 => Ok(ProcState::Busy {
-            task: TaskId(r.u64()?),
-            group: GroupId(r.u64()?),
-            finish: read_time(r)?,
-            power: r.f64_finite()?,
-        }),
-        2 => Ok(ProcState::Asleep),
-        3 => Ok(ProcState::Waking {
-            until: read_time(r)?,
-        }),
-        4 => Ok(ProcState::Failed),
-        t => Err(corrupt(format!("unknown processor-state tag {t}"))),
-    }
-}
-
-fn read_queued_group(r: &mut SnapReader<'_>) -> Result<QueuedGroup, SnapshotError> {
-    let id = GroupId(r.u64()?);
-    let policy = read_policy(r)?;
-    let n = r.len_hint()?;
-    if n == 0 {
-        return Err(corrupt(format!("queued group {} is empty", id.0)));
-    }
-    let mut tasks = Vec::with_capacity(n);
-    for _ in 0..n {
-        tasks.push(read_task(r)?);
-    }
-    // Re-validate the `TaskGroup::new` invariants instead of re-running the
-    // sort: the restored order must be byte-identical to what was saved.
-    for pair in tasks.windows(2) {
-        if (pair[0].deadline, pair[0].id) > (pair[1].deadline, pair[1].id) {
-            return Err(corrupt(format!("group {} tasks not in EDF order", id.0)));
-        }
-    }
-    if let GroupPolicy::Identical(p) = policy {
-        if tasks.iter().any(|t| t.priority != p) {
-            return Err(corrupt(format!(
-                "identical-priority group {} holds mixed classes",
-                id.0
-            )));
-        }
-    }
-    let group = TaskGroup { id, tasks, policy };
-    let enqueued_at = read_time(r)?;
-    let pw = r.f64_finite()?;
-    let next_start = r.usize()?;
-    if next_start > group.len() {
-        return Err(corrupt(format!(
-            "group {}: next_start {next_start} beyond {} members",
-            id.0,
-            group.len()
-        )));
-    }
-    let running = r.u32()?;
-    let done = r.u32()?;
-    let lost = r.u32()?;
-    let met = r.u32()?;
-    let members = group.len();
-    if (running as usize) > members || (done + lost) as usize > members || met > done {
-        return Err(corrupt(format!(
-            "group {}: execution counters exceed {members} members",
-            id.0
-        )));
-    }
-    let first_start = read_opt_time(r)?;
-    let split_mode = r.bool()?;
-    let assign_error = r.f64_finite()?;
-    Ok(QueuedGroup {
-        group,
-        enqueued_at,
-        pw,
-        next_start,
-        running,
-        done,
-        lost,
-        met,
-        first_start,
-        split_mode,
-        assign_error,
-    })
-}
-
-fn read_policy(r: &mut SnapReader<'_>) -> Result<GroupPolicy, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(GroupPolicy::Mixed),
-        1 => Ok(GroupPolicy::Identical(read_priority(r)?)),
-        t => Err(corrupt(format!("unknown group-policy tag {t}"))),
-    }
-}
-
-fn read_priority(r: &mut SnapReader<'_>) -> Result<Priority, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(Priority::Low),
-        1 => Ok(Priority::Medium),
-        2 => Ok(Priority::High),
-        t => Err(corrupt(format!("unknown priority tag {t}"))),
-    }
-}
-
-fn read_task(r: &mut SnapReader<'_>) -> Result<Task, SnapshotError> {
-    Task::snap_read(r)
-}
-
-fn read_partial(r: &mut SnapReader<'_>, platform: &Platform) -> Result<Partial, SnapshotError> {
-    let node = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = NodeAddr {
-                site: SiteId(r.u32()?),
-                node: r.u32()?,
+    let mut slowest = f64::INFINITY;
+    // Tasks waiting in a queue or running: each in one place at most.
+    let mut held = vec![false; n_tasks];
+    for node in p.sites.iter().flat_map(|s| &s.nodes) {
+        let addr = node.addr;
+        for qg in node.queue.iter() {
+            let id = qg.group.id;
+            let runs = |pr: &&Processor| matches!(pr.state(), ProcState::Busy { group, .. } if group == id);
+            let known = |t: &Task| {
+                d.tasks
+                    .get(t.id.0 as usize)
+                    .is_some_and(|o| t.is_copy_of(o))
             };
-            check_node_addr(platform, n)?;
-            Some(n)
-        }
-        t => return Err(corrupt(format!("invalid presence byte {t:#04x}"))),
-    };
-    Ok(Partial {
-        node,
-        group: r.opt_u64()?.map(GroupId),
-        dispatched: read_opt_time(r)?,
-        started: read_opt_time(r)?,
-        finished: read_opt_time(r)?,
-        failed_at: read_opt_time(r)?,
-        met: r.bool()?,
-        split: r.bool()?,
-        attempts: r.u32()?,
-    })
-}
-
-fn read_planned_fault(
-    r: &mut SnapReader<'_>,
-    platform: &Platform,
-) -> Result<PlannedFault, SnapshotError> {
-    let at = read_time(r)?;
-    let target = match r.u8()? {
-        0 => {
-            let p = ProcAddr {
-                node: NodeAddr {
-                    site: SiteId(r.u32()?),
-                    node: r.u32()?,
-                },
-                proc: r.u32()?,
+            // A member not yet started waits here and nowhere else.
+            let waiting = |t: &Task| {
+                let pt = &d.partials[t.id.0 as usize];
+                pt.node == Some(addr)
+                    && pt.group == Some(id)
+                    && pt.finished.is_none()
+                    && pt.failed_at.is_none()
+                    && !std::mem::replace(&mut held[t.id.0 as usize], true)
             };
-            check_proc_addr(platform, p)?;
-            FaultTarget::Proc(p)
+            ensure(
+                qg.group.tasks.iter().all(known)
+                    && qg.group.tasks[qg.next_start..].iter().all(waiting)
+                    && node.processors.iter().filter(runs).count() == qg.running as usize,
+                || format!("group {id} on {addr} disagrees with the tasks or processors"),
+            )?;
         }
-        1 => {
-            let n = NodeAddr {
-                site: SiteId(r.u32()?),
-                node: r.u32()?,
+        for (pi, pr) in node.processors.iter().enumerate() {
+            slowest = slowest.min(pr.speed_mips);
+            let live_done = done_at[d.pidx(ProcAddr {
+                node: addr,
+                proc: pi as u32,
+            })];
+            let ok = match pr.state() {
+                ProcState::Busy {
+                    task,
+                    group,
+                    finish,
+                    ..
+                } => {
+                    let started = d.partials.get(task.0 as usize).and_then(|pt| {
+                        let here = pt.node == Some(addr) && pt.group == Some(group);
+                        (here && pt.finished.is_none())
+                            .then_some(pt.started)
+                            .flatten()
+                    });
+                    let member = |qg: &QueuedGroup| {
+                        qg.group.id == group && qg.group.tasks.iter().any(|t| t.id == task)
+                    };
+                    started.is_some_and(|s| s <= finish)
+                        && !std::mem::replace(&mut held[task.0 as usize], true)
+                        && node.queue.iter().any(member)
+                        && live_done == Some(finish)
+                }
+                _ => live_done.is_none(),
             };
-            check_node_addr(platform, n)?;
-            FaultTarget::Node(n)
-        }
-        t => return Err(corrupt(format!("unknown fault-target tag {t}"))),
-    };
-    let recover_at = read_opt_time(r)?;
-    if let Some(rec) = recover_at {
-        if rec <= at {
-            return Err(corrupt("fault recovery does not come after the failure"));
+            ensure(ok, || {
+                format!("processor {addr}/p{pi} disagrees with its task")
+            })?;
         }
     }
-    Ok(PlannedFault {
-        at,
-        target,
-        recover_at,
-    })
-}
-
-fn read_ev(
-    r: &mut SnapReader<'_>,
-    platform: &Platform,
-    num_tasks: usize,
-    plan_len: usize,
-) -> Result<Ev, SnapshotError> {
-    match r.u8()? {
-        0 => {
-            let i = r.u32()?;
-            if (i as usize) >= num_tasks {
-                return Err(corrupt(format!("arrival index {i} out of range")));
-            }
-            Ok(Ev::Arrival(i))
-        }
-        tag @ (1 | 2) => {
-            let p = ProcAddr {
-                node: NodeAddr {
-                    site: SiteId(r.u32()?),
-                    node: r.u32()?,
-                },
-                proc: r.u32()?,
-            };
-            check_proc_addr(platform, p)?;
-            let epoch = r.u32()?;
-            Ok(if tag == 1 {
-                Ev::TaskDone(p, epoch)
-            } else {
-                Ev::WakeDone(p, epoch)
-            })
-        }
-        3 => Ok(Ev::Tick),
-        4 => {
-            let i = r.u32()?;
-            if (i as usize) >= plan_len {
-                return Err(corrupt(format!("fault index {i} out of range")));
-            }
-            Ok(Ev::Fault(i))
-        }
-        5 => {
-            let i = r.u32()?;
-            if (i as usize) >= plan_len {
-                return Err(corrupt(format!("recovery index {i} out of range")));
-            }
-            Ok(Ev::Recover(i))
-        }
-        t => Err(corrupt(format!("unknown engine-event tag {t}"))),
-    }
-}
-
-fn check_node_addr(platform: &Platform, n: NodeAddr) -> Result<(), SnapshotError> {
-    let site = platform
-        .sites
-        .get(n.site.0 as usize)
-        .ok_or_else(|| corrupt(format!("node address {n}: site out of range")))?;
-    if (n.node as usize) >= site.nodes.len() {
-        return Err(corrupt(format!("node address {n}: node out of range")));
-    }
-    Ok(())
-}
-
-fn check_proc_addr(platform: &Platform, p: ProcAddr) -> Result<(), SnapshotError> {
-    check_node_addr(platform, p.node)?;
-    let node = &platform.sites[p.node.site.0 as usize].nodes[p.node.node as usize];
-    if (p.proc as usize) >= node.num_processors() {
-        return Err(corrupt(format!("processor address {p} out of range")));
-    }
-    Ok(())
+    // Every execution ends in finite time: the longest (the largest task
+    // on the slowest processor, fully throttled) must not overflow once
+    // added to the time limit.
+    let largest = d.tasks.iter().fold(0.0f64, |hi, t| hi.max(t.size_mi));
+    let longest = (largest / (slowest * MIN_THROTTLE))
+        .max(d.cfg.tick_interval)
+        .max(p.spec.power.wake_latency);
+    ensure(
+        (d.cfg.max_time.min(f64::MAX / 2.0) + longest).is_finite(),
+        || format!("a task of {largest} MI cannot execute in finite time"),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, FaultSpec};
+    use crate::group::GroupPolicy;
     use crate::oracle::replay_divergence;
     use crate::scheduler::Command;
     use crate::view::PlatformView;
     use simcore::rng::RngStream;
-    use workload::{Workload, WorkloadSpec};
+    use workload::{SiteId, TaskId, Workload, WorkloadSpec};
 
     /// FCFS test scheduler (mirrors the engine test suite) with its pending
     /// buffer round-tripped through the checkpoint hooks.
     struct Fcfs {
         name: &'static str,
         pending: Vec<Task>,
+        /// Give the first task of every dispatch an id the run never
+        /// issued, as a policy restored from a corrupt snapshot might.
+        forge: bool,
     }
 
     impl Fcfs {
@@ -1207,6 +608,7 @@ mod tests {
             Fcfs {
                 name: "fcfs-test",
                 pending: Vec::new(),
+                forge: false,
             }
         }
     }
@@ -1236,22 +638,16 @@ mod tests {
                 }
             }
             self.pending = remaining;
+            if let (true, Some(Command::Dispatch { tasks, .. })) = (self.forge, cmds.first_mut()) {
+                tasks[0].id = TaskId(u64::MAX);
+            }
             cmds
         }
         fn save_state(&mut self, w: &mut SnapWriter) {
-            w.usize(self.pending.len());
-            for t in &self.pending {
-                write_task(w, t);
-            }
+            w.encode(|w| w.seq(&mut self.pending, Task::snap));
         }
         fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-            let n = r.len_hint()?;
-            let mut pending = Vec::with_capacity(n);
-            for _ in 0..n {
-                pending.push(read_task(r)?);
-            }
-            self.pending = pending;
-            Ok(())
+            r.seq(&mut self.pending, Task::snap)
         }
     }
 
@@ -1306,7 +702,7 @@ mod tests {
         assert_eq!(files.len() as u64, ck.checkpoints_written);
         for f in &files {
             let payload = snapshot::read_file(f).expect("snapshot readable");
-            assert_eq!(snapshot_meta(&payload).unwrap(), vec![7, 7, 7]);
+            assert_eq!(snapshot_meta(&payload).unwrap(), (vec![7, 7, 7], 2));
             let mut sched = Fcfs::new();
             let resumed = resume_from_payload(&payload, &mut sched).expect("resume succeeds");
             if let Some(d) = replay_divergence(&golden, &resumed) {
@@ -1314,6 +710,43 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_restored_policy_forging_a_task_halts_with_a_typed_error() {
+        // Resume reports the halt as a corrupt snapshot, a session through
+        // `halt_reason`.
+        let dir = scratch_dir("forged");
+        let engine = ExecEngine::new(ExecConfig::default());
+        let (p, t) = setup(31, 80);
+        let ck =
+            engine.run_with_checkpoints(p, t, &mut Fcfs::new(), &CheckpointConfig::new(40, &dir));
+        assert!(ck.write_error.is_none(), "{:?}", ck.write_error);
+        let payload = snapshot::read_file(&snapshots_in(&dir)[0]).expect("snapshot readable");
+        let _ = std::fs::remove_dir_all(&dir);
+        let forger = || Fcfs {
+            forge: true,
+            ..Fcfs::new()
+        };
+        let err = resume_from_payload(&payload, &mut forger()).expect_err("the run halts");
+        assert!(err.to_string().contains("never issued"), "{err}");
+        let mut sched = forger();
+        let mut session = crate::ScheduleSession::resume(&payload, &mut sched).expect("decodes");
+        assert_eq!(session.halt_reason(), None);
+        session.advance_to(SimTime::new(1e9), &mut Vec::new());
+        let why = session.halt_reason().expect("the session halted");
+        assert!(why.contains("never issued"), "{why}");
+    }
+
+    #[test]
+    #[should_panic(expected = "never issued")]
+    fn a_fresh_policy_forging_a_task_panics() {
+        let (p, t) = setup(31, 20);
+        let mut sched = Fcfs {
+            forge: true,
+            ..Fcfs::new()
+        };
+        ExecEngine::new(ExecConfig::default()).run(p, t, &mut sched);
     }
 
     #[test]

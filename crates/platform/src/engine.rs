@@ -30,10 +30,11 @@ use serde::{Deserialize, Serialize};
 use simcore::engine::{Engine, EngineHandle, RunOutcome, Simulation};
 use simcore::rng::RngStream;
 use simcore::time::{SimDuration, SimTime};
+use snapshot::{Codec, SnapshotError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{PhaseProfiler, Recorder, TelemetrySummary, TimeSeriesLog};
-use workload::{Priority, SiteId, Task, TaskId};
+use workload::{Priority, SimCodec, SiteId, Task, TaskId};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,6 +69,24 @@ impl Default for ExecConfig {
             faults: FaultSpec::default(),
             audit: false,
         }
+    }
+}
+
+impl ExecConfig {
+    /// Snapshot field list. The audit flag is stored as `false` and never
+    /// restored: a resumed run does not carry the oracle, whose mid-run
+    /// state is not checkpointable.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.bool(&mut self.split_enabled)?;
+        c.nonneg(&mut self.tick_interval)?;
+        c.check(self.tick_interval > 0.0, || {
+            "tick interval must be positive".into()
+        })?;
+        c.u64(&mut self.fuse)?;
+        c.f64(&mut self.max_time)?;
+        c.check(!self.max_time.is_nan(), || "max_time is NaN".into())?;
+        c.bool(&mut false)?;
+        self.faults.snap(c)
     }
 }
 
@@ -143,7 +162,7 @@ impl TaskRecord {
 
 /// One learning-cycle sample: cumulative useful work delivered at the
 /// instant a group feedback was processed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CycleSample {
     /// Learning-cycle index (1-based).
     pub cycle: u64,
@@ -153,6 +172,15 @@ pub struct CycleSample {
     /// Work — not raw busy time — so that throttled execution (slower,
     /// same instructions) and sleeping both register as reduced service.
     pub work_mi: f64,
+}
+
+impl CycleSample {
+    /// Snapshot field list.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.u64(&mut self.cycle)?;
+        c.nonneg(&mut self.time)?;
+        c.nonneg(&mut self.work_mi)
+    }
 }
 
 /// Everything a run produced; the metric layer derives the paper's figures
@@ -269,11 +297,12 @@ impl RunResult {
 /// Engine events. `TaskDone`/`WakeDone` carry the processor's fault epoch
 /// at scheduling time: a failure bumps the epoch, so completions and wake
 /// transitions queued before the crash arrive stale and are ignored.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) enum Ev {
     Arrival(u32),
     TaskDone(ProcAddr, u32),
     WakeDone(ProcAddr, u32),
+    #[default]
     Tick,
     Fault(u32),
     Recover(u32),
@@ -289,6 +318,29 @@ impl Ev {
             Ev::Tick => "tick",
             Ev::Fault(_) => "fault",
             Ev::Recover(_) => "recover",
+        }
+    }
+
+    /// Snapshot field list: a tag, then the payload. Index and address
+    /// range checks are the checkpoint decoder's.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let p = ProcAddr::default();
+        let blanks = [
+            Ev::Arrival(0),
+            Ev::TaskDone(p, 0),
+            Ev::WakeDone(p, 0),
+            Ev::Tick,
+            Ev::Fault(0),
+            Ev::Recover(0),
+        ];
+        c.variant(self, &blanks, "engine-event")?;
+        match self {
+            Ev::Arrival(i) | Ev::Fault(i) | Ev::Recover(i) => c.u32(i),
+            Ev::TaskDone(p, epoch) | Ev::WakeDone(p, epoch) => {
+                p.snap(c)?;
+                c.u32(epoch)
+            }
+            Ev::Tick => Ok(()),
         }
     }
 }
@@ -307,6 +359,21 @@ pub(crate) struct Partial {
     pub(crate) split: bool,
     /// Re-dispatch attempts consumed by failures.
     pub(crate) attempts: u32,
+}
+
+impl Partial {
+    /// Snapshot field list.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.opt(&mut self.node, NodeAddr::snap)?;
+        c.opt(&mut self.group, |g, c| c.u64(&mut g.0))?;
+        c.opt(&mut self.dispatched, |t, c| c.time(t))?;
+        c.opt(&mut self.started, |t, c| c.time(t))?;
+        c.opt(&mut self.finished, |t, c| c.time(t))?;
+        c.opt(&mut self.failed_at, |t, c| c.time(t))?;
+        c.bool(&mut self.met)?;
+        c.bool(&mut self.split)?;
+        c.u32(&mut self.attempts)
+    }
 }
 
 pub(crate) struct Driver<'s> {
@@ -368,6 +435,10 @@ pub(crate) struct Driver<'s> {
     /// between the last completion and settlement, e.g. a failure path
     /// abandoning its final task after the last completion).
     pub(crate) settled_at: SimTime,
+    /// Why the run halted early: the policy dispatched a task this run
+    /// never issued (possible only for a policy restored from a corrupt
+    /// snapshot). The run stops after the current event.
+    pub(crate) halted: Option<String>,
 }
 
 /// Flat processor layout of a platform: per-`[site][node]` base indices
@@ -404,8 +475,20 @@ macro_rules! report {
 
 impl Driver<'_> {
     /// Flat processor index (into `epochs` / `offline_until`).
-    fn pidx(&self, p: ProcAddr) -> usize {
+    pub(crate) fn pidx(&self, p: ProcAddr) -> usize {
         self.proc_base[p.node.site.0 as usize][p.node.node as usize] + p.proc as usize
+    }
+
+    /// Processors of site `s` not permanently failed.
+    pub(crate) fn alive_procs(&self, s: usize) -> usize {
+        let bases = &self.proc_base[s];
+        let nodes = &self.platform.sites[s].nodes;
+        (nodes.iter().zip(bases))
+            .map(|(node, &b)| {
+                let span = &self.offline_until[b..b + node.num_processors()];
+                span.iter().filter(|v| !v.is_infinite()).count()
+            })
+            .sum()
     }
 
     /// Flat processor-index base of a node.
@@ -606,6 +689,19 @@ impl Driver<'_> {
                     tasks,
                     policy,
                 } => {
+                    // A policy may only dispatch tasks of this run (one
+                    // restored from a corrupt snapshot could hold others):
+                    // a broken policy halts the run.
+                    let foreign = tasks.iter().find(|t| {
+                        !(self.tasks.get(t.id.0 as usize)).is_some_and(|o| t.is_copy_of(o))
+                    });
+                    if let Some(t) = foreign {
+                        let (name, id) = (self.sched.name(), t.id);
+                        self.halted = Some(format!(
+                            "policy '{name}' dispatched task {id}, which this run never issued"
+                        ));
+                        break;
+                    }
                     let accept = {
                         let node = self.platform.node(addr);
                         // `available_processors()` equals `num_processors()`
@@ -762,7 +858,9 @@ impl Driver<'_> {
         {
             let p = &mut self.partials[task_id.0 as usize];
             let started = p.started.expect("finished task must have started");
-            debug_assert!(now > started, "execution takes positive time");
+            // A positive size can still vanish next to a large clock, so a
+            // task may finish at the instant it started.
+            debug_assert!(now >= started, "execution cannot end before it starts");
             self.finished_work += task.size_mi;
             p.finished = Some(now);
             p.met = met;
@@ -918,17 +1016,7 @@ impl Driver<'_> {
         // failed processors (idempotent, so overlap handling stays simple).
         if permanent {
             let s = addr.site.0 as usize;
-            let alive_total: usize = self.platform.sites[s]
-                .nodes
-                .iter()
-                .map(|node| {
-                    let b = self.proc_base[s][node.addr.node as usize];
-                    (0..node.num_processors())
-                        .filter(|&pi| !self.offline_until[b + pi].is_infinite())
-                        .count()
-                })
-                .sum();
-            self.site_perm_procs[s] = alive_total;
+            self.site_perm_procs[s] = self.alive_procs(s);
         }
         report!(self, now, Hook::Fault(&fault, orphans.len()));
         // Groups this fault completed by member loss: if any member did
@@ -1157,7 +1245,7 @@ impl Simulation for Driver<'_> {
         }
         self.ev_scratch = out;
         report!(self, now, Hook::EventEnd);
-        true
+        self.halted.is_none()
     }
 }
 
@@ -1384,6 +1472,7 @@ impl ExecEngine {
             met_count: 0,
             probes,
             settled_at: SimTime::ZERO,
+            halted: None,
         };
         // Peak event-queue occupancy: every arrival is primed upfront, the
         // fault plan adds at most one fault + one recovery per entry, at
@@ -1414,12 +1503,20 @@ impl ExecEngine {
 /// *global* horizon — the instant the last shard settled — so per-site
 /// energy integrals sum to the whole cluster's draw over one common
 /// interval.
+///
+/// # Panics
+/// Panics if the run halted on a task its policy made up: a policy bug. A
+/// resume reports the same halt as a [`snapshot::SnapshotError`] before it
+/// gets here.
 pub(crate) fn assemble_result(
     mut driver: Driver<'_>,
     engine: &Engine<Ev>,
     outcome: RunOutcome,
     horizon_override: Option<SimTime>,
 ) -> RunResult {
+    if let Some(why) = &driver.halted {
+        panic!("{why}");
+    }
     let total_procs = driver.platform.num_processors();
     let total_mips: f64 = driver
         .platform

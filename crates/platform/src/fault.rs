@@ -26,7 +26,8 @@ use crate::topology::Platform;
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
-use workload::SiteId;
+use snapshot::{Codec, SnapshotError};
+use workload::{SimCodec, SiteId};
 
 /// Declarative fault-injection knobs, nested in
 /// [`ExecConfig`](crate::engine::ExecConfig).
@@ -106,6 +107,19 @@ impl FaultSpec {
     pub fn is_active(&self) -> bool {
         self.enabled && (self.proc_mtbf > 0.0 || self.node_mtbf > 0.0)
     }
+
+    /// Snapshot field list.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.bool(&mut self.enabled)?;
+        c.nonneg(&mut self.proc_mtbf)?;
+        c.nonneg(&mut self.proc_mttr)?;
+        c.nonneg(&mut self.node_mtbf)?;
+        c.nonneg(&mut self.node_mttr)?;
+        c.unit(&mut self.permanent_fraction, "permanent fraction")?;
+        c.u32(&mut self.max_retries)?;
+        c.nonneg(&mut self.horizon)?;
+        c.u64(&mut self.seed)
+    }
 }
 
 /// What a planned fault hits.
@@ -136,6 +150,37 @@ pub struct PlannedFault {
     pub target: FaultTarget,
     /// When it comes back, or `None` for a permanent failure.
     pub recover_at: Option<SimTime>,
+}
+
+impl Default for PlannedFault {
+    fn default() -> Self {
+        PlannedFault {
+            at: SimTime::ZERO,
+            target: FaultTarget::Node(NodeAddr::default()),
+            recover_at: None,
+        }
+    }
+}
+
+impl PlannedFault {
+    /// Snapshot field list (address checks need the platform).
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.time(&mut self.at)?;
+        let blanks = [
+            FaultTarget::Proc(ProcAddr::default()),
+            FaultTarget::Node(NodeAddr::default()),
+        ];
+        c.variant(&mut self.target, &blanks, "fault-target")?;
+        match &mut self.target {
+            FaultTarget::Proc(p) => p.snap(c)?,
+            FaultTarget::Node(n) => n.snap(c)?,
+        }
+        c.opt(&mut self.recover_at, |t, c| c.time(t))?;
+        let at = self.at;
+        c.check(self.recover_at.is_none_or(|r| r > at), || {
+            "fault recovery does not come after the failure".into()
+        })
+    }
 }
 
 /// A complete, time-sorted failure/recovery timeline for one run.

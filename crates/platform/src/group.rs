@@ -8,11 +8,14 @@
 //! budget — indicates its importance relative to other groups.
 
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 use std::fmt;
 use workload::{Priority, Task};
 
 /// Unique identifier of a dispatched task group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct GroupId(pub u64);
 
 impl GroupId {
@@ -28,12 +31,25 @@ impl fmt::Display for GroupId {
 }
 
 /// How a group was merged (§IV.D.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GroupPolicy {
     /// Tasks of different priorities merged together, EDF-sorted.
+    #[default]
     Mixed,
     /// Tasks of one priority class only, EDF-sorted.
     Identical(Priority),
+}
+
+impl GroupPolicy {
+    /// Snapshot field list: a tag, then the class of an identical group.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let blanks = [GroupPolicy::Mixed, GroupPolicy::Identical(Priority::Low)];
+        c.variant(self, &blanks, "group-policy")?;
+        match self {
+            GroupPolicy::Identical(p) => p.snap(c),
+            GroupPolicy::Mixed => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for GroupPolicy {
@@ -51,7 +67,7 @@ impl fmt::Display for GroupPolicy {
 /// * non-empty,
 /// * tasks sorted by deadline (EDF),
 /// * under an [`GroupPolicy::Identical`] policy, all tasks share the class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskGroup {
     /// Unique id.
     pub id: GroupId,

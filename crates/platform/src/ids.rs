@@ -1,11 +1,14 @@
 //! Addressing of nodes and processors within the platform.
 
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 use std::fmt;
 use workload::SiteId;
 
 /// Address of a compute node: `(site, node index within site)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct NodeAddr {
     /// The owning resource site.
     pub site: SiteId,
@@ -21,6 +24,13 @@ impl NodeAddr {
             node,
         }
     }
+
+    /// Snapshot field list (range checks need the platform: see
+    /// `checkpoint`).
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.u32(&mut self.site.0)?;
+        c.u32(&mut self.node)
+    }
 }
 
 impl fmt::Display for NodeAddr {
@@ -30,12 +40,22 @@ impl fmt::Display for NodeAddr {
 }
 
 /// Address of a processor: node address plus processor index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct ProcAddr {
     /// The owning node.
     pub node: NodeAddr,
     /// Processor index within the node, dense from 0.
     pub proc: u32,
+}
+
+impl ProcAddr {
+    /// Snapshot field list (see [`NodeAddr::snap`]).
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        self.node.snap(c)?;
+        c.u32(&mut self.proc)
+    }
 }
 
 impl fmt::Display for ProcAddr {

@@ -13,7 +13,11 @@ use crate::processor::Processor;
 use crate::queue::GroupQueue;
 use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
+use snapshot::{Codec, SnapshotError};
 use workload::TaskId;
+
+/// The lowest throttle level a node runs at.
+pub(crate) const MIN_THROTTLE: f64 = 0.1;
 
 /// A compute node.
 ///
@@ -36,7 +40,7 @@ use workload::TaskId;
 /// cache (in processor order) whenever any entry changes, rather than
 /// adjusted by a float delta — incremental float accumulation would drift
 /// from the naive sum in the last bits and break run determinism.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ComputeNode {
     /// The node's address.
     pub addr: NodeAddr,
@@ -75,26 +79,51 @@ impl ComputeNode {
             !processors.is_empty(),
             "a node needs at least one processor"
         );
-        let speeds: Vec<f64> = processors.iter().map(|p| p.speed_mips).collect();
-        let raw_speed_mips = speeds.iter().sum();
-        let powers: Vec<f64> = processors.iter().map(|p| p.current_power()).collect();
-        let power_sum = powers.iter().sum();
-        let idle = processors.iter().filter(|p| p.is_idle()).count();
-        let asleep = processors.iter().filter(|p| p.is_asleep()).count();
-        let failed = processors.iter().filter(|p| p.is_failed()).count();
-        ComputeNode {
+        let mut node = ComputeNode {
             addr,
             processors,
             queue: GroupQueue::new(queue_capacity),
             throttle: 1.0,
-            speeds,
-            raw_speed_mips,
-            powers,
-            power_sum,
-            idle,
-            asleep,
-            failed,
+            ..ComputeNode::default()
+        };
+        node.rebuild_caches();
+        node
+    }
+
+    /// Recomputes every cached aggregate from the processors.
+    fn rebuild_caches(&mut self) {
+        let procs = &self.processors;
+        self.speeds = procs.iter().map(|p| p.speed_mips).collect();
+        self.raw_speed_mips = self.speeds.iter().sum();
+        self.powers = procs.iter().map(|p| p.current_power()).collect();
+        self.power_sum = self.powers.iter().sum();
+        self.idle = procs.iter().filter(|p| p.is_idle()).count();
+        self.asleep = procs.iter().filter(|p| p.is_asleep()).count();
+        self.failed = procs.iter().filter(|p| p.is_failed()).count();
+    }
+
+    /// Snapshot field list. The cached aggregates are rebuilt from the
+    /// decoded processors, never read.
+    pub(crate) fn snap<C: Codec>(
+        &mut self,
+        c: &mut C,
+        queue_capacity: usize,
+        power: &PowerParams,
+    ) -> Result<(), SnapshotError> {
+        self.addr.snap(c)?;
+        c.finite(&mut self.throttle)?;
+        let (addr, throttle) = (self.addr, self.throttle);
+        c.check((MIN_THROTTLE..=1.0).contains(&throttle), || {
+            format!("throttle {throttle} outside [{MIN_THROTTLE}, 1.0]")
+        })?;
+        c.seq(&mut self.processors, |p, c| p.snap(c, power))?;
+        c.check(!self.processors.is_empty(), || {
+            format!("node {addr} has no processors")
+        })?;
+        if C::DECODE {
+            self.rebuild_caches();
         }
+        self.queue.snap(c, queue_capacity)
     }
 
     /// Number of processors (`m`, the TG `opnum` upper bound).
@@ -173,7 +202,7 @@ impl ComputeNode {
     /// busy power is snapshotted at task start, so a throttle change never
     /// alters any processor's current draw.
     pub fn set_throttle(&mut self, level: f64) {
-        self.throttle = level.clamp(0.1, 1.0);
+        self.throttle = level.clamp(MIN_THROTTLE, 1.0);
     }
 
     /// Refreshes the power cache for processor `i` after a transition.

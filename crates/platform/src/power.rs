@@ -17,6 +17,7 @@
 //!   `p_busy(θ) = p_min + θ · (p_max − p_min)`.
 
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 
 /// Platform-wide power parameters (per-processor peak is derived from
 /// speed; see [`PowerParams::peak_for_speed`]).
@@ -47,6 +48,17 @@ pub struct PowerParams {
 }
 
 impl PowerParams {
+    /// Snapshot field list.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.finite(&mut self.p_idle)?;
+        c.finite(&mut self.p_peak_min)?;
+        c.finite(&mut self.p_peak_max)?;
+        c.finite(&mut self.p_sleep)?;
+        c.nonneg(&mut self.wake_latency)?;
+        c.finite(&mut self.speed_floor)?;
+        c.finite(&mut self.speed_ceil)
+    }
+
     /// The paper's §V.A experiment settings.
     pub fn paper() -> Self {
         PowerParams {

@@ -9,12 +9,14 @@ use crate::group::GroupId;
 use crate::power::PowerParams;
 use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
-use workload::TaskId;
+use snapshot::{Codec, SnapshotError};
+use workload::{SimCodec, TaskId};
 
 /// Processor activity state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum ProcState {
     /// Powered but not executing (draws `p_idle`).
+    #[default]
     Idle,
     /// Executing a task until `finish` (draws the snapshotted busy power).
     Busy {
@@ -40,9 +42,45 @@ pub enum ProcState {
     Failed,
 }
 
+impl ProcState {
+    /// Snapshot field list: a tag, then the variant's payload.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let blanks = [
+            ProcState::Idle,
+            ProcState::Busy {
+                task: TaskId::default(),
+                group: GroupId::default(),
+                finish: SimTime::ZERO,
+                power: 0.0,
+            },
+            ProcState::Asleep,
+            ProcState::Waking {
+                until: SimTime::ZERO,
+            },
+            ProcState::Failed,
+        ];
+        c.variant(self, &blanks, "processor-state")?;
+        match self {
+            ProcState::Busy {
+                task,
+                group,
+                finish,
+                power,
+            } => {
+                c.u64(&mut task.0)?;
+                c.u64(&mut group.0)?;
+                c.time(finish)?;
+                c.finite(power)
+            }
+            ProcState::Waking { until } => c.time(until),
+            ProcState::Idle | ProcState::Asleep | ProcState::Failed => Ok(()),
+        }
+    }
+}
+
 /// A processor: immutable capability parameters plus mutable state and
 /// accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Processor {
     /// Nominal speed in MIPS.
     pub speed_mips: f64,
@@ -313,79 +351,36 @@ impl Processor {
         self.tasks_executed
     }
 
-    /// Cumulative idle time (settled transitions only).
-    pub fn idle_time(&self) -> f64 {
-        self.idle_time
-    }
-
-    /// Cumulative sleep time (settled transitions only).
-    pub fn sleep_time(&self) -> f64 {
-        self.sleep_time
-    }
-
-    /// Cumulative downtime from injected faults (settled transitions only).
-    pub fn failed_time(&self) -> f64 {
-        self.failed_time
-    }
-
-    /// Instant of the last settled state transition (checkpointing).
-    pub(crate) fn last_transition(&self) -> SimTime {
-        self.last_transition
-    }
-
-    /// Settled busy time, excluding any in-progress interval (checkpointing).
-    pub(crate) fn busy_time_raw(&self) -> f64 {
-        self.busy_time
-    }
-
-    /// Settled energy integral, excluding any in-progress interval
-    /// (checkpointing).
-    pub(crate) fn energy_raw(&self) -> f64 {
-        self.energy
-    }
-
-    /// Idle power parameter this processor was built with (checkpointing).
-    pub(crate) fn p_idle(&self) -> f64 {
-        self.p_idle
-    }
-
-    /// Sleep power parameter this processor was built with (checkpointing).
-    pub(crate) fn p_sleep(&self) -> f64 {
-        self.p_sleep
-    }
-
-    /// Rebuilds a processor from captured accounting state, bypassing the
-    /// transition machinery. Only the checkpoint decoder calls this; it has
-    /// already validated that every float is finite and non-negative.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        speed_mips: f64,
-        p_peak: f64,
-        state: ProcState,
-        last_transition: SimTime,
-        busy_time: f64,
-        idle_time: f64,
-        sleep_time: f64,
-        failed_time: f64,
-        energy: f64,
-        tasks_executed: u64,
-        p_idle: f64,
-        p_sleep: f64,
-    ) -> Self {
-        Processor {
-            speed_mips,
-            p_peak,
-            state,
-            last_transition,
-            busy_time,
-            idle_time,
-            sleep_time,
-            failed_time,
-            energy,
-            tasks_executed,
-            p_idle,
-            p_sleep,
-        }
+    /// Snapshot field list. Decoding bypasses the transition machinery, so
+    /// every float is checked here, and the power draws must be the ones
+    /// [`Processor::new`] derives from the speed and `power`.
+    pub(crate) fn snap<C: Codec>(
+        &mut self,
+        c: &mut C,
+        power: &PowerParams,
+    ) -> Result<(), SnapshotError> {
+        c.finite(&mut self.speed_mips)?;
+        let speed = self.speed_mips;
+        c.check(speed > 0.0, || {
+            format!("processor speed {speed} not positive")
+        })?;
+        c.finite(&mut self.p_peak)?;
+        self.state.snap(c)?;
+        c.time(&mut self.last_transition)?;
+        c.nonneg(&mut self.busy_time)?;
+        c.nonneg(&mut self.idle_time)?;
+        c.nonneg(&mut self.sleep_time)?;
+        c.nonneg(&mut self.failed_time)?;
+        c.nonneg(&mut self.energy)?;
+        c.u64(&mut self.tasks_executed)?;
+        c.finite(&mut self.p_idle)?;
+        c.finite(&mut self.p_sleep)?;
+        let derived = Processor::new(speed, power);
+        c.check(
+            (self.p_peak, self.p_idle, self.p_sleep)
+                == (derived.p_peak, derived.p_idle, derived.p_sleep),
+            || format!("processor power draws disagree with its speed {speed}"),
+        )
     }
 }
 
@@ -464,7 +459,7 @@ mod tests {
         assert_eq!(usable.as_f64(), 13.0);
         p.finish_wake(usable);
         assert!(p.is_idle());
-        assert_eq!(p.sleep_time(), 10.0);
+        assert_eq!(p.sleep_time_at(usable), 10.0);
     }
 
     #[test]
@@ -517,7 +512,7 @@ mod tests {
         assert_eq!(p.fail(SimTime::new(3.0)), None);
         p.recover(SimTime::new(10.0));
         assert!(p.is_idle());
-        assert_eq!(p.failed_time(), 8.0);
+        assert_eq!(p.failed_time_at(SimTime::new(10.0)), 8.0);
     }
 
     #[test]

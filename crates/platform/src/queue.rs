@@ -7,13 +7,15 @@
 //! finished, and met their deadlines — the raw material of the Eq. (8)
 //! reward).
 
-use crate::group::{GroupId, TaskGroup};
+use crate::group::{GroupId, GroupPolicy, TaskGroup};
 use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
+use snapshot::{Codec, SnapshotError};
 use std::collections::VecDeque;
+use workload::{SimCodec, Task};
 
 /// A queued (possibly partially executing) task group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct QueuedGroup {
     /// The group itself (tasks in EDF order).
     pub group: TaskGroup,
@@ -76,6 +78,49 @@ impl QueuedGroup {
     pub fn has_started(&self) -> bool {
         self.next_start > 0
     }
+
+    /// Snapshot field list. Decoding re-validates the [`TaskGroup::new`]
+    /// invariants instead of re-sorting: the restored member order must be
+    /// the saved one.
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let g = &mut self.group;
+        c.u64(&mut g.id.0)?;
+        g.policy.snap(c)?;
+        c.seq(&mut g.tasks, Task::snap)?;
+        let (id, tasks) = (g.id, &g.tasks);
+        let edf = tasks
+            .windows(2)
+            .all(|p| (p[0].deadline, p[0].id) <= (p[1].deadline, p[1].id));
+        let pure = match g.policy {
+            GroupPolicy::Identical(p) => tasks.iter().all(|t| t.priority == p),
+            GroupPolicy::Mixed => true,
+        };
+        c.check(!tasks.is_empty() && edf && pure, || {
+            format!("queued group {id} is empty, out of EDF order or of mixed classes")
+        })?;
+        let members = tasks.len();
+        c.time(&mut self.enqueued_at)?;
+        c.nonneg(&mut self.pw)?;
+        c.usize(&mut self.next_start)?;
+        c.u32(&mut self.running)?;
+        c.u32(&mut self.done)?;
+        c.u32(&mut self.lost)?;
+        c.u32(&mut self.met)?;
+        // Every started member is running, done or lost.
+        let started: u64 = [self.running, self.done, self.lost]
+            .map(u64::from)
+            .iter()
+            .sum();
+        c.check(
+            self.next_start <= members
+                && started == self.next_start as u64
+                && self.met <= self.done,
+            || format!("group {id}: execution counters disagree with {members} members"),
+        )?;
+        c.opt(&mut self.first_start, |t, c| c.time(t))?;
+        c.bool(&mut self.split_mode)?;
+        c.nonneg(&mut self.assign_error)
+    }
 }
 
 /// Error returned when pushing to a full queue.
@@ -90,7 +135,7 @@ pub struct QueueFull;
 /// to the naive sum, unlike incremental float add/subtract which would
 /// drift after mid-queue removals. This relies on `QueuedGroup::pw` being
 /// immutable once enqueued (it is set at dispatch and never rewritten).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GroupQueue {
     capacity: usize,
     slots: VecDeque<QueuedGroup>,
@@ -114,6 +159,25 @@ impl GroupQueue {
     /// Re-sums the cached total load front to back.
     fn refresh_load(&mut self) {
         self.load = self.slots.iter().map(|g| g.pw).sum();
+    }
+
+    /// Snapshot field list: the groups, front to back. The capacity comes
+    /// from the platform spec (nothing is pre-allocated for it), and the
+    /// cached load is re-derived, never read.
+    pub(crate) fn snap<C: Codec>(
+        &mut self,
+        c: &mut C,
+        capacity: usize,
+    ) -> Result<(), SnapshotError> {
+        c.deque(&mut self.slots, QueuedGroup::snap)?;
+        if C::DECODE {
+            self.capacity = capacity;
+            c.check(self.slots.len() <= capacity, || {
+                "queued groups exceed queue capacity".into()
+            })?;
+            self.refresh_load();
+        }
+        Ok(())
     }
 
     /// Slot capacity.

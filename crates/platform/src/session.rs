@@ -283,6 +283,13 @@ impl<'s> ScheduleSession<'s> {
         outcome
     }
 
+    /// Why the session halted, if it did: a policy restored from a
+    /// corrupt snapshot dispatched a task the session never admitted. A
+    /// halted session makes no further progress; its owner should stop.
+    pub fn halt_reason(&self) -> Option<&str> {
+        self.driver.halted.as_deref()
+    }
+
     /// Sweeps outstanding tasks for placements and resolutions.
     fn collect_events(&mut self, out: &mut Vec<SessionEvent>) {
         let mut i = 0;
@@ -354,6 +361,7 @@ mod tests {
     use crate::engine::ExecConfig;
     use crate::topology::PlatformSpec;
     use simcore::rng::RngStream;
+    use snapshot::Codec;
     use workload::{Priority, SiteId, Workload, WorkloadSpec};
 
     /// The FCFS test scheduler used across the engine/checkpoint suites.
@@ -401,19 +409,10 @@ mod tests {
             cmds
         }
         fn save_state(&mut self, w: &mut snapshot::SnapWriter) {
-            w.usize(self.pending.len());
-            for t in &self.pending {
-                t.snap_write(w);
-            }
+            w.encode(|w| w.seq(&mut self.pending, Task::snap));
         }
         fn load_state(&mut self, r: &mut snapshot::SnapReader<'_>) -> Result<(), SnapshotError> {
-            let n = r.len_hint()?;
-            let mut pending = Vec::with_capacity(n);
-            for _ in 0..n {
-                pending.push(Task::snap_read(r)?);
-            }
-            self.pending = pending;
-            Ok(())
+            r.seq(&mut self.pending, Task::snap)
         }
     }
 
@@ -577,6 +576,44 @@ mod tests {
             .filter(|e| matches!(e, SessionEvent::Done { .. }))
             .count();
         assert_eq!(done, 20);
+    }
+
+    #[test]
+    fn extreme_valid_submissions_checkpoint_and_resume() {
+        // Admission takes any finite, positive size and relative deadline,
+        // so a snapshot must restore what they lead to: a deadline of 1e16,
+        // whose ulp (2) exceeds the task's execution time, and a size that
+        // vanishes next to the clock, so the task ends as it starts.
+        let meta = b"extreme";
+        let task = |size_mi, deadline| SubmitTask {
+            size_mi,
+            deadline,
+            priority: Priority::Medium,
+            site: SiteId(0),
+        };
+        let (mut sched, mut sched2, mut sched3) = (Fcfs::new(), Fcfs::new(), Fcfs::new());
+        let e = exec();
+        let mut session = ScheduleSession::new(&e, test_platform(5), &mut sched);
+        let mut events = Vec::new();
+        session.submit(&[task(1500.0, 1e16)]).expect("admit");
+        session.advance_to(SimTime::new(1e-3), &mut events);
+        assert_eq!(session.outstanding(), 1, "the task is in flight");
+        let payload = session.checkpoint(meta);
+        let mut restored = ScheduleSession::resume(&payload, &mut sched2).expect("resume");
+        assert_eq!(restored.checkpoint(meta), payload);
+
+        for s in [&mut session, &mut restored] {
+            s.advance_to(SimTime::new(100.0), &mut events);
+            s.submit(&[task(1e-300, 10.0)]).expect("admit");
+            s.advance_to(SimTime::new(200.0), &mut events);
+            assert_eq!(s.outstanding(), 0, "both tasks resolve");
+        }
+        let payload = restored.checkpoint(meta);
+        let mut again = ScheduleSession::resume(&payload, &mut sched3).expect("resume");
+        assert_eq!(again.checkpoint(meta), payload);
+        if let Some(d) = crate::oracle::replay_divergence(&session.finish(), &restored.finish()) {
+            panic!("resumed session diverged: {d}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::power::PowerParams;
 use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
+use snapshot::{Codec, SnapshotError};
 use workload::SiteId;
 
 /// Declarative description of a platform.
@@ -95,10 +96,27 @@ impl PlatformSpec {
     pub fn mean_speed(&self) -> f64 {
         (self.speed_range.0 + self.speed_range.1) / 2.0
     }
+
+    /// Snapshot field list.
+    pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.u32(&mut self.num_sites)?;
+        c.u32(&mut self.nodes_per_site.0)?;
+        c.u32(&mut self.nodes_per_site.1)?;
+        c.u32(&mut self.procs_per_node.0)?;
+        c.u32(&mut self.procs_per_node.1)?;
+        c.finite(&mut self.speed_range.0)?;
+        c.finite(&mut self.speed_range.1)?;
+        c.opt(&mut self.heterogeneity_cv, |v, c| c.nonneg(v))?;
+        c.usize(&mut self.queue_capacity)?;
+        c.check(self.queue_capacity > 0, || {
+            "queue capacity must be positive".into()
+        })?;
+        self.power.snap(c)
+    }
 }
 
 /// One resource site: a set of compute nodes managed by one agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Site {
     /// Site id.
     pub id: SiteId,
@@ -219,10 +237,9 @@ impl Platform {
         p
     }
 
-    /// Rebuilds a platform from a spec and fully-restored sites
-    /// (checkpoint decode path). The cached aggregates are recomputed from
-    /// the restored node state rather than deserialized, so they cannot
-    /// disagree with ground truth.
+    /// Builds a platform from a spec and ready-made sites (a shard's slice,
+    /// or the empty blank a checkpoint decodes into). The cached aggregates
+    /// are computed from the node state, so they cannot disagree with it.
     pub(crate) fn from_parts(spec: PlatformSpec, sites: Vec<Site>) -> Platform {
         let mut p = Platform {
             spec,
@@ -232,6 +249,34 @@ impl Platform {
         };
         p.recompute_stats();
         p
+    }
+
+    /// Snapshot field list of the sites (the spec is listed ahead, on its
+    /// own). Decoding checks the dense addressing and rebuilds the stats.
+    pub(crate) fn snap_sites<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let (cap, power) = (self.spec.queue_capacity, self.spec.power);
+        c.seq(&mut self.sites, |site, c| {
+            c.u32(&mut site.id.0)?;
+            c.seq(&mut site.nodes, |node, c| node.snap(c, cap, &power))
+        })?;
+        if C::DECODE {
+            let (n, spec_sites) = (self.sites.len(), self.spec.num_sites);
+            c.check(n > 0 && n == spec_sites as usize, || {
+                format!("{n} serialized sites for a spec of {spec_sites}")
+            })?;
+            for (s, site) in self.sites.iter().enumerate() {
+                let id = site.id.0;
+                c.check(id as usize == s, || format!("site {s} carries id {id}"))?;
+                c.check(!site.nodes.is_empty(), || format!("site {s} has no nodes"))?;
+                for (i, node) in site.nodes.iter().enumerate() {
+                    let want = NodeAddr::new(s as u32, i as u32);
+                    let got = node.addr;
+                    c.check(got == want, || format!("node {want} carries address {got}"))?;
+                }
+            }
+            self.recompute_stats();
+        }
+        Ok(())
     }
 
     /// Rebuilds every [`SiteStats`] from scratch (construction and audit).

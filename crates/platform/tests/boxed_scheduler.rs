@@ -14,7 +14,7 @@ use platform::{
 };
 use simcore::rng::RngStream;
 use simcore::SimTime;
-use snapshot::{SnapReader, SnapWriter, SnapshotError};
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use workload::{SiteId, Task, Workload, WorkloadSpec};
@@ -82,6 +82,12 @@ impl Counting {
             produced: 0,
             applied: 0,
         }
+    }
+
+    fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.seq(&mut self.pending, Task::snap)?;
+        c.u64(&mut self.produced)?;
+        c.u64(&mut self.applied)
     }
 }
 
@@ -165,22 +171,11 @@ impl Scheduler for Counting {
     }
     fn save_state(&mut self, w: &mut SnapWriter) {
         self.calls.hit("save_state");
-        w.usize(self.pending.len());
-        for t in &self.pending {
-            t.snap_write(w);
-        }
-        w.u64(self.produced);
-        w.u64(self.applied);
+        w.encode(|w| self.snap(w));
     }
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.calls.hit("load_state");
-        let n = r.len_hint()?;
-        self.pending = (0..n)
-            .map(|_| Task::snap_read(r))
-            .collect::<Result<_, _>>()?;
-        self.produced = r.u64()?;
-        self.applied = r.u64()?;
-        Ok(())
+        self.snap(r)
     }
 }
 

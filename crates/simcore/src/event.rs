@@ -32,7 +32,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An event with its scheduled firing time and tie-breaking sequence number.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub time: SimTime,

@@ -12,8 +12,9 @@ use std::ops::{Add, AddAssign, Sub};
 /// A point in virtual time, in simulation time units.
 ///
 /// Invariant: the inner value is finite and non-negative. All constructors
-/// enforce this, which is what makes the `Ord` implementation sound.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// enforce this, which is what makes the `Ord` implementation sound. The
+/// default is [`SimTime::ZERO`].
+#[derive(Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimTime(f64);
 
 /// A span of virtual time, in simulation time units.

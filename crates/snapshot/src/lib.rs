@@ -11,12 +11,14 @@
 //! 21      n     payload bytes
 //! ```
 //!
-//! The payload itself is an application-defined byte stream built with
-//! [`SnapWriter`] and decoded with [`SnapReader`]. All multi-byte values are
-//! little-endian; floats are serialized as raw IEEE-754 bit patterns so a
-//! round trip is bit-exact. Every decode path is bounds-checked and returns
-//! a typed [`SnapshotError`] — corrupt, truncated, or mismatched input must
-//! never panic.
+//! The payload itself is an application-defined byte stream. Each
+//! snapshotted type lists its fields once, against the two-way [`Codec`]
+//! trait: [`SnapWriter`] runs the list to encode, [`SnapReader`] runs the
+//! same list to decode. All multi-byte values are little-endian; floats are
+//! serialized as raw IEEE-754 bit patterns so a round trip is bit-exact.
+//! Every decode path is bounds-checked and returns a typed
+//! [`SnapshotError`] — corrupt, truncated, or mismatched input must never
+//! panic.
 //!
 //! Files are written torn-write-safe by [`write_atomic`]: the bytes land in
 //! a temporary sibling file which is fsync'd and then atomically renamed
@@ -24,6 +26,7 @@
 //! observes either the previous snapshot or the complete new one, never a
 //! partial write.
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -145,10 +148,223 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-stream writer.
+// Two-way field codec.
 // ---------------------------------------------------------------------------
 
-/// Append-only little-endian byte-stream encoder.
+/// One field list, run in either direction.
+///
+/// A snapshotted type lists its fields once, in a `snap<C: Codec>(&mut
+/// self, c: &mut C)` function that calls one primitive per field. Run by a
+/// [`SnapWriter`] the list appends each field's bytes; run by a
+/// [`SnapReader`] it overwrites each field with the decoded value. Each
+/// primitive therefore takes the field by `&mut`. Validation sits in the
+/// same list: [`Codec::check`] can fail only while decoding, so the
+/// encoder never fails.
+pub trait Codec: Sized {
+    /// Whether this codec decodes. Field lists branch on it only where
+    /// decoding must rebuild state that is derived rather than stored.
+    const DECODE: bool;
+
+    /// One byte.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError>;
+
+    /// A little-endian u32.
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError>;
+
+    /// A little-endian u64.
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError>;
+
+    /// A sequence length: writes `n`; decoding returns the stored length,
+    /// which must not exceed the bytes left (every element occupies at
+    /// least one), so a corrupt prefix cannot drive a huge allocation.
+    fn len(&mut self, n: usize) -> Result<usize, SnapshotError>;
+
+    /// A length-prefixed byte string.
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError>;
+
+    /// A length-prefixed blob holding `obj`'s own byte stream: `save`
+    /// writes it, `load` reads it and must consume all of it.
+    fn nested<T: ?Sized>(
+        &mut self,
+        obj: &mut T,
+        save: impl FnOnce(&mut T, &mut SnapWriter),
+        load: impl FnOnce(&mut T, &mut SnapReader<'_>) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError>;
+
+    /// Fails with [`SnapshotError::Corrupt`] carrying `why()` when decoding
+    /// and `ok` is false; never fails when encoding.
+    fn check(&mut self, ok: bool, why: impl FnOnce() -> String) -> Result<(), SnapshotError> {
+        if Self::DECODE && !ok {
+            Err(corrupt(why()))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A `usize`, stored as a u64 so the format is word-size independent.
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapshotError> {
+        let mut x = *v as u64;
+        self.u64(&mut x)?;
+        *v = usize::try_from(x)
+            .map_err(|_| corrupt(format!("length {x} exceeds platform usize")))?;
+        Ok(())
+    }
+
+    /// A bool as one byte; decoding rejects anything but 0 and 1.
+    fn bool(&mut self, v: &mut bool) -> Result<(), SnapshotError> {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        self.check(b <= 1, || format!("invalid bool byte {b:#04x}"))?;
+        *v = b == 1;
+        Ok(())
+    }
+
+    /// An `f64` as its raw bit pattern: bit-exact, NaN payloads and
+    /// infinities included.
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        let mut bits = v.to_bits();
+        self.u64(&mut bits)?;
+        *v = f64::from_bits(bits);
+        Ok(())
+    }
+
+    /// An `f64` that must be finite.
+    fn finite(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        self.f64(v)?;
+        self.check(v.is_finite(), || format!("expected finite float, got {v}"))
+    }
+
+    /// An `f64` that must be finite and `>= 0`: simulation times,
+    /// durations, sizes and accumulated totals.
+    fn nonneg(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        self.f64(v)?;
+        self.check(v.is_finite() && *v >= 0.0, || {
+            format!("expected non-negative finite value, got {v}")
+        })
+    }
+
+    /// An `f64` that must lie in `[0, 1]`: probabilities and rates.
+    fn unit(&mut self, v: &mut f64, what: &str) -> Result<(), SnapshotError> {
+        self.finite(v)?;
+        let x = *v;
+        self.check((0.0..=1.0).contains(&x), || {
+            format!("{what} {x} outside [0, 1]")
+        })
+    }
+
+    /// A length prefix that must equal `n`, a count the decoder already
+    /// knows from its own state.
+    fn len_eq(&mut self, n: usize, what: &str) -> Result<(), SnapshotError> {
+        let got = self.len(n)?;
+        self.check(got == n, || {
+            format!("snapshot has {got} {what}, expected {n}")
+        })
+    }
+
+    /// An enum discriminant: the index in `blanks` — one value per variant,
+    /// payloads at their defaults — of the entry equal to `*v` or, failing
+    /// that, of the same variant. Decoding replaces `*v` with that blank,
+    /// rejecting unknown tags; the caller then lists the payload.
+    fn variant<T: PartialEq + Clone>(
+        &mut self,
+        v: &mut T,
+        blanks: &[T],
+        what: &str,
+    ) -> Result<(), SnapshotError> {
+        let same = |b: &T| std::mem::discriminant(b) == std::mem::discriminant(v);
+        let at = blanks.iter().position(|b| b == v);
+        let at = at.or_else(|| blanks.iter().position(same));
+        let mut tag = at.expect("`blanks` lists every variant") as u8;
+        self.u8(&mut tag)?;
+        if Self::DECODE {
+            *v = blanks
+                .get(tag as usize)
+                .ok_or_else(|| corrupt(format!("unknown {what} tag {tag}")))?
+                .clone();
+        }
+        Ok(())
+    }
+
+    /// An `Option`: a presence bool, then the value's own field list.
+    ///
+    /// Element lists take `(element, codec)`, the argument order of a
+    /// type's own `snap` method, so `T::snap` can be passed directly.
+    fn opt<T: Default>(
+        &mut self,
+        v: &mut Option<T>,
+        each: impl FnOnce(&mut T, &mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut some = v.is_some();
+        self.bool(&mut some)?;
+        if Self::DECODE {
+            *v = some.then(T::default);
+        }
+        match v {
+            Some(x) => each(x, self),
+            None => Ok(()),
+        }
+    }
+
+    /// A length-prefixed sequence. Decoding replaces `v` with that many
+    /// elements, each a default that `each` fills in before the next is
+    /// made, so a corrupt length fails at the first missing element having
+    /// built no more elements than the input held.
+    fn seq<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        mut each: impl FnMut(&mut T, &mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let n = self.len(v.len())?;
+        if !Self::DECODE {
+            return v.iter_mut().try_for_each(|x| each(x, self));
+        }
+        v.clear();
+        for _ in 0..n {
+            let mut x = T::default();
+            each(&mut x, self)?;
+            v.push(x);
+        }
+        Ok(())
+    }
+
+    /// [`Codec::seq`] over a ring buffer, front to back.
+    fn deque<T: Default>(
+        &mut self,
+        v: &mut VecDeque<T>,
+        each: impl FnMut(&mut T, &mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut items = Vec::from(std::mem::take(v));
+        let done = self.seq(&mut items, each);
+        *v = items.into();
+        done
+    }
+
+    /// A map keyed by `u64`, stored as a sequence of `(key, value)` in key
+    /// order so equal maps encode to equal bytes. Decoding rejects
+    /// duplicate keys.
+    fn map<V: Default + Clone>(
+        &mut self,
+        m: &mut HashMap<u64, V>,
+        mut each: impl FnMut(&mut V, &mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut entries: Vec<(u64, V)> = m.iter().map(|(&k, v)| (k, v.clone())).collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        self.seq(&mut entries, |(k, v), c| {
+            c.u64(k)?;
+            each(v, c)
+        })?;
+        if Self::DECODE {
+            m.clear();
+            for (k, v) in entries {
+                self.check(m.insert(k, v).is_none(), || format!("duplicate key {k}"))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Append-only little-endian byte-stream encoder: the [`Codec`] that
+/// writes.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -165,87 +381,55 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Writes a single byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` as a u64 (portable across word sizes).
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes an `f64` as its raw bit pattern (bit-exact round trip,
-    /// including NaN payloads and infinities).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes a bool as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed raw byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.usize(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Writes an `Option<f64>` as a presence byte plus the raw bits.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
+    /// Runs a field list through the encoder, which cannot fail.
+    pub fn encode(&mut self, fields: impl FnOnce(&mut Self) -> Result<(), SnapshotError>) {
+        fields(self).expect("encoding never fails");
     }
 }
 
-// ---------------------------------------------------------------------------
-// Byte-stream reader.
-// ---------------------------------------------------------------------------
+impl Codec for SnapWriter {
+    const DECODE: bool = false;
 
-/// Bounds-checked little-endian byte-stream decoder.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        self.buf.push(*v);
+        Ok(())
+    }
+
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        Ok(())
+    }
+
+    fn len(&mut self, n: usize) -> Result<usize, SnapshotError> {
+        self.u64(&mut (n as u64))?;
+        Ok(n)
+    }
+
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        self.len(v.len())?;
+        self.buf.extend_from_slice(v);
+        Ok(())
+    }
+
+    fn nested<T: ?Sized>(
+        &mut self,
+        obj: &mut T,
+        save: impl FnOnce(&mut T, &mut SnapWriter),
+        _load: impl FnOnce(&mut T, &mut SnapReader<'_>) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut inner = SnapWriter::new();
+        save(obj, &mut inner);
+        self.bytes(&mut inner.buf)
+    }
+}
+
+/// Bounds-checked little-endian byte-stream decoder: the [`Codec`] that
+/// reads.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -263,9 +447,18 @@ impl<'a> SnapReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Whether every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Decodes `target`'s field list into a copy, and commits the copy
+    /// only once the whole list decoded: a failed restore leaves `target`
+    /// untouched.
+    pub fn restore<T: Clone>(
+        &mut self,
+        target: &mut T,
+        fields: impl FnOnce(&mut T, &mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut copy = target.clone();
+        fields(&mut copy, self)?;
+        *target = copy;
+        Ok(())
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -279,37 +472,29 @@ impl<'a> SnapReader<'a> {
         self.pos += n;
         Ok(slice)
     }
+}
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+impl Codec for SnapReader<'_> {
+    const DECODE: bool = true;
+
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        *v = self.take(1)?[0];
+        Ok(())
     }
 
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        *v = u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"));
+        Ok(())
     }
 
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        *v = u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"));
+        Ok(())
     }
 
-    /// Reads a u64 and checks it fits a `usize` on this platform.
-    pub fn usize(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| corrupt(format!("length {v} exceeds platform usize")))
-    }
-
-    /// Reads a length that must also be plausible given the bytes left —
-    /// guards against huge allocations from corrupt length prefixes.
-    pub fn len_hint(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.usize()?;
-        // Every element of a length-prefixed sequence occupies >= 1 byte.
+    fn len(&mut self, _n: usize) -> Result<usize, SnapshotError> {
+        let mut n = 0;
+        self.usize(&mut n)?;
         if n > self.remaining() {
             return Err(corrupt(format!(
                 "sequence length {n} exceeds {} remaining bytes",
@@ -319,70 +504,25 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
-    /// Reads an `f64` from its raw bit pattern (any bits, including NaN).
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        let n = self.len(0)?;
+        *v = self.take(n)?.to_vec();
+        Ok(())
     }
 
-    /// Reads an `f64` and rejects non-finite values.
-    pub fn f64_finite(&mut self) -> Result<f64, SnapshotError> {
-        let v = self.f64()?;
-        if !v.is_finite() {
-            return Err(corrupt(format!("expected finite float, got {v}")));
-        }
-        Ok(v)
-    }
-
-    /// Reads an `f64` and rejects anything that is not finite and `>= 0`
-    /// (the invariant of simulation times and durations).
-    pub fn f64_time(&mut self) -> Result<f64, SnapshotError> {
-        let v = self.f64()?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(corrupt(format!(
-                "expected non-negative finite time, got {v}"
-            )));
-        }
-        Ok(v)
-    }
-
-    /// Reads a bool, rejecting bytes other than 0 and 1.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(corrupt(format!("invalid bool byte {b:#04x}"))),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len_hint()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid UTF-8 in string"))
-    }
-
-    /// Reads a length-prefixed raw byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.len_hint()?;
-        self.take(n)
-    }
-
-    /// Reads an `Option<u64>` written by [`SnapWriter::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an `Option<f64>` written by [`SnapWriter::opt_f64`].
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.f64()?))
-        } else {
-            Ok(None)
-        }
+    fn nested<T: ?Sized>(
+        &mut self,
+        obj: &mut T,
+        _save: impl FnOnce(&mut T, &mut SnapWriter),
+        load: impl FnOnce(&mut T, &mut SnapReader<'_>) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let n = self.len(0)?;
+        let mut inner = SnapReader::new(self.take(n)?);
+        load(obj, &mut inner)?;
+        let left = inner.remaining();
+        self.check(left == 0, || {
+            format!("nested state has {left} unconsumed bytes")
+        })
     }
 }
 
@@ -511,50 +651,85 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn primitive_round_trip_is_bit_exact() {
-        let mut w = SnapWriter::new();
-        w.u8(0xAB);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX);
-        w.usize(12345);
-        w.f64(-0.0);
-        w.f64(f64::INFINITY);
-        w.f64(1.0 / 3.0);
-        w.bool(true);
-        w.bool(false);
-        w.str("héllo");
-        w.bytes(&[1, 2, 3]);
-        w.opt_u64(Some(7));
-        w.opt_u64(None);
-        w.opt_f64(Some(f64::NEG_INFINITY));
-        let bytes = w.into_bytes();
+    /// A field list over every primitive, for the round-trip tests.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Fields {
+        a: u8,
+        b: u32,
+        c: u64,
+        d: usize,
+        e: [f64; 3],
+        f: (bool, bool),
+        g: Vec<u8>,
+        h: Vec<u8>,
+        i: Option<u64>,
+        j: Option<f64>,
+        k: Vec<u32>,
+        l: VecDeque<u64>,
+        m: HashMap<u64, u32>,
+    }
 
+    impl Fields {
+        fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+            c.u8(&mut self.a)?;
+            c.u32(&mut self.b)?;
+            c.u64(&mut self.c)?;
+            c.usize(&mut self.d)?;
+            self.e.iter_mut().try_for_each(|v| c.f64(v))?;
+            c.bool(&mut self.f.0)?;
+            c.bool(&mut self.f.1)?;
+            c.bytes(&mut self.g)?;
+            c.bytes(&mut self.h)?;
+            c.opt(&mut self.i, |v, c| c.u64(v))?;
+            c.opt(&mut self.j, |v, c| c.f64(v))?;
+            c.seq(&mut self.k, |v, c| c.u32(v))?;
+            c.deque(&mut self.l, |v, c| c.u64(v))?;
+            c.map(&mut self.m, |v, c| c.u32(v))
+        }
+    }
+
+    fn sample() -> Fields {
+        Fields {
+            a: 0xAB,
+            b: 0xDEAD_BEEF,
+            c: u64::MAX,
+            d: 12345,
+            e: [-0.0, f64::INFINITY, 1.0 / 3.0],
+            f: (true, false),
+            g: "héllo".into(),
+            h: vec![1, 2, 3],
+            i: Some(7),
+            j: Some(f64::NEG_INFINITY),
+            k: vec![4, 5],
+            l: VecDeque::from([6, 7, 8]),
+            m: HashMap::from([(9, 1), (3, 2)]),
+        }
+    }
+
+    #[test]
+    fn one_field_list_round_trips_bit_exact() {
+        let mut orig = sample();
+        let mut w = SnapWriter::new();
+        w.encode(|w| orig.snap(w));
+        let bytes = w.into_bytes();
+        let mut back = Fields::default();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 0xAB);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.usize().unwrap(), 12345);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.f64().unwrap(), f64::INFINITY);
-        assert_eq!(r.f64().unwrap(), 1.0 / 3.0);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
-        assert_eq!(r.opt_u64().unwrap(), Some(7));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_f64().unwrap(), Some(f64::NEG_INFINITY));
-        assert!(r.is_exhausted());
+        back.snap(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(back.e[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back, orig);
+        // Maps encode in key order, so equal maps give equal bytes.
+        let mut again = SnapWriter::new();
+        again.encode(|w| back.snap(w));
+        assert_eq!(again.into_bytes(), bytes);
     }
 
     #[test]
     fn reader_rejects_truncation() {
         let mut w = SnapWriter::new();
-        w.u64(42);
+        w.encode(|w| w.u64(&mut 42));
         let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes[..5]);
-        match r.u64() {
+        match SnapReader::new(&bytes[..5]).u64(&mut 0) {
             Err(SnapshotError::Truncated { needed, available }) => {
                 assert_eq!(needed, 8);
                 assert_eq!(available, 5);
@@ -566,38 +741,108 @@ mod tests {
     #[test]
     fn reader_rejects_bogus_lengths() {
         let mut w = SnapWriter::new();
-        w.usize(usize::MAX);
+        w.encode(|w| w.u64(&mut { u64::MAX }));
         let bytes = w.into_bytes();
         assert!(matches!(
-            SnapReader::new(&bytes).len_hint(),
+            SnapReader::new(&bytes).len(0),
             Err(SnapshotError::Corrupt(_))
         ));
+        let mut v: Vec<u8> = Vec::new();
+        assert!(SnapReader::new(&bytes).seq(&mut v, |x, c| c.u8(x)).is_err());
     }
 
     #[test]
-    fn reader_rejects_bad_bool_and_bad_utf8() {
-        let mut r = SnapReader::new(&[7]);
-        assert!(matches!(r.bool(), Err(SnapshotError::Corrupt(_))));
+    fn corrupt_sequence_length_builds_only_what_the_input_holds() {
+        thread_local!(static MADE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
+        /// An element that counts how many of it were made.
+        struct Counted(u64);
+        impl Default for Counted {
+            fn default() -> Self {
+                MADE.with(|m| m.set(m.get() + 1));
+                Counted(0)
+            }
+        }
+        // The prefix claims one element per byte left, which `len` allows,
+        // but the 80 bytes hold ten 8-byte elements.
+        let mut bytes = 80u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 80]);
+        let mut v = Vec::new();
+        let got = SnapReader::new(&bytes).seq(&mut v, |x: &mut Counted, c| c.u64(&mut x.0));
+        assert!(
+            matches!(got, Err(SnapshotError::Truncated { .. })),
+            "{got:?}"
+        );
+        assert_eq!(
+            MADE.with(|m| m.get()),
+            11,
+            "ten read, the eleventh found missing"
+        );
+    }
 
-        let mut w = SnapWriter::new();
-        w.usize(2);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&[0xFF, 0xFE]);
+    #[test]
+    fn reader_rejects_bad_bool_and_unknown_tags() {
         assert!(matches!(
-            SnapReader::new(&bytes).str(),
+            SnapReader::new(&[7]).bool(&mut false),
             Err(SnapshotError::Corrupt(_))
         ));
+        let tagged = SnapReader::new(&[2]).variant(&mut false, &[false, true], "flag");
+        assert!(matches!(tagged, Err(SnapshotError::Corrupt(m)) if m.contains("flag tag 2")));
     }
 
     #[test]
-    fn f64_validators_reject_invalid_values() {
+    fn checks_and_validators_fail_only_when_decoding() {
         let mut w = SnapWriter::new();
-        w.f64(f64::NAN);
-        w.f64(-1.5);
+        w.encode(|w| {
+            w.check(false, || unreachable!())?;
+            w.finite(&mut f64::from_bits(f64::NAN.to_bits()))?;
+            w.nonneg(&mut -1.5)?;
+            w.len_eq(3, "things")?;
+            w.bytes(&mut vec![0; 3])
+        });
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert!(matches!(r.f64_finite(), Err(SnapshotError::Corrupt(_))));
-        assert!(matches!(r.f64_time(), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(r.finite(&mut 0.0), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(r.nonneg(&mut 0.0), Err(SnapshotError::Corrupt(_))));
+        assert!(
+            matches!(r.len_eq(2, "things"), Err(SnapshotError::Corrupt(m)) if m.contains("3 things"))
+        );
+        let mut dup = Vec::new();
+        for kv in [1u64, 10, 1, 11] {
+            dup.extend_from_slice(&kv.to_le_bytes());
+        }
+        let mut with_len = 2u64.to_le_bytes().to_vec();
+        with_len.extend_from_slice(&dup);
+        let mut m: HashMap<u64, u64> = HashMap::new();
+        assert!(SnapReader::new(&with_len)
+            .map(&mut m, |v, c| c.u64(v))
+            .is_err());
+    }
+
+    #[test]
+    fn nested_blobs_are_length_prefixed_and_fully_consumed() {
+        let mut inner = sample();
+        let mut w = SnapWriter::new();
+        w.encode(|w| {
+            w.nested(&mut inner, |f, w| w.encode(|w| f.snap(w)), |f, r| f.snap(r))?;
+            w.u8(&mut 9)
+        });
+        let bytes = w.into_bytes();
+        let mut back = Fields::default();
+        let mut r = SnapReader::new(&bytes);
+        r.nested(&mut back, |_, _| {}, |f, r| f.snap(r)).unwrap();
+        assert_eq!(back, inner);
+        // A loader that stops short is rejected, not silently accepted.
+        let mut r = SnapReader::new(&bytes);
+        assert!(r.nested(&mut (), |_, _| {}, |_, r| r.u8(&mut 0)).is_err());
+    }
+
+    #[test]
+    fn failed_restore_leaves_target_untouched() {
+        let mut target = sample();
+        let bytes = [1u8, 2, 3];
+        let err = SnapReader::new(&bytes).restore(&mut target, |f, r| f.snap(r));
+        assert!(err.is_err());
+        assert_eq!(target, sample());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod generator;
 pub mod priority;
 pub mod profile;
@@ -25,6 +26,7 @@ pub mod submit;
 pub mod task;
 pub mod trace;
 
+pub use codec::SimCodec;
 pub use generator::{Workload, WorkloadSpec};
 pub use priority::{Priority, PriorityMix};
 pub use profile::WorkloadProfile;

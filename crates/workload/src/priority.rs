@@ -12,6 +12,7 @@
 //! the matching `add_t` slack band.
 
 use serde::{Deserialize, Serialize};
+use snapshot::{Codec, SnapshotError};
 use std::fmt;
 
 /// Slack fraction below which a task is high priority (`add_t <= 0.2`).
@@ -22,9 +23,12 @@ pub const LOW_SLACK_MIN: f64 = 0.8;
 pub const SLACK_MAX: f64 = 1.5;
 
 /// Task urgency class, derived from deadline slack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum Priority {
     /// Deadline ≥ 80 % later than the reference execution time.
+    #[default]
     Low,
     /// Between the high and low bands.
     Medium,
@@ -75,6 +79,11 @@ impl Priority {
             Priority::Medium => 1,
             Priority::High => 2,
         }
+    }
+
+    /// Snapshot field list: the dense index as one byte.
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.variant(self, &Priority::ALL, "priority")
     }
 }
 

@@ -1,16 +1,22 @@
 //! The task type — `T_i = {s_i, d_i}` of Eq. (1).
 
+use crate::codec::SimCodec;
 use crate::priority::Priority;
 use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
+use snapshot::{Codec, SnapshotError};
 use std::fmt;
 
 /// Unique task identifier, dense from 0 within one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct TaskId(pub u64);
 
 /// Identifier of the resource site a task arrives at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -30,7 +36,7 @@ impl fmt::Display for SiteId {
 /// `ACT` (the expected execution time used to set deadlines and priorities)
 /// is always relative to the *reference speed* — the slowest processor of
 /// the platform — per §III.A of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Task {
     /// Unique id.
     pub id: TaskId,
@@ -85,43 +91,28 @@ impl Task {
         self.size_mi / window
     }
 
-    /// Serializes the task into a checkpoint byte stream (shared by the
-    /// engine checkpointer and every scheduler's pending-pool state).
-    pub fn snap_write(&self, w: &mut snapshot::SnapWriter) {
-        w.u64(self.id.0);
-        w.f64(self.size_mi);
-        w.f64(self.arrival.as_f64());
-        w.f64(self.deadline.as_f64());
-        w.u8(self.priority.index() as u8);
-        w.u32(self.site.0);
+    /// Whether `self` is `original`, possibly with its priority escalated
+    /// (a task re-dispatched after a failure can be raised to `High`).
+    pub fn is_copy_of(&self, original: &Task) -> bool {
+        Task {
+            priority: self.priority,
+            ..*original
+        } == *self
     }
 
-    /// Reads back a task written by [`Task::snap_write`]. Site-index range
-    /// checks are the caller's job (the platform shape is not known here).
-    ///
-    /// # Errors
-    /// Returns a typed error on truncated bytes, non-finite or negative
-    /// sizes/times, or an unknown priority tag; never panics.
-    pub fn snap_read(r: &mut snapshot::SnapReader<'_>) -> Result<Task, snapshot::SnapshotError> {
-        let id = TaskId(r.u64()?);
-        let size_mi = r.f64_time()?;
-        let arrival = SimTime::new(r.f64_time()?);
-        let deadline = SimTime::new(r.f64_time()?);
-        let priority = match r.u8()? {
-            0 => Priority::Low,
-            1 => Priority::Medium,
-            2 => Priority::High,
-            t => return Err(snapshot::corrupt(format!("unknown priority tag {t}"))),
-        };
-        let site = SiteId(r.u32()?);
-        Ok(Task {
-            id,
-            size_mi,
-            arrival,
-            deadline,
-            priority,
-            site,
-        })
+    /// The task's snapshot field list, shared by checkpoints and traces.
+    /// Site range checks are the caller's (they need the platform).
+    pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        c.u64(&mut self.id.0)?;
+        c.nonneg(&mut self.size_mi)?;
+        c.time(&mut self.arrival)?;
+        c.time(&mut self.deadline)?;
+        let id = self.id;
+        c.check(self.deadline >= self.arrival, || {
+            format!("task {id} is due before it arrives")
+        })?;
+        self.priority.snap(c)?;
+        c.u32(&mut self.site.0)
     }
 }
 

@@ -5,15 +5,13 @@
 //! the same task stream. The format is a fixed little-endian record layout
 //! with a magic header and version byte; round-trips are lossless.
 
-use crate::priority::Priority;
-use crate::task::{SiteId, Task, TaskId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use simcore::time::SimTime;
+use crate::task::Task;
+use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::io;
 use std::path::Path;
 
 /// Magic bytes identifying a workload trace.
-const MAGIC: &[u8; 4] = b"ARLW";
+const MAGIC: [u8; 4] = *b"ARLW";
 /// Current format version.
 const VERSION: u8 = 1;
 /// Bytes per task record: id(8) size(8) arrival(8) deadline(8) prio(1) site(4).
@@ -28,10 +26,9 @@ pub enum TraceError {
     BadVersion(u8),
     /// Buffer ended mid-record or the declared count does not fit.
     Truncated,
-    /// A priority byte was out of range.
-    BadPriority(u8),
-    /// A floating-point field was non-finite or otherwise invalid.
-    BadField(&'static str),
+    /// A task record is invalid: a non-finite, negative or zero size, a
+    /// bad time, or an unknown priority byte.
+    BadRecord(String),
 }
 
 impl std::fmt::Display for TraceError {
@@ -40,29 +37,25 @@ impl std::fmt::Display for TraceError {
             TraceError::BadMagic => write!(f, "not a workload trace (bad magic)"),
             TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceError::Truncated => write!(f, "trace is truncated"),
-            TraceError::BadPriority(b) => write!(f, "invalid priority byte {b}"),
-            TraceError::BadField(name) => write!(f, "invalid field: {name}"),
+            TraceError::BadRecord(why) => write!(f, "invalid task record: {why}"),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
 
-/// Serializes tasks into a self-describing byte buffer.
-pub fn write_trace(tasks: &[Task]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + 1 + 8 + tasks.len() * RECORD_LEN);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(tasks.len() as u64);
-    for t in tasks {
-        buf.put_u64_le(t.id.0);
-        buf.put_f64_le(t.size_mi);
-        buf.put_f64_le(t.arrival.as_f64());
-        buf.put_f64_le(t.deadline.as_f64());
-        buf.put_u8(t.priority.index() as u8);
-        buf.put_u32_le(t.site.0);
-    }
-    buf.freeze()
+/// Serializes tasks into a self-describing byte buffer: magic, version
+/// byte, then the tasks as a counted sequence of [`Task::snap`] records.
+pub fn write_trace(tasks: &[Task]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.encode(|w| {
+        for mut b in MAGIC {
+            w.u8(&mut b)?;
+        }
+        w.u8(&mut { VERSION })?;
+        w.seq(&mut tasks.to_vec(), Task::snap)
+    });
+    w.into_bytes()
 }
 
 /// Writes a trace to a file (see [`write_trace`] for the format).
@@ -77,61 +70,38 @@ pub fn load_trace(path: impl AsRef<Path>) -> io::Result<Vec<Task>> {
 }
 
 /// Decodes a trace produced by [`write_trace`].
-pub fn read_trace(mut buf: &[u8]) -> Result<Vec<Task>, TraceError> {
-    if buf.remaining() < 4 + 1 + 8 {
-        return Err(TraceError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn read_trace(buf: &[u8]) -> Result<Vec<Task>, TraceError> {
+    let (magic, version) = match buf {
+        [m0, m1, m2, m3, v, ..] if buf.len() >= 4 + 1 + 8 => ([*m0, *m1, *m2, *m3], *v),
+        _ => return Err(TraceError::Truncated),
+    };
+    if magic != MAGIC {
         return Err(TraceError::BadMagic);
     }
-    let version = buf.get_u8();
     if version != VERSION {
         return Err(TraceError::BadVersion(version));
     }
-    // The declared count is untrusted: size it checked, so a header that
-    // claims more records than the buffer holds is refused before any
-    // allocation.
-    let count = usize::try_from(buf.get_u64_le()).map_err(|_| TraceError::Truncated)?;
-    if count
-        .checked_mul(RECORD_LEN)
-        .is_none_or(|len| len > buf.remaining())
+    // The declared count is untrusted: a header that claims more records
+    // than the buffer holds is refused before any allocation.
+    let count = u64::from_le_bytes(buf[5..13].try_into().expect("8 bytes"));
+    let body = buf.len() - 13;
+    if usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(RECORD_LEN))
+        .is_none_or(|len| len > body)
     {
         return Err(TraceError::Truncated);
     }
-    let mut tasks = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = TaskId(buf.get_u64_le());
-        let size_mi = buf.get_f64_le();
-        let arrival = buf.get_f64_le();
-        let deadline = buf.get_f64_le();
-        let prio_byte = buf.get_u8();
-        let site = SiteId(buf.get_u32_le());
-        if !(size_mi.is_finite() && size_mi > 0.0) {
-            return Err(TraceError::BadField("size_mi"));
-        }
-        if !(arrival.is_finite() && arrival >= 0.0) {
-            return Err(TraceError::BadField("arrival"));
-        }
-        if !(deadline.is_finite() && deadline >= arrival) {
-            return Err(TraceError::BadField("deadline"));
-        }
-        let priority = match prio_byte {
-            0 => Priority::Low,
-            1 => Priority::Medium,
-            2 => Priority::High,
-            b => return Err(TraceError::BadPriority(b)),
-        };
-        tasks.push(Task {
-            id,
-            size_mi,
-            arrival: SimTime::new(arrival),
-            deadline: SimTime::new(deadline),
-            priority,
-            site,
-        });
-    }
+    let mut tasks = Vec::new();
+    let mut r = SnapReader::new(&buf[5..]);
+    r.seq(&mut tasks, |t: &mut Task, c| {
+        t.snap(c)?;
+        c.check(t.size_mi > 0.0, || format!("task {} has no work", t.id))
+    })
+    .map_err(|e| match e {
+        SnapshotError::Truncated { .. } => TraceError::Truncated,
+        e => TraceError::BadRecord(e.to_string()),
+    })?;
     Ok(tasks)
 }
 
@@ -192,7 +162,9 @@ mod tests {
         // Priority byte of the single record sits 4 bytes from the end.
         let idx = raw.len() - 5;
         raw[idx] = 7;
-        assert_eq!(read_trace(&raw), Err(TraceError::BadPriority(7)));
+        assert!(
+            matches!(read_trace(&raw), Err(TraceError::BadRecord(m)) if m.contains("priority tag 7"))
+        );
     }
 
     #[test]
@@ -202,7 +174,10 @@ mod tests {
         for b in raw.iter_mut().skip(21).take(8) {
             *b = 0xFF; // NaN pattern
         }
-        assert_eq!(read_trace(&raw), Err(TraceError::BadField("size_mi")));
+        assert!(matches!(read_trace(&raw), Err(TraceError::BadRecord(m)) if m.contains("NaN")));
+        // A size of zero is a valid float but no task.
+        raw[21..29].copy_from_slice(&0.0f64.to_le_bytes());
+        assert!(matches!(read_trace(&raw), Err(TraceError::BadRecord(m)) if m.contains("no work")));
     }
 
     #[test]
