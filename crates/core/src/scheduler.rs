@@ -47,6 +47,8 @@ impl Sample {
 /// `action` is `Some` when the agent resolved the choice without the value
 /// net (memory replay / exploration); `None` marks an exploit decision whose
 /// candidates occupy rows `[start, start + len)` of the estimator's batch.
+/// A `saturated` site has no node with a free queue slot: it stages no
+/// rows and places nothing.
 #[derive(Debug, Clone, Copy)]
 struct PendingDecision {
     site: usize,
@@ -55,6 +57,7 @@ struct PendingDecision {
     action: Option<ActionChoice>,
     start: usize,
     len: usize,
+    saturated: bool,
 }
 
 /// One eligible node captured by `select_node`'s streaming pass: address,
@@ -432,10 +435,11 @@ impl Scheduler for AdaptiveRl {
         let mut used = std::mem::take(&mut self.used_scratch);
         let mut node_pool = std::mem::take(&mut self.node_scratch);
         // Phase A: per-site observation and the cheap (non-neural) part of
-        // action selection, staging every exploiting site's candidates into
-        // one scoring batch. Safe to split from dispatch: each agent draws
-        // from its own RNG stream, the memory is read-only here, and each
-        // site's pending pool and observation are independent.
+        // action selection, staging the candidates of every exploiting site
+        // that can still place a group into one scoring batch. Safe to
+        // split from dispatch: each agent draws from its own RNG stream,
+        // the memory is read-only here, and each site's pending pool and
+        // observation are independent.
         let mut decisions = std::mem::take(&mut self.pending_scratch);
         decisions.clear();
         let mut batch_cands = std::mem::take(&mut self.batch_cands);
@@ -471,7 +475,12 @@ impl Scheduler for AdaptiveRl {
                 self.cfg.use_shared_memory,
                 obs.max_procs,
             );
-            let (start, len) = if action.is_none() {
+            // A site where no node has a free queue slot places nothing,
+            // whatever the action: `select_node`'s `eligible` test fails for
+            // every node. The decision above still ran, so the agent's RNG
+            // draws and memory-replay flag are used up exactly as before.
+            let saturated = !view.site_has_open_queue(site);
+            let (start, len) = if action.is_none() && !saturated {
                 let start = self.value.push_candidates(&obs, &self.cand_scratch);
                 batch_cands.extend_from_slice(&self.cand_scratch);
                 (start, self.cand_scratch.len())
@@ -485,6 +494,7 @@ impl Scheduler for AdaptiveRl {
                 action,
                 start,
                 len,
+                saturated,
             });
         }
         // One batched kernel pass scores every staged candidate row.
@@ -504,10 +514,6 @@ impl Scheduler for AdaptiveRl {
             let site = SiteId(idx as u32);
             let obs = d.obs;
             let src = d.src;
-            let action = match d.action {
-                Some(a) => a,
-                None => batch_cands[d.start + self.value.argmax_in(d.start, d.len)],
-            };
             if self.t_cyc && self.cfg.use_shared_memory {
                 if src == crate::agent::ChoiceSource::MemoryReplay {
                     self.mem_hits += 1;
@@ -517,6 +523,15 @@ impl Scheduler for AdaptiveRl {
                     self.rec.counter_add("memory.misses", 1);
                 }
             }
+            // Every group would come back unplaced: leave the pool as it
+            // is (same tasks; only merge would have reordered them).
+            if d.saturated {
+                continue;
+            }
+            let action = match d.action {
+                Some(a) => a,
+                None => batch_cands[d.start + self.value.argmax_in(d.start, d.len)],
+            };
             // Hold partial chunks only while the site has no idle
             // processor — grouping must never delay tasks that could start
             // right away. Answered from the cached site aggregates (same
@@ -934,5 +949,69 @@ mod tests {
             .filter(|x| x.outcome == TaskOutcome::Failed)
             .count();
         assert_eq!(failed, r.tasks_failed);
+    }
+
+    #[test]
+    fn a_site_with_no_free_queue_slot_skips_scoring_and_keeps_its_pool() {
+        use platform::queue::QueuedGroup;
+        use platform::{GroupId, GroupPolicy, TaskGroup};
+        use workload::{Priority, TaskId};
+        let task = |id: u64, deadline: f64, priority: Priority| Task {
+            id: TaskId(id),
+            size_mi: 800.0,
+            arrival: SimTime::ZERO,
+            deadline: SimTime::new(deadline),
+            priority,
+            site: SiteId(0),
+        };
+        let mut pspec = PlatformSpec::small(1, 2, 4);
+        pspec.queue_capacity = 1;
+        let mut platform = Platform::generate(pspec, &RngStream::root(5).derive("p"));
+        let addrs: Vec<NodeAddr> = platform.node_addrs().collect();
+        for (i, &addr) in addrs.iter().enumerate() {
+            let id = 100 + i as u64;
+            let group = TaskGroup::new(
+                GroupId(id),
+                vec![task(id, 50.0, Priority::Low)],
+                GroupPolicy::Mixed,
+            );
+            platform
+                .enqueue_group(addr, QueuedGroup::new(group, SimTime::ZERO))
+                .expect("an empty queue has a slot");
+        }
+        // ε = 0: every decision exploits, so a scored decision shows up as
+        // forward passes of the value net.
+        let cfg = AdaptiveRlConfig {
+            epsilon0: 0.0,
+            epsilon_floor: 0.0,
+            ..AdaptiveRlConfig::default()
+        };
+        let mut sched = AdaptiveRl::new(1, cfg);
+        let prios = [Priority::High, Priority::Low, Priority::Medium];
+        let tasks: Vec<Task> = (0..6)
+            .map(|i| task(i, 40.0 - i as f64, prios[i as usize % 3]))
+            .collect();
+        sched.on_arrivals(SimTime::ZERO, SiteId(0), tasks.clone());
+        let ids = |pool: &[Task]| {
+            let mut v: Vec<u64> = pool.iter().map(|t| t.id.0).collect();
+            v.sort_unstable();
+            v
+        };
+
+        let now = SimTime::new(1.0);
+        let passes = sched.value.forward_passes();
+        let cmds = sched.dispatch(now, &PlatformView::new(&platform, now));
+        assert!(cmds.is_empty(), "a full site places nothing");
+        assert_eq!(sched.value.forward_passes(), passes, "no row was scored");
+        assert_eq!(ids(&sched.agents[0].pending), ids(&tasks));
+        assert!(sched.issued.is_empty());
+
+        platform.remove_group(addrs[0], GroupId(100));
+        let cmds = sched.dispatch(now, &PlatformView::new(&platform, now));
+        assert!(sched.value.forward_passes() > passes, "an open site scores");
+        assert!(
+            matches!(cmds.as_slice(), [Command::Dispatch { node, .. }] if *node == addrs[0]),
+            "the freed slot takes one group: {cmds:?}"
+        );
     }
 }

@@ -235,7 +235,7 @@ fn shard_site_seed(seed: u64, g: usize) -> u64 {
 }
 
 /// Runs `reps` replications (seeds `base_seed + i`), in parallel across
-/// available cores via crossbeam scoped threads. The fan-out is capped at
+/// available cores via scoped threads. The fan-out is capped at
 /// the machine's available parallelism — replication indices round-robin
 /// across worker threads (worker `c` runs `c, c + workers, …`) so
 /// heterogeneous-cost replications balance instead of one worker
@@ -257,10 +257,10 @@ pub fn run_replicated(scenario: &Scenario, kind: &SchedulerKind, reps: u32) -> V
     for (i, slot) in slots.iter_mut().enumerate() {
         buckets[i % workers].push((i, slot));
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for bucket in buckets {
             let kind = kind.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, slot) in bucket {
                     let mut sc = scenario.clone();
                     sc.seed = scenario.seed.wrapping_add(i as u64);
@@ -268,8 +268,7 @@ pub fn run_replicated(scenario: &Scenario, kind: &SchedulerKind, reps: u32) -> V
                 }
             });
         }
-    })
-    .expect("replication threads must not panic");
+    });
     slots.into_iter().map(|s| s.expect("filled")).collect()
 }
 

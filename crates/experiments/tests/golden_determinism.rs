@@ -13,7 +13,7 @@
 //!     -- --ignored --nocapture regenerate
 //! ```
 //!
-//! and paste the printed table over `GOLDENS`.
+//! and paste the printed tables over `GOLDENS` and `SATURATING`.
 
 use adaptive_rl::AdaptiveRlConfig;
 use baselines::{OnlineRlConfig, PredictionConfig, QPlusConfig};
@@ -24,7 +24,19 @@ use platform::{FaultSpec, RunResult, TaskOutcome};
 /// 70 % offered load. Big enough to exercise grouping, splits, sleep/wake
 /// and queue pressure; small enough for debug-mode CI.
 fn scenario(faults: bool) -> Scenario {
-    let mut sc = Scenario::new(0xD5, 250, 0.7);
+    scenario_at(250, 0.7, faults)
+}
+
+/// The saturating scenario: the same platform under 400 tasks at 130 %
+/// offered load. Adaptive RL often decides at a site where no node has a
+/// free queue slot (305 of 923 site decisions without faults, 329 of 844
+/// with), a case the mid-size scenario never reaches.
+fn saturating(faults: bool) -> Scenario {
+    scenario_at(400, 1.3, faults)
+}
+
+fn scenario_at(tasks: usize, offered: f64, faults: bool) -> Scenario {
+    let mut sc = Scenario::new(0xD5, tasks, offered);
     sc.platform = platform::PlatformSpec {
         num_sites: 3,
         nodes_per_site: (4, 6),
@@ -89,13 +101,24 @@ fn observed(r: &RunResult) -> (usize, usize) {
 }
 
 fn check(kind: &SchedulerKind, faults: bool) {
-    let golden = GOLDENS
+    check_in(GOLDENS, &scenario(faults), kind, faults);
+}
+
+/// Runs `sc` under `kind` and compares it with the row of `table` for
+/// `(kind, faults)`.
+fn check_in(table: &[Golden], sc: &Scenario, kind: &SchedulerKind, faults: bool) {
+    let golden = table
         .iter()
         .find(|g| g.label == kind.label() && g.faults == faults)
         .unwrap_or_else(|| panic!("no golden for {} faults={}", kind.label(), faults));
-    let r = runner::run_scenario(&scenario(faults), kind);
+    let r = runner::run_scenario(sc, kind);
     let (met, missed) = observed(&r);
-    let ctx = format!("{} (faults={})", kind.label(), faults);
+    let ctx = format!(
+        "{} (faults={}, {} tasks)",
+        kind.label(),
+        faults,
+        sc.num_tasks
+    );
     assert_eq!(r.makespan, golden.makespan, "{ctx}: makespan drifted");
     assert_eq!(r.total_energy, golden.total_energy, "{ctx}: energy drifted");
     assert_eq!(met, golden.met, "{ctx}: met count drifted");
@@ -114,6 +137,13 @@ fn golden_adaptive() {
     let k = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
     check(&k, false);
     check(&k, true);
+}
+
+#[test]
+fn golden_adaptive_saturating() {
+    let k = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
+    check_in(SATURATING, &saturating(false), &k, false);
+    check_in(SATURATING, &saturating(true), &k, true);
 }
 
 #[test]
@@ -158,26 +188,43 @@ fn regenerate() {
     println!("const GOLDENS: &[Golden] = &[");
     for faults in [false, true] {
         for kind in kinds() {
-            let r = runner::run_scenario(&scenario(faults), &kind);
-            let (met, missed) = observed(&r);
-            println!(
-                "    Golden {{ label: {:?}, faults: {}, makespan: {:?}, \
-                 total_energy: {:?}, met: {}, missed: {}, failed: {}, \
-                 incomplete: {}, groups_dispatched: {}, retries: {} }},",
-                kind.label(),
+            print_row(
+                &kind,
                 faults,
-                r.makespan,
-                r.total_energy,
-                met,
-                missed,
-                r.tasks_failed,
-                r.incomplete,
-                r.groups_dispatched,
-                r.retries
+                &runner::run_scenario(&scenario(faults), &kind),
             );
         }
     }
     println!("];");
+    println!("const SATURATING: &[Golden] = &[");
+    let kind = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
+    for faults in [false, true] {
+        print_row(
+            &kind,
+            faults,
+            &runner::run_scenario(&saturating(faults), &kind),
+        );
+    }
+    println!("];");
+}
+
+fn print_row(kind: &SchedulerKind, faults: bool, r: &RunResult) {
+    let (met, missed) = observed(r);
+    println!(
+        "    Golden {{ label: {:?}, faults: {}, makespan: {:?}, \
+         total_energy: {:?}, met: {}, missed: {}, failed: {}, \
+         incomplete: {}, groups_dispatched: {}, retries: {} }},",
+        kind.label(),
+        faults,
+        r.makespan,
+        r.total_energy,
+        met,
+        missed,
+        r.tasks_failed,
+        r.incomplete,
+        r.groups_dispatched,
+        r.retries
+    );
 }
 
 const GOLDENS: &[Golden] = &[
@@ -327,5 +374,34 @@ const GOLDENS: &[Golden] = &[
         incomplete: 0,
         groups_dispatched: 93,
         retries: 6,
+    },
+];
+
+/// Adaptive RL on [`saturating`], pinned before the scheduler learned to
+/// skip the decision work of a site with no free queue slot.
+const SATURATING: &[Golden] = &[
+    Golden {
+        label: "Adaptive RL",
+        faults: false,
+        makespan: 41.635360674681834,
+        total_energy: 46754.5396290794,
+        met: 303,
+        missed: 97,
+        failed: 0,
+        incomplete: 0,
+        groups_dispatched: 337,
+        retries: 0,
+    },
+    Golden {
+        label: "Adaptive RL",
+        faults: true,
+        makespan: 52.9216821002225,
+        total_energy: 52559.11691474503,
+        met: 276,
+        missed: 124,
+        failed: 0,
+        incomplete: 0,
+        groups_dispatched: 343,
+        retries: 4,
     },
 ];

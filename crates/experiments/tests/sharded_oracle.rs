@@ -102,7 +102,19 @@ proptest! {
 /// procs, 250 tasks at 70 % offered load), reused verbatim so the two
 /// golden tables are side-by-side comparable.
 fn scenario(faults: bool) -> Scenario {
-    let mut sc = Scenario::new(0xD5, 250, 0.7);
+    scenario_at(250, 0.7, faults)
+}
+
+/// The sequential goldens' saturating scenario (400 tasks at 130 %
+/// offered load on the same platform). At 2 shards Adaptive RL decides
+/// at a site with no free queue slot 81 of 522 times without faults and
+/// 87 of 528 with.
+fn saturating(faults: bool) -> Scenario {
+    scenario_at(400, 1.3, faults)
+}
+
+fn scenario_at(tasks: usize, offered: f64, faults: bool) -> Scenario {
+    let mut sc = Scenario::new(0xD5, tasks, offered);
     sc.platform = platform::PlatformSpec {
         num_sites: 3,
         nodes_per_site: (4, 6),
@@ -167,13 +179,24 @@ fn observed(r: &RunResult) -> (usize, usize) {
 }
 
 fn check(kind: &SchedulerKind, faults: bool) {
-    let golden = GOLDENS
+    check_in(GOLDENS, &scenario(faults), kind, faults);
+}
+
+/// Runs `sc` under `kind` on 2 shards and compares it with the row of
+/// `table` for `(kind, faults)`.
+fn check_in(table: &[Golden], sc: &Scenario, kind: &SchedulerKind, faults: bool) {
+    let golden = table
         .iter()
         .find(|g| g.label == kind.label() && g.faults == faults)
         .unwrap_or_else(|| panic!("no golden for {} faults={}", kind.label(), faults));
-    let r = runner::run_sharded(&scenario(faults), kind, 2);
+    let r = runner::run_sharded(sc, kind, 2);
     let (met, missed) = observed(&r);
-    let ctx = format!("sharded {} (faults={})", kind.label(), faults);
+    let ctx = format!(
+        "sharded {} (faults={}, {} tasks)",
+        kind.label(),
+        faults,
+        sc.num_tasks
+    );
     assert_eq!(r.makespan, golden.makespan, "{ctx}: makespan drifted");
     assert_eq!(r.total_energy, golden.total_energy, "{ctx}: energy drifted");
     assert_eq!(met, golden.met, "{ctx}: met count drifted");
@@ -192,6 +215,13 @@ fn sharded_golden_adaptive() {
     let k = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
     check(&k, false);
     check(&k, true);
+}
+
+#[test]
+fn sharded_golden_adaptive_saturating() {
+    let k = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
+    check_in(SATURATING, &saturating(false), &k, false);
+    check_in(SATURATING, &saturating(true), &k, true);
 }
 
 #[test]
@@ -236,26 +266,43 @@ fn regenerate() {
     println!("const GOLDENS: &[Golden] = &[");
     for faults in [false, true] {
         for kind in kinds() {
-            let r = runner::run_sharded(&scenario(faults), &kind, 2);
-            let (met, missed) = observed(&r);
-            println!(
-                "    Golden {{ label: {:?}, faults: {}, makespan: {:?}, \
-                 total_energy: {:?}, met: {}, missed: {}, failed: {}, \
-                 incomplete: {}, groups_dispatched: {}, retries: {} }},",
-                kind.label(),
+            print_row(
+                &kind,
                 faults,
-                r.makespan,
-                r.total_energy,
-                met,
-                missed,
-                r.tasks_failed,
-                r.incomplete,
-                r.groups_dispatched,
-                r.retries
+                &runner::run_sharded(&scenario(faults), &kind, 2),
             );
         }
     }
     println!("];");
+    println!("const SATURATING: &[Golden] = &[");
+    let kind = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
+    for faults in [false, true] {
+        print_row(
+            &kind,
+            faults,
+            &runner::run_sharded(&saturating(faults), &kind, 2),
+        );
+    }
+    println!("];");
+}
+
+fn print_row(kind: &SchedulerKind, faults: bool, r: &RunResult) {
+    let (met, missed) = observed(r);
+    println!(
+        "    Golden {{ label: {:?}, faults: {}, makespan: {:?}, \
+         total_energy: {:?}, met: {}, missed: {}, failed: {}, \
+         incomplete: {}, groups_dispatched: {}, retries: {} }},",
+        kind.label(),
+        faults,
+        r.makespan,
+        r.total_energy,
+        met,
+        missed,
+        r.tasks_failed,
+        r.incomplete,
+        r.groups_dispatched,
+        r.retries
+    );
 }
 
 const GOLDENS: &[Golden] = &[
@@ -402,5 +449,34 @@ const GOLDENS: &[Golden] = &[
         incomplete: 0,
         groups_dispatched: 93,
         retries: 6,
+    },
+];
+
+/// Adaptive RL on [`saturating`], pinned before the scheduler learned to
+/// skip the decision work of a site with no free queue slot.
+const SATURATING: &[Golden] = &[
+    Golden {
+        label: "Adaptive RL",
+        faults: false,
+        makespan: 44.63230300218555,
+        total_energy: 48876.70470242636,
+        met: 305,
+        missed: 95,
+        failed: 0,
+        incomplete: 0,
+        groups_dispatched: 331,
+        retries: 0,
+    },
+    Golden {
+        label: "Adaptive RL",
+        faults: true,
+        makespan: 49.48576960422342,
+        total_energy: 50468.2523717694,
+        met: 281,
+        missed: 119,
+        failed: 0,
+        incomplete: 0,
+        groups_dispatched: 339,
+        retries: 7,
     },
 ];

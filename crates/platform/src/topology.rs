@@ -135,6 +135,9 @@ pub struct Site {
 pub struct SiteStats {
     /// Processor population of the site (static).
     pub procs: usize,
+    /// Queue slots across the site's nodes (static). While
+    /// `queued_groups` equals it, every node's queue is full.
+    pub queue_slots: usize,
     /// Idle processors across the site.
     pub idle: usize,
     /// Sleeping processors across the site.
@@ -289,6 +292,7 @@ impl Platform {
         let mut st = SiteStats::default();
         for n in &site.nodes {
             st.procs += n.num_processors();
+            st.queue_slots += n.queue.capacity();
             st.idle += n.idle_count();
             st.asleep += n.asleep_count();
             st.failed += n.failed_count();

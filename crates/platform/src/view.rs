@@ -76,6 +76,15 @@ impl<'a> PlatformView<'a> {
         self.platform.site_stats(site).free_nodes > 0
     }
 
+    /// Whether some node of the site has a free queue slot — false means
+    /// no group can be placed there now. No queue holds more than its
+    /// capacity, so the site's queued groups reach its total slot count
+    /// exactly when every queue is full.
+    pub fn site_has_open_queue(&self, site: SiteId) -> bool {
+        let st = self.platform.site_stats(site);
+        st.queued_groups < st.queue_slots
+    }
+
     /// The reference (slowest) speed used for `ACT`.
     pub fn reference_speed(&self) -> f64 {
         self.platform.reference_speed()

@@ -7,7 +7,8 @@
 //! sleep, wake, fault, recovery, throttle — through the `Platform`
 //! wrappers and asserts after every single step that the cached values
 //! equal a full naive recomputation (bit-identical for the float
-//! aggregates).
+//! aggregates). Queues hold 1–3 groups, so enqueues regularly meet a full
+//! queue and the open-node count moves both ways.
 
 use platform::queue::QueuedGroup;
 use platform::{GroupId, GroupPolicy, NodeAddr, Platform, PlatformSpec, ProcState, TaskGroup};
@@ -64,12 +65,11 @@ proptest! {
 
     fn cached_aggregates_match_naive_recomputation(
         seed in 0u64..1_000,
+        queue_capacity in 1usize..=3,
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        let mut platform = Platform::generate(
-            PlatformSpec::small(2, 3, 4),
-            &RngStream::root(seed),
-        );
+        let spec = PlatformSpec { queue_capacity, ..PlatformSpec::small(2, 3, 4) };
+        let mut platform = Platform::generate(spec, &RngStream::root(seed));
         let num_sites = platform.num_sites();
         let mut now = SimTime::new(1.0);
         let mut next_id: u64 = 1;
