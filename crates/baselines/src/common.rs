@@ -40,11 +40,6 @@ impl SitePools {
         &mut self.pools[site]
     }
 
-    /// Total pending tasks across sites.
-    pub fn total_pending(&self) -> usize {
-        self.pools.iter().map(|p| p.len()).sum()
-    }
-
     /// Snapshot field list: one pool per site (the site count is fixed at
     /// construction).
     pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
@@ -242,7 +237,6 @@ mod tests {
         let mut pools = SitePools::new(3);
         pools.buffer(SiteId(1), vec![task(1, 5.0)]);
         pools.buffer(SiteId(2), vec![task(2, 5.0), task(3, 5.0)]);
-        assert_eq!(pools.total_pending(), 3);
         assert_eq!(pools.pool_mut(0).len(), 0);
         assert_eq!(pools.pool_mut(1).len(), 1);
         assert_eq!(pools.pool_mut(2).len(), 2);

@@ -16,7 +16,6 @@
 use crate::common::{self, SitePools};
 use crate::tabular::{bucketize, QTable};
 use platform::{Command, GroupFeedback, NodeAddr, PlatformView, Scheduler};
-use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
@@ -29,7 +28,7 @@ const LOAD_BUCKETS: usize = 5;
 const GAP_BUCKETS: usize = 3;
 
 /// Online-RL hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineRlConfig {
     /// Q-learning rate.
     pub alpha: f64,

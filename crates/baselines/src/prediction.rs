@@ -20,14 +20,13 @@
 
 use crate::common::{self, SitePools, SlotLedger};
 use platform::{AssignmentFeedback, Command, GroupFeedback, GroupPolicy, PlatformView, Scheduler};
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::collections::{HashMap, VecDeque};
 use workload::{SiteId, Task};
 
 /// Prediction-based hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionConfig {
     /// SGD learning rate of the completion-time regressor.
     pub lr: f64,
@@ -168,11 +167,6 @@ impl PredictionBased {
             ledger: SlotLedger::new(),
             cfg,
         }
-    }
-
-    /// Training samples the completion model has seen.
-    pub fn model_samples(&self) -> u64 {
-        self.model.samples()
     }
 
     /// Snapshot field list.
@@ -333,7 +327,7 @@ mod tests {
         assert_eq!(r.incomplete, 0, "outcome {}", r.outcome);
         assert_eq!(r.scheduler, "Prediction-based learning");
         assert!(
-            sched.model_samples() > 0,
+            sched.model.samples() > 0,
             "the model must be trained online"
         );
     }

@@ -18,7 +18,6 @@
 use crate::common::{self, SitePools};
 use crate::tabular::{bucketize, QTable};
 use platform::{Command, PlatformView, ProcAddr, Scheduler};
-use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapReader, SnapWriter, SnapshotError};
@@ -29,7 +28,7 @@ const BACKLOG_BUCKETS: usize = 3;
 const ACTIONS: usize = 2; // 0 = stay active, 1 = go to sleep
 
 /// Q+ hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QPlusConfig {
     /// Base learning rate.
     pub alpha: f64,

@@ -5,11 +5,10 @@
 //! Q+). Supports the Q+ paper's multiple-update trick: one observation can
 //! refresh several entries at different learning rates.
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 
 /// Dense `states × actions` Q-table of expected costs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QTable {
     states: usize,
     actions: usize,

@@ -1,11 +1,11 @@
 //! Microbenchmarks of the hot substrate paths: the event queue (calendar
 //! wheel vs the binary heap it replaced), the RNG streams, and the
 //! flat-buffer MLP kernels (`predict` / `train_step` / `score_into`, f64
-//! and, with `--features f32-kernels`, f32). Whole runs are timed by the
-//! repository benchmark (`perfbench/`), not here.
+//! and f32). Whole runs are timed by the repository benchmark
+//! (`perfbench/`), not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use neural::{Activation, Mlp, Sgd, Workspace};
+use neural::{Activation, Mlp, MlpF32, Sgd, Workspace, WorkspaceF32};
 use simcore::rng::RngStream;
 use simcore::{EventQueue, SimTime};
 use std::hint::black_box;
@@ -216,9 +216,7 @@ fn mlp_score_into(c: &mut Criterion) {
 /// f32 counterparts of the `mlp_*` benches above (same net shape, same
 /// inputs narrowed) — compare `mlp32_*` against `mlp_*` for the f64 → f32
 /// kernel speedup.
-#[cfg(feature = "f32-kernels")]
 fn mlp32_kernels(c: &mut Criterion) {
-    use neural::{MlpF32, WorkspaceF32};
     let net32 = |net: &Mlp| MlpF32::from_f64(net);
     let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
     c.bench_function("mlp32_train_step_11x16x1", |b| {
@@ -240,9 +238,6 @@ fn mlp32_kernels(c: &mut Criterion) {
         })
     });
 }
-
-#[cfg(not(feature = "f32-kernels"))]
-fn mlp32_kernels(_c: &mut Criterion) {}
 
 criterion_group! {
     name = benches;

@@ -308,13 +308,16 @@ fn checkpoint_from(args: &Args) -> Result<Option<CheckpointConfig>, CmdError> {
 
 /// Parses `--shards {auto,N}` into a worker count for the sharded
 /// parallel engine; `None` (flag absent) selects the sequential engine.
+/// N is clamped to the site count, as the engine would clamp it, so the
+/// count reported and the audit's replay count are counts that run.
 fn shards_from(args: &Args, sc: &Scenario) -> Result<Option<usize>, CmdError> {
+    let sites = sc.platform.num_sites as usize;
     match args.get("shards") {
         None => Ok(None),
         Some("") => Err(CmdError::Other(
             "--shards needs `auto` or a worker count".into(),
         )),
-        Some("auto") => Ok(Some(platform::auto_shards(sc.platform.num_sites as usize))),
+        Some("auto") => Ok(Some(platform::auto_shards(sites))),
         Some(raw) => {
             let n: usize = raw.parse().map_err(|_| {
                 CmdError::Args(ArgError::BadValue {
@@ -328,7 +331,7 @@ fn shards_from(args: &Args, sc: &Scenario) -> Result<Option<usize>, CmdError> {
                     "--shards must be at least 1 (or `auto`)".into(),
                 ));
             }
-            Ok(Some(n))
+            Ok(Some(n.min(sites)))
         }
     }
 }
@@ -645,6 +648,17 @@ mod tests {
 
     fn parse(line: &[&str]) -> Args {
         Args::parse(line.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn shards_clamp_to_the_site_count() {
+        let sc = Scenario::new(1, 10, 0.5);
+        assert_eq!(sc.platform.num_sites, 5);
+        let shards = |n: &str| shards_from(&parse(&["simulate", "--shards", n]), &sc).ok();
+        assert_eq!(shards("200"), Some(Some(5)));
+        assert_eq!(shards("5"), Some(Some(5)));
+        assert_eq!(shards("3"), Some(Some(3)));
+        assert_eq!(shards_from(&parse(&["simulate"]), &sc).ok(), Some(None));
     }
 
     #[test]

@@ -25,8 +25,7 @@ USAGE:
       run one scenario and print the run summary
       schedulers: adaptive (default), online, qplus, prediction, rr, greedy
       --precision selects the adaptive scheduler's value-network kernels:
-      f64 (default, bit-reproducible) or f32 (vectorized; needs a build
-      with `--features f32-kernels`)
+      f64 (default, bit-reproducible) or f32 (vectorized)
       --audit runs the correctness oracle alongside the simulation
       (conservation invariants, shadow energy accounting, replay check)
       and exits non-zero on any violation

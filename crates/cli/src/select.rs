@@ -8,22 +8,18 @@ use experiments::SchedulerKind;
 pub const SCHEDULER_CHOICES: &str = "adaptive, online, qplus, prediction, rr, greedy";
 
 /// Accepted kernel precisions for `--precision`.
-pub const PRECISION_CHOICES: &str = "f64, f32 (f32 needs the `f32-kernels` build feature)";
+pub const PRECISION_CHOICES: &str = "f64, f32";
 
-/// Resolves `--precision` (default `f64`). `f32` is rejected unless the
-/// kernels were compiled in via the `f32-kernels` cargo feature.
+/// Resolves `--precision` (default `f64`).
 pub fn precision_from(args: &Args) -> Result<KernelPrecision, ArgError> {
     let Some(name) = args.get("precision") else {
         return Ok(KernelPrecision::F64);
     };
-    match KernelPrecision::parse(name) {
-        Some(p) if p.available() => Ok(p),
-        _ => Err(ArgError::UnknownChoice {
-            flag: "precision".to_string(),
-            value: name.to_string(),
-            choices: PRECISION_CHOICES,
-        }),
-    }
+    KernelPrecision::parse(name).ok_or_else(|| ArgError::UnknownChoice {
+        flag: "precision".to_string(),
+        value: name.to_string(),
+        choices: PRECISION_CHOICES,
+    })
 }
 
 /// Resolves `--scheduler` (default `adaptive`), applying the CLI's
@@ -115,22 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_gated_on_build_feature() {
+    fn f32_precision_resolves() {
         let args = Args::parse(["simulate", "--precision", "f32"]);
-        let got = scheduler_from(&args);
-        // Key on the kernels actually being compiled in, not this crate's
-        // own feature flag: feature unification can enable them from a
-        // sibling crate (e.g. `--features arl-core/f32-kernels`), and the
-        // CLI gate follows the kernels.
-        if KernelPrecision::F32.available() {
-            match got.unwrap() {
-                SchedulerKind::Adaptive(cfg) => {
-                    assert_eq!(cfg.precision, KernelPrecision::F32);
-                }
-                other => panic!("unexpected {other:?}"),
+        match scheduler_from(&args).unwrap() {
+            SchedulerKind::Adaptive(cfg) => {
+                assert_eq!(cfg.precision, KernelPrecision::F32);
             }
-        } else {
-            assert!(matches!(got, Err(ArgError::UnknownChoice { .. })));
+            other => panic!("unexpected {other:?}"),
         }
     }
 

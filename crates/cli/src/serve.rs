@@ -34,7 +34,7 @@ use experiments::checkpoint::{encode_scheduler_meta, scheduler_of};
 use experiments::{Monitor, Scenario};
 use platform::{ExecEngine, LiveMetrics, PlatformSpec, ScheduleSession, SessionEvent};
 use simcore::time::SimTime;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -101,9 +101,9 @@ struct ServeOpts {
     ingest: IngestMetrics,
 }
 
-/// One accepted client connection. Slots are kept for the daemon's
-/// lifetime (buffers are released on close), so task→client routing
-/// stays a plain index.
+/// One accepted client connection. A closed client is dropped from the
+/// daemon's client map at the end of the pass that closed it, which
+/// releases its socket.
 struct Client {
     stream: TcpStream,
     inbuf: Vec<u8>,
@@ -252,10 +252,14 @@ fn run_daemon(
     // Pacing is anchored at the session's restored horizon so a resumed
     // daemon continues from where the snapshot stopped.
     let base = session.horizon().max(session.now()).as_f64();
-    let mut clients: Vec<Client> = Vec::new();
-    // Server-assigned task id → client slot, for notification routing.
-    // Tasks admitted before a resume have no client and are dropped.
-    let mut owners: HashMap<u64, usize> = HashMap::new();
+    // Open connections, keyed by accept order: the map iterates (and so
+    // admits) in the order clients connected.
+    let mut clients: BTreeMap<u64, Client> = BTreeMap::new();
+    let mut accepted = 0u64;
+    // Server-assigned task id → client id, for notification routing.
+    // Tasks admitted before a resume, or whose client has gone, have no
+    // client and their notifications are dropped.
+    let mut owners: HashMap<u64, u64> = HashMap::new();
     let mut events: Vec<SessionEvent> = Vec::new();
     let mut checkpoints_written = 0u64;
     let mut last_checkpoint = Instant::now();
@@ -288,12 +292,16 @@ fn run_daemon(
                     }
                     opts.ingest.connections.inc();
                     active = true;
-                    clients.push(Client {
-                        stream,
-                        inbuf: Vec::new(),
-                        outbuf: Vec::new(),
-                        open: true,
-                    });
+                    clients.insert(
+                        accepted,
+                        Client {
+                            stream,
+                            inbuf: Vec::new(),
+                            outbuf: Vec::new(),
+                            open: true,
+                        },
+                    );
+                    accepted += 1;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -302,10 +310,7 @@ fn run_daemon(
         }
 
         // Read request lines and admit submissions.
-        for (slot, client) in clients.iter_mut().enumerate() {
-            if !client.open {
-                continue;
-            }
+        for (&id, client) in clients.iter_mut() {
             loop {
                 match client.stream.read(&mut read_chunk) {
                     Ok(0) => {
@@ -338,7 +343,7 @@ fn run_daemon(
                     continue;
                 }
                 opts.ingest.lines.inc();
-                let reply = handle_line(line, &mut session, slot, &mut owners, &opts.ingest);
+                let reply = handle_line(line, &mut session, id, &mut owners, &opts.ingest);
                 push_notification(client, &reply, &opts.ingest);
             }
             if client.inbuf.len() > MAX_CLIENT_BACKLOG {
@@ -399,18 +404,18 @@ fn run_daemon(
                 } else {
                     owners.get(&task).copied()
                 };
-                if let Some(slot) = owner {
-                    if clients[slot].open {
-                        push_notification(&mut clients[slot], &n, &opts.ingest);
-                    }
+                if let Some(client) = owner.and_then(|id| clients.get_mut(&id)) {
+                    push_notification(client, &n, &opts.ingest);
                 }
             }
         }
 
-        // Flush client backlogs.
-        for c in clients.iter_mut().filter(|c| c.open) {
+        // Flush client backlogs, then drop every connection closed in
+        // this pass (which closes its socket).
+        for c in clients.values_mut() {
             flush_client(c);
         }
+        clients.retain(|_, c| c.open);
 
         if last_refresh.elapsed() >= MONITOR_REFRESH {
             session.refresh_monitor();
@@ -443,7 +448,7 @@ fn run_daemon(
         let path = write_checkpoint(dir, checkpoints_written, &mut session, meta)?;
         final_snapshot = Some(path);
     }
-    for c in clients.iter_mut().filter(|c| c.open) {
+    for c in clients.values_mut() {
         flush_client(c);
         c.close();
     }
@@ -477,12 +482,13 @@ fn run_daemon(
     Ok(out)
 }
 
-/// Parses and admits one request line, returning the ack/reject.
+/// Parses and admits one request line from client `client`, returning
+/// the ack/reject.
 fn handle_line(
     line: &str,
     session: &mut ScheduleSession<'_>,
-    slot: usize,
-    owners: &mut HashMap<u64, usize>,
+    client: u64,
+    owners: &mut HashMap<u64, u64>,
     ingest: &IngestMetrics,
 ) -> Notification {
     let sub = match Submission::parse_line(line) {
@@ -498,7 +504,7 @@ fn handle_line(
             ingest.submissions.inc();
             ingest.tasks.add(ids.len() as u64);
             for id in &ids {
-                owners.insert(id.0, slot);
+                owners.insert(id.0, client);
             }
             Notification::Ack {
                 id: sub.id,

@@ -338,3 +338,62 @@ fn serve_rejects_a_deeply_nested_line_and_keeps_serving() {
     assert!(out.contains("1 rejected"), "stdout: {out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Open file descriptors of process `pid`.
+#[cfg(target_os = "linux")]
+fn fd_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("list /proc/<pid>/fd")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_releases_each_closed_connection() {
+    let dir = scratch_dir("fds");
+    let port_file = dir.join("ports.txt");
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--pace",
+        "0",
+    ]);
+    let (ingest_addr, _) = wait_for_ports(&port_file, &mut daemon);
+    let pid = daemon.id();
+    let start = fd_count(pid);
+
+    // Connect, submit, read the ack, hang up: 200 times in a row.
+    for i in 0..200 {
+        let conn = TcpStream::connect(&ingest_addr).expect("connect ingest");
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = conn.try_clone().expect("clone stream");
+        writeln!(
+            writer,
+            "{{\"submit\":{{\"id\":{i},\"tasks\":[{{\"size_mi\":1500,\"deadline\":120,\
+             \"priority\":\"low\",\"site\":0}}]}}}}"
+        )
+        .expect("write submission");
+        let mut ack = String::new();
+        BufReader::new(conn).read_line(&mut ack).expect("read ack");
+        assert!(ack.contains("\"ack\""), "cycle {i}: {ack}");
+    }
+
+    // The daemon sees each hang-up on its next pass and drops the socket.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut now = fd_count(pid);
+    while now > start + 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        now = fd_count(pid);
+    }
+    sigterm(&daemon);
+    let out = wait_exit(daemon);
+    assert!(
+        now <= start + 2,
+        "daemon holds {now} descriptors after 200 closed connections (started with {start})"
+    );
+    assert!(out.contains("200 connections"), "stdout: {out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,13 +4,12 @@
 //! dynamically arriving." An action fixes (a) the merge policy — mixed or
 //! identical priority (§IV.D.1) — and (b) the target group size `opnum`.
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 use std::fmt;
 
 /// Merge policy selector (the concrete priority class of an identical
 /// merge is determined by the tasks themselves at grouping time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Mixed-priority merge: group tasks as they arrive, EDF-sorted.
     #[default]
@@ -29,7 +28,7 @@ impl fmt::Display for PolicyKind {
 }
 
 /// One point in the action space.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ActionChoice {
     /// Merge policy.
     pub policy: PolicyKind,

@@ -9,8 +9,6 @@
 
 use crate::action::ActionChoice;
 use crate::memory::SharedLearningMemory;
-use crate::state::SiteObservation;
-use crate::value::ValueEstimator;
 use simcore::rng::RngStream;
 use snapshot::{Codec, SnapshotError};
 use workload::{SimCodec, SiteId, Task};
@@ -57,15 +55,18 @@ impl Agent {
         self.pending.extend(tasks);
     }
 
-    /// The cheap (non-neural) part of action selection: resolves the
-    /// memory-replay and exploration branches immediately and defers
-    /// value-net exploitation to the caller, returning `(None, Exploit)`.
+    /// Chooses a grouping action. Order of precedence:
+    /// 1. memory replay when the reward dropped (and the memory is
+    ///    non-empty) — shared across agents unless `shared` is false,
+    /// 2. uniform exploration with probability `epsilon`,
+    /// 3. greedy exploitation of the value estimator, or uniform if
+    ///    `have_value` is false (the value-net ablation).
     ///
-    /// Splitting selection this way lets the scheduler stage every
-    /// exploiting site's candidates into one batched scoring pass. It
-    /// cannot perturb decisions: each agent draws from its own private RNG
-    /// stream, and the memory/ε branches consume exactly the draws they
-    /// would in the combined formulation.
+    /// Only the cheap (non-neural) branches resolve here. Exploitation is
+    /// deferred to the caller, which gets `(None, Exploit)` and stages the
+    /// site's candidates into the scheduler's one batched scoring pass.
+    /// Each agent draws from its own private RNG stream, so the order in
+    /// which sites decide does not change any decision.
     ///
     /// # Panics
     /// Panics if `candidates` is empty.
@@ -107,44 +108,6 @@ impl Agent {
         }
     }
 
-    /// Chooses a grouping action.
-    ///
-    /// Order of precedence:
-    /// 1. memory replay when the reward dropped (and the memory is
-    ///    non-empty) — shared across agents unless `shared` is false,
-    /// 2. uniform exploration with probability `epsilon`,
-    /// 3. greedy exploitation of the estimator (or uniform if `value` is
-    ///    `None`, the value-net ablation).
-    ///
-    /// # Panics
-    /// Panics if `candidates` is empty.
-    #[allow(clippy::too_many_arguments)]
-    pub fn choose_action(
-        &mut self,
-        obs: &SiteObservation,
-        candidates: &[ActionChoice],
-        epsilon: f64,
-        value: Option<&mut ValueEstimator>,
-        memory: &SharedLearningMemory,
-        shared: bool,
-        max_procs: usize,
-    ) -> (ActionChoice, ChoiceSource) {
-        match self.decide(
-            candidates,
-            epsilon,
-            value.is_some(),
-            memory,
-            shared,
-            max_procs,
-        ) {
-            (Some(action), src) => (action, src),
-            (None, src) => {
-                let v = value.expect("decide defers only when a value net exists");
-                (v.best_action(obs, candidates), src)
-            }
-        }
-    }
-
     /// Snapshot field list: the pending pool, the reward memory and the
     /// exploration RNG.
     pub(crate) fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
@@ -171,6 +134,8 @@ mod tests {
     use super::*;
     use crate::action::PolicyKind;
     use crate::memory::Experience;
+    use crate::state::SiteObservation;
+    use crate::value::ValueEstimator;
 
     fn obs(max_procs: usize) -> SiteObservation {
         SiteObservation {
@@ -217,7 +182,8 @@ mod tests {
         });
         a.consult_memory = true;
         let cands = ActionChoice::candidates(4);
-        let (action, src) = a.choose_action(&obs(4), &cands, 0.0, None, &mem, true, 4);
+        let (action, src) = a.decide(&cands, 0.0, false, &mem, true, 4);
+        let action = action.expect("a replay resolves the action");
         assert_eq!(src, ChoiceSource::MemoryReplay);
         assert_eq!(action.policy, PolicyKind::Identical);
         // Remembered opnum 6 clamped to this site's max of 4.
@@ -241,7 +207,8 @@ mod tests {
         a.consult_memory = true;
         let cands = ActionChoice::candidates(4);
         // Agent 0's private ring is empty: falls through to exploration.
-        let (_, src) = a.choose_action(&obs(4), &cands, 1.0, None, &mem, false, 4);
+        let (action, src) = a.decide(&cands, 1.0, false, &mem, false, 4);
+        assert!(action.is_some());
         assert_eq!(src, ChoiceSource::Explore);
     }
 
@@ -251,7 +218,8 @@ mod tests {
         let mem = SharedLearningMemory::new(1, 15);
         let cands = ActionChoice::candidates(4);
         for _ in 0..20 {
-            let (_, src) = a.choose_action(&obs(4), &cands, 1.0, None, &mem, true, 4);
+            let (action, src) = a.decide(&cands, 1.0, true, &mem, true, 4);
+            assert!(action.is_some());
             assert_eq!(src, ChoiceSource::Explore);
         }
     }
@@ -273,9 +241,11 @@ mod tests {
             }
         }
         let cands = ActionChoice::candidates(4);
-        let (action, src) = a.choose_action(&o, &cands, 0.0, Some(&mut v), &mem, true, 4);
-        assert_eq!(src, ChoiceSource::Exploit);
-        assert_eq!(action, good);
+        // Exploitation is deferred to the caller, which scores the
+        // candidates with the estimator.
+        let (action, src) = a.decide(&cands, 0.0, true, &mem, true, 4);
+        assert_eq!((action, src), (None, ChoiceSource::Exploit));
+        assert_eq!(v.best_action(&o, &cands), good);
     }
 
     #[test]

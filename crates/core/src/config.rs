@@ -2,14 +2,13 @@
 
 use crate::action::PolicyKind;
 use neural::KernelPrecision;
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 
 /// Configuration of the Adaptive-RL scheduler.
 ///
 /// The `use_*` switches exist for the ablation studies called out in
 /// DESIGN.md; the paper's full algorithm has all of them on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveRlConfig {
     /// Initial exploration probability.
     pub epsilon0: f64,
@@ -68,9 +67,7 @@ pub struct AdaptiveRlConfig {
     pub availability_penalty: f64,
     /// Kernel precision of the neural value path. `F64` (default) is
     /// bit-reproducible and pinned by the golden tests; `F32` selects the
-    /// vectorization-friendly kernel set and requires the `f32-kernels`
-    /// cargo feature.
-    #[serde(default)]
+    /// vectorization-friendly kernel set.
     pub precision: KernelPrecision,
 }
 
@@ -137,13 +134,6 @@ impl AdaptiveRlConfig {
         ];
         if let Some((_, why)) = rules.iter().find(|(ok, _)| !ok) {
             return Err((*why).into());
-        }
-        if !self.precision.available() {
-            return Err(format!(
-                "precision {} requires kernels not compiled into this build \
-                 (rebuild with `--features f32-kernels`)",
-                self.precision.label()
-            ));
         }
         Ok(())
     }

@@ -9,12 +9,11 @@
 //! learning value".
 
 use crate::action::ActionChoice;
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 use std::collections::VecDeque;
 
 /// One remembered learning cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Experience {
     /// The agent (site index) that produced it.
     pub agent: u32,
@@ -38,7 +37,7 @@ impl Experience {
 }
 
 /// Bounded per-agent experience rings with cross-agent queries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SharedLearningMemory {
     depth: usize,
     rings: Vec<VecDeque<Experience>>,
@@ -90,11 +89,6 @@ impl SharedLearningMemory {
             .iter()
             .copied()
             .max_by(|a, b| a.l_val.total_cmp(&b.l_val))
-    }
-
-    /// Number of experiences currently held for `agent`.
-    pub fn len_of(&self, agent: u32) -> usize {
-        self.rings[agent as usize].len()
     }
 
     /// Total experiences held.
@@ -157,7 +151,7 @@ mod tests {
         for c in 0..20 {
             m.record(exp(0, 1, c as f64, c));
         }
-        assert_eq!(m.len_of(0), 15);
+        assert_eq!(m.len(), 15);
         // Oldest remaining is cycle 5.
         assert!(m.rings[0].iter().all(|e| e.cycle >= 5));
     }

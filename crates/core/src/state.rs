@@ -7,7 +7,6 @@
 //! vector for the neural value estimator.
 
 use platform::PlatformView;
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 use workload::{Priority, SiteId, Task};
 
@@ -15,7 +14,7 @@ use workload::{Priority, SiteId, Task};
 pub const STATE_FEATURES: usize = 8;
 
 /// Aggregated observation of one site at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SiteObservation {
     /// Mean queued processing weight across the site's nodes (`Load`).
     pub mean_load: f64,

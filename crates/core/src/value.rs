@@ -19,17 +19,15 @@
 //! # Kernel precision
 //!
 //! The estimator runs on either the reference f64 kernels (default,
-//! bit-reproducible, pinned by goldens) or — behind the `f32-kernels`
-//! cargo feature — the vectorization-friendly f32 kernel set
-//! (`neural::MlpF32`). Both start from the identical initialisation, and
-//! the checkpoint surface is f64 in both modes (`f32 → f64` widening is
-//! exact, so f32 runs resume bit-exactly too).
+//! bit-reproducible, pinned by goldens) or the vectorization-friendly f32
+//! kernel set (`neural::MlpF32`), chosen per estimator at run time. Both
+//! start from the identical initialisation, and the checkpoint surface is
+//! f64 in both modes (`f32 → f64` widening is exact, so f32 runs resume
+//! bit-exactly too).
 
 use crate::action::ActionChoice;
 use crate::state::{SiteObservation, STATE_FEATURES};
-use neural::{Activation, KernelPrecision, Mlp, Sgd, Workspace};
-#[cfg(feature = "f32-kernels")]
-use neural::{MlpF32, WorkspaceF32};
+use neural::{Activation, KernelPrecision, Mlp, MlpF32, Sgd, Workspace, WorkspaceF32};
 use snapshot::{Codec, SnapshotError};
 
 /// Width of the estimator's input: state features plus action features.
@@ -39,7 +37,6 @@ pub const INPUT_WIDTH: usize = STATE_FEATURES + 3;
 #[derive(Debug, Clone)]
 enum Kernel {
     F64(Mlp),
-    #[cfg(feature = "f32-kernels")]
     F32(MlpF32),
 }
 
@@ -50,18 +47,15 @@ pub struct ValueEstimator {
     /// Reusable forward/backward scratch (f64 kernels).
     ws: Workspace,
     /// Reusable forward/backward scratch (f32 kernels).
-    #[cfg(feature = "f32-kernels")]
     ws32: WorkspaceF32,
     /// Candidate encoding matrix, one `INPUT_WIDTH` row per candidate.
     enc: Vec<f64>,
     /// f32 mirror of the encoding matrix.
-    #[cfg(feature = "f32-kernels")]
     enc32: Vec<f32>,
     /// Candidate scores, parallel to the encoded rows (always f64: f32
     /// scores are widened so the argmax has a single code path).
     scores: Vec<f64>,
     /// f32 score scratch.
-    #[cfg(feature = "f32-kernels")]
     scores32: Vec<f32>,
 }
 
@@ -74,10 +68,6 @@ impl ValueEstimator {
 
     /// Creates an estimator on the requested kernel precision. Both
     /// precisions derive from the identical f64 Xavier initialisation.
-    ///
-    /// # Panics
-    /// Panics when `precision` names kernels not compiled into this build
-    /// (`F32` without the `f32-kernels` cargo feature).
     pub fn with_precision(
         hidden: usize,
         lr: f64,
@@ -93,24 +83,15 @@ impl ValueEstimator {
         );
         let kernel = match precision {
             KernelPrecision::F64 => Kernel::F64(net),
-            #[cfg(feature = "f32-kernels")]
             KernelPrecision::F32 => Kernel::F32(MlpF32::from_f64(&net)),
-            #[cfg(not(feature = "f32-kernels"))]
-            KernelPrecision::F32 => panic!(
-                "f32 kernels are not compiled into this build; \
-                 rebuild with `--features f32-kernels`"
-            ),
         };
         ValueEstimator {
             kernel,
             ws: Workspace::default(),
-            #[cfg(feature = "f32-kernels")]
             ws32: WorkspaceF32::default(),
             enc: Vec::new(),
-            #[cfg(feature = "f32-kernels")]
             enc32: Vec::new(),
             scores: Vec::new(),
-            #[cfg(feature = "f32-kernels")]
             scores32: Vec::new(),
         }
     }
@@ -119,7 +100,6 @@ impl ValueEstimator {
     pub fn precision(&self) -> KernelPrecision {
         match &self.kernel {
             Kernel::F64(_) => KernelPrecision::F64,
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(_) => KernelPrecision::F32,
         }
     }
@@ -136,7 +116,6 @@ impl ValueEstimator {
         let input = Self::encode(obs, action);
         match &mut self.kernel {
             Kernel::F64(net) => net.predict_scalar_into(&input, &mut self.ws),
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => {
                 let mut input32 = [0.0f32; INPUT_WIDTH];
                 for (dst, &src) in input32.iter_mut().zip(&input) {
@@ -153,7 +132,6 @@ impl ValueEstimator {
         let input = Self::encode(obs, action);
         match &mut self.kernel {
             Kernel::F64(net) => net.train_step(&input, &[target], &mut self.ws),
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => {
                 let mut input32 = [0.0f32; INPUT_WIDTH];
                 for (dst, &src) in input32.iter_mut().zip(&input) {
@@ -167,17 +145,15 @@ impl ValueEstimator {
     /// Starts a fresh scoring batch, discarding previously staged rows.
     pub fn begin_batch(&mut self) {
         self.enc.clear();
-        #[cfg(feature = "f32-kernels")]
         self.enc32.clear();
     }
 
     /// Number of candidate rows currently staged.
     pub fn batch_rows(&self) -> usize {
-        #[cfg(feature = "f32-kernels")]
-        if matches!(self.kernel, Kernel::F32(_)) {
-            return self.enc32.len() / INPUT_WIDTH;
+        match self.kernel {
+            Kernel::F64(_) => self.enc.len() / INPUT_WIDTH,
+            Kernel::F32(_) => self.enc32.len() / INPUT_WIDTH,
         }
-        self.enc.len() / INPUT_WIDTH
     }
 
     /// Stages every candidate of one decision into the batch matrix;
@@ -195,7 +171,6 @@ impl ValueEstimator {
                     self.enc.extend_from_slice(&c.features(obs.max_procs));
                 }
             }
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(_) => {
                 let mut state32 = [0.0f32; STATE_FEATURES];
                 for (dst, &src) in state32.iter_mut().zip(&state) {
@@ -216,7 +191,6 @@ impl ValueEstimator {
     pub fn score_batch(&mut self) {
         match &mut self.kernel {
             Kernel::F64(net) => net.score_into(&self.enc, &mut self.scores, &mut self.ws),
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => {
                 net.score_into(&self.enc32, &mut self.scores32, &mut self.ws32);
                 self.scores.clear();
@@ -269,7 +243,6 @@ impl ValueEstimator {
     pub fn steps(&self) -> u64 {
         match &self.kernel {
             Kernel::F64(net) => net.steps(),
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => net.steps(),
         }
     }
@@ -278,7 +251,6 @@ impl ValueEstimator {
     pub fn param_count(&self) -> usize {
         match &self.kernel {
             Kernel::F64(net) => net.param_count(),
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => net.param_count(),
         }
     }
@@ -295,7 +267,6 @@ impl ValueEstimator {
                 velocity.extend_from_slice(net.velocity());
                 net.steps()
             }
-            #[cfg(feature = "f32-kernels")]
             Kernel::F32(net) => {
                 net.params_f64_into(&mut params);
                 net.velocity_f64_into(&mut velocity);
@@ -308,7 +279,6 @@ impl ValueEstimator {
         let restored = !C::DECODE
             || match &mut self.kernel {
                 Kernel::F64(net) => net.restore_training_state(&params, &velocity, steps),
-                #[cfg(feature = "f32-kernels")]
                 Kernel::F32(net) => net.restore_training_state(&params, &velocity, steps),
             };
         let (n_params, n_vel, want) = (params.len(), velocity.len(), self.param_count());
@@ -324,14 +294,7 @@ impl ValueEstimator {
     /// the `best_action` cost regression test), summed across both
     /// precisions' workspaces.
     pub fn forward_passes(&self) -> u64 {
-        #[cfg(feature = "f32-kernels")]
-        {
-            self.ws.forward_passes() + self.ws32.forward_passes()
-        }
-        #[cfg(not(feature = "f32-kernels"))]
-        {
-            self.ws.forward_passes()
-        }
+        self.ws.forward_passes() + self.ws32.forward_passes()
     }
 }
 
@@ -466,45 +429,57 @@ mod tests {
     fn batched_multi_site_scoring_matches_per_site_best_action() {
         // Staging several decisions and resolving them through one
         // score_batch must pick exactly what per-decision best_action picks.
-        let mut v = ValueEstimator::new(8, 0.05, 0.5, 17);
-        let o1 = obs();
-        let mut o2 = obs();
-        o2.mean_load = 4.0;
-        o2.pending = 2;
-        let c1 = ActionChoice::candidates(6);
-        let c2 = ActionChoice::candidates(3);
-        let want1 = v.best_action(&o1, &c1);
-        let want2 = v.best_action(&o2, &c2);
-        v.begin_batch();
-        let s1 = v.push_candidates(&o1, &c1);
-        let s2 = v.push_candidates(&o2, &c2);
-        assert_eq!(v.batch_rows(), c1.len() + c2.len());
-        v.score_batch();
-        assert_eq!(c1[v.argmax_in(s1, c1.len())], want1);
-        assert_eq!(c2[v.argmax_in(s2, c2.len())], want2);
+        for precision in KernelPrecision::ALL {
+            let mut v = ValueEstimator::with_precision(8, 0.05, 0.5, 17, precision);
+            let o1 = obs();
+            let mut o2 = obs();
+            o2.mean_load = 4.0;
+            o2.pending = 2;
+            let c1 = ActionChoice::candidates(6);
+            let c2 = ActionChoice::candidates(3);
+            let want1 = v.best_action(&o1, &c1);
+            let want2 = v.best_action(&o2, &c2);
+            v.begin_batch();
+            let s1 = v.push_candidates(&o1, &c1);
+            let s2 = v.push_candidates(&o2, &c2);
+            assert_eq!(v.batch_rows(), c1.len() + c2.len());
+            v.score_batch();
+            assert_eq!(c1[v.argmax_in(s1, c1.len())], want1, "{precision:?}");
+            assert_eq!(c2[v.argmax_in(s2, c2.len())], want2, "{precision:?}");
+        }
     }
 
     #[test]
     fn snapshot_roundtrip_restores_predictions() {
-        let mut v = ValueEstimator::new(8, 0.05, 0.5, 19);
-        let o = obs();
-        let a = ActionChoice {
-            policy: PolicyKind::Mixed,
-            opnum: 3,
-        };
-        for i in 0..40 {
-            v.train(&o, a, (i % 5) as f64 / 5.0);
+        for precision in KernelPrecision::ALL {
+            let mut v = ValueEstimator::with_precision(8, 0.05, 0.5, 19, precision);
+            let o = obs();
+            let a = ActionChoice {
+                policy: PolicyKind::Mixed,
+                opnum: 3,
+            };
+            for i in 0..40 {
+                v.train(&o, a, (i % 5) as f64 / 5.0);
+            }
+            let mut w = SnapWriter::new();
+            w.encode(|w| v.snap(w));
+            let bytes = w.into_bytes();
+            let before = v.predict(&o, a);
+            let mut fresh = ValueEstimator::with_precision(8, 0.05, 0.5, 19, precision);
+            fresh.snap(&mut SnapReader::new(&bytes)).unwrap();
+            assert_eq!(fresh.steps(), 40);
+            assert_eq!(
+                fresh.predict(&o, a).to_bits(),
+                before.to_bits(),
+                "{precision:?}"
+            );
+            // The restored net keeps training exactly as the original.
+            v.train(&o, a, 0.5);
+            fresh.train(&o, a, 0.5);
+            assert_eq!(fresh.predict(&o, a).to_bits(), v.predict(&o, a).to_bits());
+            let mut wrong = ValueEstimator::with_precision(4, 0.05, 0.5, 19, precision);
+            assert!(wrong.snap(&mut SnapReader::new(&bytes)).is_err());
         }
-        let mut w = SnapWriter::new();
-        w.encode(|w| v.snap(w));
-        let bytes = w.into_bytes();
-        let before = v.predict(&o, a);
-        let mut fresh = ValueEstimator::new(8, 0.05, 0.5, 19);
-        fresh.snap(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(fresh.steps(), 40);
-        assert_eq!(fresh.predict(&o, a).to_bits(), before.to_bits());
-        let mut wrong = ValueEstimator::new(4, 0.05, 0.5, 19);
-        assert!(wrong.snap(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use adaptive_rl::action::ActionChoice;
 use adaptive_rl::state::SiteObservation;
 use adaptive_rl::value::ValueEstimator;
+use adaptive_rl::KernelPrecision;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,28 +56,33 @@ fn obs() -> SiteObservation {
 
 #[test]
 fn learning_cycle_is_allocation_free_after_warmup() {
-    let mut v = ValueEstimator::new(16, 0.05, 0.5, 7);
-    let o = obs();
-    let cands = ActionChoice::candidates(6);
+    // Both kernel precisions, one after the other in this one test: the
+    // counter is process-wide, so a second test running alongside would
+    // count its allocations here.
+    for precision in KernelPrecision::ALL {
+        let mut v = ValueEstimator::with_precision(16, 0.05, 0.5, 7, precision);
+        let o = obs();
+        let cands = ActionChoice::candidates(6);
 
-    // Warm-up: sizes the workspace, the candidate scratch matrix and the
-    // score buffer.
-    for i in 0..3 {
-        let a = v.best_action(&o, &cands);
-        let _ = v.predict(&o, a);
-        let _ = v.train(&o, a, i as f64 / 3.0);
-    }
+        // Warm-up: sizes the workspace, the candidate scratch matrix and
+        // the score buffer.
+        for i in 0..3 {
+            let a = v.best_action(&o, &cands);
+            let _ = v.predict(&o, a);
+            let _ = v.train(&o, a, i as f64 / 3.0);
+        }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..1000u32 {
-        let a = v.best_action(&o, &cands);
-        let _ = v.predict(&o, a);
-        let _ = v.train(&o, a, f64::from(i % 10) / 10.0);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for i in 0..1000u32 {
+            let a = v.best_action(&o, &cands);
+            let _ = v.predict(&o, a);
+            let _ = v.train(&o, a, f64::from(i % 10) / 10.0);
+        }
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "{precision:?}: decide→train cycles must not touch the heap after warm-up"
+        );
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "decide→train cycles must not touch the heap after warm-up"
-    );
 }

@@ -108,8 +108,8 @@ proptest! {
                 cycle: i as u64,
             });
         }
-        prop_assert!(mem.len_of(0) <= depth);
-        prop_assert_eq!(mem.len_of(0), lvals.len().min(depth));
+        prop_assert!(mem.len() <= depth);
+        prop_assert_eq!(mem.len(), lvals.len().min(depth));
         // The best remembered value is the max over the most recent window.
         let window = &lvals[lvals.len().saturating_sub(depth)..];
         let expect = window.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -152,6 +152,18 @@ mod tests {
         dir
     }
 
+    /// The six policies plus Adaptive RL on the f32 kernels. f32 bits
+    /// depend on the host's SIMD dispatch, so every check below compares
+    /// runs made in one process and pins no f32 value.
+    fn six_and_f32() -> Vec<SchedulerKind> {
+        let mut kinds = SchedulerKind::all_six();
+        kinds.push(SchedulerKind::Adaptive(adaptive_rl::AdaptiveRlConfig {
+            precision: adaptive_rl::KernelPrecision::F32,
+            ..Default::default()
+        }));
+        kinds
+    }
+
     fn decode_scheduler_meta(bytes: &[u8]) -> Result<(SchedulerKind, usize), SnapshotError> {
         let (mut kind, mut num_sites) = (SchedulerKind::RoundRobin, 0);
         meta(&mut SnapReader::new(bytes), &mut kind, &mut num_sites)?;
@@ -160,7 +172,7 @@ mod tests {
 
     #[test]
     fn meta_round_trips_for_every_kind() {
-        for kind in SchedulerKind::all_six() {
+        for kind in six_and_f32() {
             let meta = encode_scheduler_meta(&kind, 5);
             let (back, sites) = decode_scheduler_meta(&meta).expect("decode");
             assert_eq!(back, kind);
@@ -188,7 +200,7 @@ mod tests {
         // scheduler; this covers the six real policies end-to-end through
         // the meta blob and `resume_run`.
         let sc = Scenario::small(41, 90, 0.6);
-        for kind in SchedulerKind::all_six() {
+        for kind in six_and_f32() {
             let golden = crate::runner::run_scenario(&sc, &kind);
             let dir = scratch_dir("six");
             let run = run_scenario_checkpointed(&sc, &kind, CheckpointConfig::new(150, &dir));
@@ -220,7 +232,7 @@ mod tests {
         // policy built from the snapshot's meta resumes it, and its own
         // checkpoint is the same bytes.
         let sc = Scenario::small(43, 0, 0.6);
-        for kind in SchedulerKind::all_six() {
+        for kind in six_and_f32() {
             let kind = kind.with_seed(sc.seed);
             let platform = sc.build_platform();
             let sites = platform.num_sites();

@@ -1,7 +1,6 @@
 //! Scenario configuration and load calibration.
 
 use platform::{ExecConfig, Platform, PlatformSpec};
-use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use workload::{PriorityMix, Task, Workload, WorkloadSpec};
 
@@ -22,7 +21,7 @@ pub const NOMINAL_REF_SPEED: f64 = 500.0;
 /// let result = runner::run_scenario(&scenario, &SchedulerKind::GreedyEdf);
 /// assert_eq!(result.incomplete, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Master seed (platform, workload and scheduler streams derive from
     /// it).

@@ -4,9 +4,8 @@
 use crate::config::{Scenario, NOMINAL_REF_SPEED};
 use crate::runner::{run_replicated, SchedulerKind};
 use adaptive_rl::{AdaptiveRlConfig, PolicyKind};
-use metrics::{
-    avg_response_time, energy_millions, success_rate, utilisation_by_cycle_decile, FigureReport,
-};
+use metrics::{energy_millions, utilisation_by_cycle_decile, FigureReport};
+use platform::RunResult;
 use simcore::Series;
 
 /// Options for Experiment 1 (Figs. 7–8): response time and energy versus
@@ -76,7 +75,8 @@ pub fn experiment1(opts: &Exp1Options) -> (FigureReport, FigureReport) {
             let mut sc = Scenario::new(opts.seed, n, opts.max_offered * n as f64 / max_tasks);
             sc.exec.tick_interval = 1.0;
             let runs = run_replicated(&sc, kind, opts.reps);
-            let mean_rt: f64 = runs.iter().map(avg_response_time).sum::<f64>() / runs.len() as f64;
+            let mean_rt: f64 =
+                runs.iter().map(RunResult::avg_response_time).sum::<f64>() / runs.len() as f64;
             let mean_ec: f64 = runs.iter().map(energy_millions).sum::<f64>() / runs.len() as f64;
             rt.push(n as f64, mean_rt);
             ec.push(n as f64, mean_ec);
@@ -264,7 +264,7 @@ pub fn experiment3(opts: &Exp3Options) -> (FigureReport, FigureReport) {
             let runs = run_replicated(&sc, &kind, opts.reps);
             success.push(
                 h,
-                runs.iter().map(success_rate).sum::<f64>() / runs.len() as f64,
+                runs.iter().map(RunResult::success_rate).sum::<f64>() / runs.len() as f64,
             );
             energy.push(
                 h,
@@ -381,9 +381,9 @@ pub fn ablation_table(
             let n = runs.len() as f64;
             (
                 v.label.to_string(),
-                runs.iter().map(avg_response_time).sum::<f64>() / n,
+                runs.iter().map(RunResult::avg_response_time).sum::<f64>() / n,
                 runs.iter().map(energy_millions).sum::<f64>() / n,
-                runs.iter().map(success_rate).sum::<f64>() / n,
+                runs.iter().map(RunResult::success_rate).sum::<f64>() / n,
             )
         })
         .collect()

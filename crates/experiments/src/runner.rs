@@ -272,34 +272,6 @@ pub fn run_replicated(scenario: &Scenario, kind: &SchedulerKind, reps: u32) -> V
     slots.into_iter().map(|s| s.expect("filled")).collect()
 }
 
-/// Mean of `metric` over replications of a scenario.
-pub fn replicated_mean(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    reps: u32,
-    metric: impl Fn(&RunResult) -> f64,
-) -> f64 {
-    let runs = run_replicated(scenario, kind, reps);
-    runs.iter().map(&metric).sum::<f64>() / runs.len() as f64
-}
-
-/// Full statistics (mean, spread, extremes) of `metric` across
-/// replications — for reporting replication variability alongside figure
-/// points.
-pub fn replicated_stats(
-    scenario: &Scenario,
-    kind: &SchedulerKind,
-    reps: u32,
-    metric: impl Fn(&RunResult) -> f64,
-) -> simcore::RunningStats {
-    let runs = run_replicated(scenario, kind, reps);
-    let mut stats = simcore::RunningStats::new();
-    for r in &runs {
-        stats.push(metric(r));
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,26 +339,5 @@ mod tests {
             a[0].makespan, a[1].makespan,
             "reps must use different seeds"
         );
-    }
-
-    #[test]
-    fn replicated_stats_agree_with_mean() {
-        let sc = Scenario::small(5, 60, 0.5);
-        let kind = SchedulerKind::GreedyEdf;
-        let stats = replicated_stats(&sc, &kind, 3, |r| r.avg_response_time());
-        let mean = replicated_mean(&sc, &kind, 3, |r| r.avg_response_time());
-        assert_eq!(stats.count(), 3);
-        assert!((stats.mean() - mean).abs() < 1e-12);
-        assert!(stats.min().unwrap() <= stats.max().unwrap());
-    }
-
-    #[test]
-    fn replicated_mean_averages() {
-        let sc = Scenario::small(5, 60, 0.5);
-        let kind = SchedulerKind::RoundRobin;
-        let runs = run_replicated(&sc, &kind, 3);
-        let expect: f64 = runs.iter().map(|r| r.avg_response_time()).sum::<f64>() / 3.0;
-        let got = replicated_mean(&sc, &kind, 3, |r| r.avg_response_time());
-        assert!((got - expect).abs() < 1e-12);
     }
 }

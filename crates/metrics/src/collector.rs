@@ -1,26 +1,12 @@
 //! Derivation of the paper's metrics from a [`RunResult`].
 
 use platform::RunResult;
-use serde::{Deserialize, Serialize};
 use simcore::stats::quantile;
 use simcore::Series;
-use workload::Priority;
-
-/// Eq. (4): mean of (waiting + execution) time — i.e. arrival-to-completion
-/// — over tasks completed within the observation period.
-pub fn avg_response_time(r: &RunResult) -> f64 {
-    r.avg_response_time()
-}
 
 /// System energy `ECS` scaled to the paper's "(in millions)" unit.
 pub fn energy_millions(r: &RunResult) -> f64 {
     r.total_energy / 1.0e6
-}
-
-/// Successful rate (Exp. 3): `rew_val / N` — deadline-met fraction over
-/// submitted tasks.
-pub fn success_rate(r: &RunResult) -> f64 {
-    r.success_rate()
 }
 
 /// The `q`-quantile of per-task response times over tasks completed
@@ -126,7 +112,7 @@ pub fn utilisation_by_cycle_decile(r: &RunResult, label: &str) -> Series {
 }
 
 /// Compact per-run summary used by reports and EXPERIMENTS.md tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Scheduler name.
     pub scheduler: String,
@@ -188,9 +174,9 @@ impl RunSummary {
         RunSummary {
             scheduler: r.scheduler.clone(),
             num_tasks: r.num_tasks,
-            avg_response_time: avg_response_time(r),
+            avg_response_time: r.avg_response_time(),
             energy_millions: energy_millions(r),
-            success_rate: success_rate(r),
+            success_rate: r.success_rate(),
             mean_utilisation: r.mean_utilisation,
             makespan: r.makespan,
             cycles: r.groups_completed,
@@ -228,11 +214,6 @@ impl RunSummary {
             "{:<28} {:>7} {:>10} {:>10} {:>8} {:>8} {:>10} {:>7}",
             "scheduler", "tasks", "aveRT", "ECS(M)", "success", "util", "makespan", "failed"
         )
-    }
-
-    /// Per-priority deadline performance for Priority `p`.
-    pub fn success_for(&self, p: Priority) -> f64 {
-        self.success_by_priority[p.index()]
     }
 }
 

@@ -3,7 +3,7 @@
 //! Turns raw [`RunResult`](platform::RunResult)s into the quantities the
 //! paper's figures plot:
 //!
-//! * Eq. (4) average response time (`collector::avg_response_time`),
+//! * Eq. (4) average response time (`RunResult::avg_response_time`),
 //! * system energy `ECS` in the paper's "millions" scale,
 //! * utilisation-versus-learning-cycle curves (Figs. 9–10),
 //! * successful rate `rew_val / N` (Fig. 11),
@@ -20,8 +20,7 @@ pub mod report;
 
 pub use chart::ascii_chart;
 pub use collector::{
-    avg_response_time, energy_millions, success_rate, utilisation_by_cycle_decile,
-    utilisation_by_cycle_decile_windowed, RunSummary,
+    energy_millions, utilisation_by_cycle_decile, utilisation_by_cycle_decile_windowed, RunSummary,
 };
 pub use csv::series_to_csv;
 pub use report::FigureReport;

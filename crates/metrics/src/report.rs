@@ -2,11 +2,10 @@
 
 use crate::chart::ascii_chart;
 use crate::csv::series_to_csv;
-use serde::{Deserialize, Serialize};
 use simcore::Series;
 
 /// Everything needed to print (or save) one reproduced figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureReport {
     /// Figure identifier, e.g. `"Fig. 7"`.
     pub id: String,

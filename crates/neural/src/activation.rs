@@ -1,9 +1,7 @@
 //! Activation functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Element-wise activation applied by a dense layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// `f(x) = x` — used on output layers for regression targets.
     Identity,
@@ -27,8 +25,7 @@ impl Activation {
         }
     }
 
-    /// Single-precision [`Activation::apply`] for the `f32-kernels` path.
-    #[cfg(feature = "f32-kernels")]
+    /// Single-precision [`Activation::apply`] for the f32 kernels.
     #[inline]
     pub fn apply_f32(self, x: f32) -> f32 {
         match self {
@@ -36,31 +33,6 @@ impl Activation {
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
-    /// Single-precision [`Activation::derivative`] for the `f32-kernels`
-    /// path; also takes the *pre-activation* input.
-    #[cfg(feature = "f32-kernels")]
-    #[inline]
-    pub fn derivative_f32(self, x: f32) -> f32 {
-        match self {
-            Activation::Identity => 1.0,
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Sigmoid => {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            }
         }
     }
 

@@ -3,10 +3,9 @@
 use crate::activation::Activation;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Dense layer: `y = act(W·x + b)`, weights row-major `[out × in]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Input width.
     pub inputs: usize,

@@ -12,7 +12,9 @@
 //! The hot path ([`Mlp`]) keeps all parameters in one flat buffer and
 //! runs allocation-free against a reusable [`Workspace`]; the explicit
 //! layer-per-`Vec` formulation ([`Dense`]) remains as the readable
-//! reference the flat kernels are bit-compared against.
+//! reference the flat kernels are bit-compared against. [`MlpF32`] mirrors
+//! the flat kernels in `f32`; [`KernelPrecision`] picks one set at run
+//! time.
 
 #![warn(missing_docs)]
 
@@ -20,7 +22,6 @@ pub mod activation;
 pub mod layer;
 pub mod loss;
 pub mod network;
-#[cfg(feature = "f32-kernels")]
 pub mod network32;
 pub mod optimizer;
 pub mod precision;
@@ -29,7 +30,6 @@ pub use activation::Activation;
 pub use layer::Dense;
 pub use loss::{mse, mse_grad, mse_grad_into};
 pub use network::{Mlp, Workspace};
-#[cfg(feature = "f32-kernels")]
 pub use network32::{MlpF32, WorkspaceF32};
 pub use optimizer::Sgd;
 pub use precision::KernelPrecision;

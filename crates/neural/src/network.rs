@@ -18,12 +18,11 @@ use crate::loss::{mse, mse_grad_into};
 use crate::optimizer::Sgd;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Where one dense layer sits inside the flat buffers. Shared with the
 /// single-precision mirror ([`crate::network32`]): the offsets are
 /// element counts, so the same spec addresses an `f32` parameter block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LayerSpec {
     /// Input width.
     pub(crate) inputs: usize,
@@ -103,7 +102,7 @@ impl Workspace {
 /// A feed-forward network trained online with SGD — the Adaptive-RL
 /// agent's value estimator. Parameters (and momentum) are flat buffers;
 /// scratch state lives in a caller-supplied [`Workspace`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<LayerSpec>,
     /// Flat parameter block: per layer, weights then biases.
@@ -329,13 +328,11 @@ impl Mlp {
     }
 
     /// Layer table, shared with the single-precision mirror.
-    #[cfg(feature = "f32-kernels")]
     pub(crate) fn layer_specs(&self) -> &[LayerSpec] {
         &self.layers
     }
 
     /// Learning rate and momentum, for the single-precision mirror.
-    #[cfg(feature = "f32-kernels")]
     pub(crate) fn hyperparams(&self) -> (f64, f64) {
         (self.lr, self.momentum)
     }

@@ -1,8 +1,8 @@
 //! Single-precision, vectorization-friendly mirrors of the flat MLP
-//! kernels (`f32-kernels` feature).
+//! kernels.
 //!
 //! [`MlpF32`] shares [`crate::network::Mlp`]'s flat-buffer layout (the
-//! [`LayerSpec`] offsets are element counts, so the same spec addresses an
+//! `LayerSpec` offsets are element counts, so the same spec addresses an
 //! `f32` block) and exposes the same workspace API:
 //! `predict_into`/`predict_scalar_into`/`score_into`/`train_step` against a
 //! caller-owned [`WorkspaceF32`]. The inner loops are written in an

@@ -1,11 +1,9 @@
 //! Stochastic gradient descent with classical momentum.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-layer velocity buffers plus hyper-parameters.
 ///
 /// `v ← μ·v + g`, `Δp = lr·v`. With `momentum = 0` this is plain SGD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f64,

@@ -1,10 +1,8 @@
-//! Tolerance-bounded equivalence of the `f32-kernels` path against the
+//! Tolerance-bounded equivalence of the f32 kernels against the
 //! f64 reference: predict, batched score, and a 500-step online training
 //! run must track the double-precision results to ≤1e-5 relative error
 //! per output (relative to `max(|reference|, 1)`, so near-zero outputs
 //! are held to the same absolute bar).
-
-#![cfg(feature = "f32-kernels")]
 
 use neural::{Activation, Mlp, MlpF32, Sgd, Workspace, WorkspaceF32};
 

@@ -26,7 +26,6 @@ use crate::queue::QueuedGroup;
 use crate::scheduler::{AssignmentFeedback, Command, GroupFeedback, Scheduler};
 use crate::topology::{Platform, PlatformSpec};
 use crate::view::PlatformView;
-use serde::{Deserialize, Serialize};
 use simcore::engine::{Engine, EngineHandle, RunOutcome, Simulation};
 use simcore::rng::RngStream;
 use simcore::time::{SimDuration, SimTime};
@@ -37,7 +36,7 @@ use telemetry::{PhaseProfiler, Recorder, TelemetrySummary, TimeSeriesLog};
 use workload::{Priority, SimCodec, SiteId, Task, TaskId};
 
 /// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// Whether the §IV.D.2 split process is active (ablatable).
     pub split_enabled: bool,
@@ -91,7 +90,7 @@ impl ExecConfig {
 }
 
 /// How a task's lifecycle ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskOutcome {
     /// Finished within its deadline.
     Met,
@@ -103,7 +102,7 @@ pub enum TaskOutcome {
 }
 
 /// Full per-task outcome record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// The task.
     pub task: TaskId,
@@ -162,7 +161,7 @@ impl TaskRecord {
 
 /// One learning-cycle sample: cumulative useful work delivered at the
 /// instant a group feedback was processed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleSample {
     /// Learning-cycle index (1-based).
     pub cycle: u64,
@@ -185,7 +184,7 @@ impl CycleSample {
 
 /// Everything a run produced; the metric layer derives the paper's figures
 /// from this.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// The scheduler's name.
     pub scheduler: String,
@@ -244,13 +243,11 @@ pub struct RunResult {
     /// Peak number of pending future events the event queue held at any
     /// point of the run — sizes the calendar queue's bucket wheel.
     /// Diagnostics only: excluded from replay comparison.
-    #[serde(default)]
     pub max_queue_occupancy: usize,
     /// Sim-time series of energy/power/queue/availability snapshots on
     /// the sampler cadence. `None` unless the run was executed with a
     /// sampler attached. Diagnostics only: excluded from replay
     /// comparison.
-    #[serde(default)]
     pub timeseries: Option<TimeSeriesLog>,
     /// Counter totals and histogram quantiles accumulated by the run's
     /// telemetry recorder. `None` on untraced runs.

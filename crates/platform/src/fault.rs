@@ -23,18 +23,17 @@
 
 use crate::ids::{NodeAddr, ProcAddr};
 use crate::topology::Platform;
-use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapshotError};
-use workload::{SimCodec, SiteId};
+use workload::SimCodec;
 
 /// Declarative fault-injection knobs, nested in
 /// [`ExecConfig`](crate::engine::ExecConfig).
 ///
 /// All-scalar and `Copy` so the engine config stays `Copy`. The default is
 /// fully disabled: experiments that do not opt in are unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Master switch. When false the engine injects nothing and draws no
     /// random numbers for faults.
@@ -123,7 +122,7 @@ impl FaultSpec {
 }
 
 /// What a planned fault hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// One processor fails; the rest of its node keeps working.
     Proc(ProcAddr),
@@ -142,7 +141,7 @@ impl FaultTarget {
 }
 
 /// One planned failure (and, unless permanent, its recovery).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedFault {
     /// When the target goes down.
     pub at: SimTime,
@@ -184,7 +183,7 @@ impl PlannedFault {
 }
 
 /// A complete, time-sorted failure/recovery timeline for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Planned faults in firing order.
     pub events: Vec<PlannedFault>,
@@ -301,14 +300,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Planned faults that hit (a processor of) `site` — handy when
-    /// reasoning about per-site availability in tests.
-    pub fn events_for_site(&self, site: SiteId) -> impl Iterator<Item = &PlannedFault> {
-        self.events
-            .iter()
-            .filter(move |e| e.target.node().site == site)
-    }
 }
 
 #[cfg(test)]
@@ -398,7 +389,7 @@ mod tests {
             },
         ]);
         assert_eq!(plan.events[0].at.as_f64(), 5.0);
-        assert_eq!(plan.events_for_site(SiteId(0)).count(), 2);
+        assert_eq!(plan.len(), 2);
     }
 
     #[test]

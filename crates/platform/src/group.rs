@@ -7,15 +7,12 @@
 //! *processing weight* `pw` (Eq. 10) — total work over total deadline
 //! budget — indicates its importance relative to other groups.
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 use std::fmt;
 use workload::{Priority, Task};
 
 /// Unique identifier of a dispatched task group.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u64);
 
 impl GroupId {
@@ -31,7 +28,7 @@ impl fmt::Display for GroupId {
 }
 
 /// How a group was merged (§IV.D.1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum GroupPolicy {
     /// Tasks of different priorities merged together, EDF-sorted.
     #[default]
@@ -67,7 +64,7 @@ impl fmt::Display for GroupPolicy {
 /// * non-empty,
 /// * tasks sorted by deadline (EDF),
 /// * under an [`GroupPolicy::Identical`] policy, all tasks share the class.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGroup {
     /// Unique id.
     pub id: GroupId,
@@ -126,25 +123,6 @@ impl TaskGroup {
         debug_assert!(budget > 0.0, "deadline budget must be positive");
         work / budget
     }
-
-    /// Total computational size of the group in MI.
-    pub fn total_size_mi(&self) -> f64 {
-        self.tasks.iter().map(|t| t.size_mi).sum()
-    }
-
-    /// The earliest deadline in the group (the head task's, by EDF order).
-    pub fn earliest_deadline(&self) -> simcore::SimTime {
-        self.tasks[0].deadline
-    }
-
-    /// The dominant priority: the highest class present.
-    pub fn top_priority(&self) -> Priority {
-        self.tasks
-            .iter()
-            .map(|t| t.priority)
-            .max()
-            .expect("group is non-empty")
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +155,6 @@ mod tests {
         );
         let deadlines: Vec<f64> = g.tasks.iter().map(|t| t.deadline.as_f64()).collect();
         assert_eq!(deadlines, vec![10.0, 20.0, 30.0]);
-        assert_eq!(g.earliest_deadline().as_f64(), 10.0);
     }
 
     #[test]
@@ -198,7 +175,6 @@ mod tests {
         b.size_mi = 1000.0;
         let g = TaskGroup::new(GroupId(2), vec![a, b], GroupPolicy::Mixed);
         assert!((g.processing_weight() - 3000.0 / 40.0).abs() < 1e-12);
-        assert_eq!(g.total_size_mi(), 3000.0);
     }
 
     #[test]
@@ -232,18 +208,5 @@ mod tests {
     #[should_panic(expected = "at least one task")]
     fn empty_group_rejected() {
         let _ = TaskGroup::new(GroupId(6), vec![], GroupPolicy::Mixed);
-    }
-
-    #[test]
-    fn top_priority_is_max_class() {
-        let g = TaskGroup::new(
-            GroupId(7),
-            vec![
-                task(1, 10.0, Priority::Low),
-                task(2, 20.0, Priority::Medium),
-            ],
-            GroupPolicy::Mixed,
-        );
-        assert_eq!(g.top_priority(), Priority::Medium);
     }
 }

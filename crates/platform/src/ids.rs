@@ -1,14 +1,11 @@
 //! Addressing of nodes and processors within the platform.
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 use std::fmt;
 use workload::SiteId;
 
 /// Address of a compute node: `(site, node index within site)`.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeAddr {
     /// The owning resource site.
     pub site: SiteId,
@@ -40,9 +37,7 @@ impl fmt::Display for NodeAddr {
 }
 
 /// Address of a processor: node address plus processor index.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcAddr {
     /// The owning node.
     pub node: NodeAddr,

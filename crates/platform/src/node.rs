@@ -11,7 +11,6 @@ use crate::ids::NodeAddr;
 use crate::power::PowerParams;
 use crate::processor::Processor;
 use crate::queue::GroupQueue;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapshotError};
 use workload::TaskId;
@@ -40,7 +39,7 @@ pub(crate) const MIN_THROTTLE: f64 = 0.1;
 /// cache (in processor order) whenever any entry changes, rather than
 /// adjusted by a float delta — incremental float accumulation would drift
 /// from the naive sum in the last bits and break run determinism.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ComputeNode {
     /// The node's address.
     pub addr: NodeAddr,
@@ -145,16 +144,6 @@ impl ComputeNode {
     /// queue length (backlog + 1).
     pub fn processing_capacity(&self) -> f64 {
         self.raw_speed() / (self.queue.len() + 1) as f64
-    }
-
-    /// Indices of processors that can start a task now.
-    pub fn idle_procs(&self) -> Vec<usize> {
-        self.processors
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_idle())
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Number of idle processors.
@@ -362,11 +351,6 @@ impl ComputeNode {
         total / self.processors.len() as f64
     }
 
-    /// Sum of per-processor energies at `now` (Σ PP_j without the 1/m).
-    pub fn energy_sum_at(&self, now: SimTime) -> f64 {
-        self.processors.iter().map(|p| p.energy_at(now)).sum()
-    }
-
     /// Mean processor utilisation at `now`.
     pub fn utilisation_at(&self, now: SimTime) -> f64 {
         let total: f64 = self.processors.iter().map(|p| p.utilisation_at(now)).sum();
@@ -402,11 +386,6 @@ impl ComputeNode {
     /// Nominal speed of each processor (MIPS), cached at construction.
     pub fn proc_speeds(&self) -> &[f64] {
         &self.speeds
-    }
-
-    /// Effective speed (MIPS) of processor `i` under the current throttle.
-    pub fn effective_speed(&self, i: usize) -> f64 {
-        self.processors[i].speed_mips * self.throttle
     }
 }
 
@@ -461,7 +440,6 @@ mod tests {
     fn idle_accounting() {
         let n = node(&[500.0, 600.0, 700.0]);
         assert_eq!(n.idle_count(), 3);
-        assert_eq!(n.idle_procs(), vec![0, 1, 2]);
         assert_eq!(n.asleep_count(), 0);
     }
 
@@ -473,16 +451,15 @@ mod tests {
         n.set_throttle(2.0);
         assert_eq!(n.throttle, 1.0);
         n.set_throttle(0.5);
-        assert_eq!(n.effective_speed(0), 250.0);
+        assert_eq!(n.throttle, 0.5);
     }
 
     #[test]
     fn node_energy_is_mean_of_processors() {
         let n = node(&[500.0, 1000.0]);
-        // Both idle at 48 W for 10 units -> each 480, mean 480, sum 960.
+        // Both idle at 48 W for 10 units -> each 480, mean 480.
         let t = SimTime::new(10.0);
         assert!((n.energy_at(t) - 480.0).abs() < 1e-9);
-        assert!((n.energy_sum_at(t) - 960.0).abs() < 1e-9);
     }
 
     #[test]

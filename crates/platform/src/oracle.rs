@@ -37,7 +37,6 @@ use crate::power::PowerParams;
 use crate::probe::{Hook, Probe, RunView};
 use crate::processor::ProcState;
 use crate::topology::Platform;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use std::collections::HashSet;
 use std::fmt;
@@ -57,7 +56,7 @@ pub fn close(a: f64, b: f64) -> bool {
 }
 
 /// One recorded invariant violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Short invariant identifier, e.g. `task.conservation`.
     pub invariant: String,
@@ -74,7 +73,7 @@ impl fmt::Display for Violation {
 }
 
 /// The outcome of an audit: recorded violations plus check volume.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditReport {
     /// Violations found, in observation order (capped; see `dropped`).
     pub violations: Vec<Violation>,

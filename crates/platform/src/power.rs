@@ -16,12 +16,11 @@
 //!   `θ · sp_j` and the busy draw scales linearly between idle and peak:
 //!   `p_busy(θ) = p_min + θ · (p_max − p_min)`.
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 
 /// Platform-wide power parameters (per-processor peak is derived from
 /// speed; see [`PowerParams::peak_for_speed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerParams {
     /// Idle draw in watts (paper: 48 W — about half of peak, per Barroso &
     /// Hölzle's energy-proportionality data).

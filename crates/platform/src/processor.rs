@@ -7,13 +7,12 @@
 
 use crate::group::GroupId;
 use crate::power::PowerParams;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use snapshot::{Codec, SnapshotError};
 use workload::{SimCodec, TaskId};
 
 /// Processor activity state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ProcState {
     /// Powered but not executing (draws `p_idle`).
     #[default]
@@ -80,7 +79,7 @@ impl ProcState {
 
 /// A processor: immutable capability parameters plus mutable state and
 /// accounting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Processor {
     /// Nominal speed in MIPS.
     pub speed_mips: f64,

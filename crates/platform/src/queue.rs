@@ -8,14 +8,13 @@
 //! reward).
 
 use crate::group::{GroupId, GroupPolicy, TaskGroup};
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapshotError};
 use std::collections::VecDeque;
 use workload::{SimCodec, Task};
 
 /// A queued (possibly partially executing) task group.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct QueuedGroup {
     /// The group itself (tasks in EDF order).
     pub group: TaskGroup,
@@ -135,7 +134,7 @@ pub struct QueueFull;
 /// to the naive sum, unlike incremental float add/subtract which would
 /// drift after mid-queue removals. This relies on `QueuedGroup::pw` being
 /// immutable once enqueued (it is set at dispatch and never rewritten).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupQueue {
     capacity: usize,
     slots: VecDeque<QueuedGroup>,
@@ -208,11 +207,6 @@ impl GroupQueue {
         self.slots.push_back(qg);
         self.refresh_load();
         Ok(())
-    }
-
-    /// The group at the head of the queue.
-    pub fn head_mut(&mut self) -> Option<&mut QueuedGroup> {
-        self.slots.front_mut()
     }
 
     /// The `i`-th queued group.
@@ -321,7 +315,7 @@ mod tests {
         assert_eq!(removed.group.id, GroupId(2));
         assert_eq!(q.len(), 2);
         assert!(q.remove(GroupId(2)).is_none());
-        assert_eq!(q.head_mut().unwrap().group.id, GroupId(1));
+        assert_eq!(q.get(0).unwrap().group.id, GroupId(1));
     }
 
     #[test]

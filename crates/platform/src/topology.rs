@@ -10,14 +10,13 @@ use crate::heterogeneity::speeds_with_cv;
 use crate::ids::NodeAddr;
 use crate::node::{processors_from_speeds, ComputeNode};
 use crate::power::PowerParams;
-use serde::{Deserialize, Serialize};
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
 use snapshot::{Codec, SnapshotError};
 use workload::SiteId;
 
 /// Declarative description of a platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Number of resource sites (paper: 5–10).
     pub num_sites: u32,
@@ -116,7 +115,7 @@ impl PlatformSpec {
 }
 
 /// One resource site: a set of compute nodes managed by one agent.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Site {
     /// Site id.
     pub id: SiteId,
@@ -131,7 +130,7 @@ pub struct Site {
 ///
 /// All fields are integer counters — exact under incremental update, no
 /// float-drift concerns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Processor population of the site (static).
     pub procs: usize,
@@ -166,7 +165,7 @@ fn node_is_free(node: &ComputeNode) -> bool {
 /// [`Platform::enqueue_group`], [`Platform::remove_group`]) so the cached
 /// [`SiteStats`] stay true; see [`Platform::assert_stats_consistent`] for
 /// the audit-mode cross-check.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Platform {
     /// The spec this platform was generated from.
     pub spec: PlatformSpec,
@@ -181,7 +180,6 @@ pub struct Platform {
     /// be memoized against the epoch with exact bit-identity. Not part of
     /// the serialized platform: checkpoints rebuild state, and a reset
     /// epoch only costs one cold recomputation.
-    #[serde(skip)]
     epochs: Vec<u64>,
 }
 

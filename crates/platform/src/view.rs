@@ -214,11 +214,6 @@ impl<'a> NodeView<'a> {
     pub fn proc_is_idle(&self, i: usize) -> bool {
         self.node.processors[i].is_idle()
     }
-
-    /// Whether processor `i` is down from an injected fault.
-    pub fn proc_is_failed(&self, i: usize) -> bool {
-        self.node.processors[i].is_failed()
-    }
 }
 
 #[cfg(test)]

@@ -133,7 +133,6 @@ proptest! {
         for pair in g.tasks.windows(2) {
             prop_assert!(pair[0].deadline <= pair[1].deadline);
         }
-        prop_assert_eq!(g.earliest_deadline(), g.tasks[0].deadline);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   stream,
 //! * [`poisson`] — Poisson arrival-process generation (exponential
 //!   inter-arrival times),
-//! * [`stats`] / [`series`] — Welford summaries, percentiles, histograms and
-//!   labelled (x, y) series used by the metric and reporting layers.
+//! * [`stats`] / [`series`] — Welford summaries, percentiles and labelled
+//!   (x, y) series used by the metric and reporting layers.
 //!
 //! Everything here is allocation-conscious: hot paths (`EventQueue::push` /
 //! `pop`) never allocate beyond the backing heap growth, per the guidance of
@@ -34,5 +34,5 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use poisson::PoissonProcess;
 pub use rng::RngStream;
 pub use series::{Point, Series};
-pub use stats::{Histogram, RunningStats};
+pub use stats::RunningStats;
 pub use time::{SimDuration, SimTime};

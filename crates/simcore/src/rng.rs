@@ -142,14 +142,6 @@ impl RngStream {
         self.rng.random_range(0..n)
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.rng.random_range(0..=i);
-            xs.swap(i, j);
-        }
-    }
-
     /// The whitened seed backing this stream (stable identifier).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -251,16 +243,6 @@ mod tests {
         // Out-of-range probabilities are clamped rather than panicking.
         assert!(r.chance(2.0));
         assert!(!r.chance(-1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = RngStream::root(13);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

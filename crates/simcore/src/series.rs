@@ -1,10 +1,8 @@
 //! Labelled (x, y) series — the exchange format between experiment runners
 //! and the reporting layer. Every reproduced figure is a set of [`Series`].
 
-use serde::{Deserialize, Serialize};
-
 /// One data point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Independent variable (e.g. number of tasks, % learning cycles).
     pub x: f64,
@@ -13,7 +11,7 @@ pub struct Point {
 }
 
 /// A named curve: what a single line in one of the paper's figures is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label, e.g. `"Adaptive RL"`.
     pub label: String,
@@ -96,21 +94,6 @@ impl Series {
         }
     }
 
-    /// Element-wise ratio of this series' y to `other`'s y at matching x
-    /// positions (points whose x has no match in `other` are skipped).
-    /// Used to express "A is within N % of B" figure-shape checks.
-    pub fn ratio_to(&self, other: &Series) -> Series {
-        let mut out = Series::new(format!("{} / {}", self.label, other.label));
-        for p in &self.points {
-            if let Some(oy) = other.y_at(p.x) {
-                if oy != 0.0 {
-                    out.push(p.x, p.y / oy);
-                }
-            }
-        }
-        out
-    }
-
     /// Whether y is non-decreasing over x (within `tol` slack per step).
     pub fn is_monotone_nondecreasing(&self, tol: f64) -> bool {
         self.points.windows(2).all(|w| w[1].y >= w[0].y - tol)
@@ -145,24 +128,6 @@ mod tests {
         assert_eq!(s.y_min(), Some(1.0));
         assert_eq!(s.y_max(), Some(3.0));
         assert_eq!(s.y_mean(), Some(2.0));
-    }
-
-    #[test]
-    fn ratio_matches_pointwise() {
-        let a = Series::from_xy("a", &[1.0, 2.0], &[10.0, 30.0]);
-        let b = Series::from_xy("b", &[1.0, 2.0], &[20.0, 30.0]);
-        let r = a.ratio_to(&b);
-        assert_eq!(r.points[0].y, 0.5);
-        assert_eq!(r.points[1].y, 1.0);
-    }
-
-    #[test]
-    fn ratio_skips_unmatched_and_zero() {
-        let a = Series::from_xy("a", &[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]);
-        let b = Series::from_xy("b", &[1.0, 3.0], &[0.0, 6.0]);
-        let r = a.ratio_to(&b);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.points[0].x, 3.0);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Streaming statistics.
 //!
 //! [`RunningStats`] is a Welford accumulator (numerically stable single-pass
-//! mean/variance) with min/max tracking; [`Histogram`] is a fixed-width
-//! bucket counter used by the reporting layer.
-
-use serde::{Deserialize, Serialize};
+//! mean/variance) with min/max tracking; [`quantile`] reads percentiles off
+//! a sample.
 
 /// Single-pass mean / variance / extremes accumulator (Welford's method).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -151,80 +149,6 @@ pub fn quantile(sample: &[f64], q: f64) -> Option<f64> {
     Some(xs[lo] + (xs[hi] - xs[lo]) * frac)
 }
 
-/// Fixed-width bucket histogram over `[lo, hi)` with overflow/underflow
-/// buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `buckets` equal-width bins.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            // Clamp guards the x == hi - epsilon rounding edge.
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// `(bucket_lower_bound, count)` pairs for reporting.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * i as f64, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,21 +234,6 @@ mod tests {
         let xs = [2.0, f64::NAN, 1.0, 3.0];
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert!(quantile(&xs, 1.0).unwrap().is_nan());
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 5.5, 9.999, -1.0, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 8);
-        let bins: Vec<(f64, u64)> = h.bins().collect();
-        assert_eq!(bins[0], (0.0, 2));
-        assert_eq!(bins[4], (8.0, 1));
     }
 
     #[test]

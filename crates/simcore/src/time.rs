@@ -5,7 +5,6 @@
 //! expressed in dimensionless "time units" (task inter-arrival mean is five
 //! time units); we keep that convention.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -14,13 +13,13 @@ use std::ops::{Add, AddAssign, Sub};
 /// Invariant: the inner value is finite and non-negative. All constructors
 /// enforce this, which is what makes the `Ord` implementation sound. The
 /// default is [`SimTime::ZERO`].
-#[derive(Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 /// A span of virtual time, in simulation time units.
 ///
 /// Invariant: finite and non-negative.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct SimDuration(f64);
 
 impl SimTime {

@@ -10,7 +10,6 @@
 //! `PROFILE_*.json` artifact (no JSON crate is vendored).
 
 use crate::fmt;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -121,7 +120,7 @@ impl PhaseProfiler {
 }
 
 /// Aggregated timings for one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStat {
     pub phase: String,
     pub calls: u64,
@@ -130,7 +129,7 @@ pub struct PhaseStat {
 }
 
 /// The profiler's end-of-run output.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     pub phases: Vec<PhaseStat>,
 }

@@ -1,20 +1,19 @@
 //! Counter/histogram accumulation shared by the real sinks, and the
 //! end-of-run `TelemetrySummary` attached to `RunResult`.
 
-use serde::{Deserialize, Serialize};
 use simcore::stats::quantile;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// A monotonic counter total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterTotal {
     pub name: String,
     pub total: u64,
 }
 
 /// Quantile summary of one histogram series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSummary {
     pub name: String,
     pub count: u64,
@@ -28,7 +27,7 @@ pub struct HistogramSummary {
 /// End-of-run telemetry rollup: counter totals plus histogram
 /// quantiles, both sorted by name (BTreeMap order) for deterministic
 /// output.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySummary {
     pub counters: Vec<CounterTotal>,
     pub histograms: Vec<HistogramSummary>,

@@ -4,12 +4,11 @@
 //! `timeseries.jsonl` sink and folded into `RunResult`.
 
 use crate::fmt;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
 
 /// Per-site state at one sample instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SitePoint {
     /// Instantaneous power draw of the site (watts).
     pub power_w: f64,
@@ -20,7 +19,7 @@ pub struct SitePoint {
 }
 
 /// One snapshot of the whole platform at sim time `t`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimePoint {
     /// Simulated time of the sample (seconds).
     pub t: f64,
@@ -33,7 +32,6 @@ pub struct TimePoint {
     /// Tasks permanently failed so far.
     pub failed: u64,
     /// Scheduler exploration rate (epsilon), when the policy exposes one.
-    #[serde(default)]
     pub epsilon: Option<f64>,
     /// Decision-latency quantile estimates (microseconds); zero until the
     /// first decision lands.
@@ -48,7 +46,7 @@ pub struct TimePoint {
 ///
 /// Diagnostics only — excluded from replay comparison, like the
 /// telemetry summary.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeriesLog {
     /// Requested sampling cadence (sim seconds). Samples land on the
     /// first tick boundary at or after each cadence multiple.

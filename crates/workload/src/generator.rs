@@ -13,13 +13,12 @@
 
 use crate::priority::PriorityMix;
 use crate::task::{SiteId, Task, TaskId};
-use serde::{Deserialize, Serialize};
 use simcore::poisson::PoissonProcess;
 use simcore::rng::RngStream;
 use simcore::time::{SimDuration, SimTime};
 
 /// Declarative description of a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Total number of tasks (paper: 500–3000).
     pub num_tasks: usize,
@@ -80,7 +79,7 @@ impl WorkloadSpec {
 }
 
 /// A fully generated workload: tasks sorted by arrival time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// The spec this workload was generated from.
     pub spec: WorkloadSpec,
@@ -159,11 +158,6 @@ impl Workload {
             .map(|t| t.arrival)
             .unwrap_or(SimTime::ZERO)
     }
-
-    /// Tasks destined for one site, preserving arrival order.
-    pub fn tasks_for_site(&self, site: SiteId) -> impl Iterator<Item = &Task> {
-        self.tasks.iter().filter(move |t| t.site == site)
-    }
 }
 
 #[cfg(test)]
@@ -225,11 +219,11 @@ mod tests {
     #[test]
     fn sites_are_covered() {
         let w = gen(5, 1000);
+        let per_site = |s| w.tasks.iter().filter(|t| t.site == SiteId(s)).count();
         for s in 0..5 {
-            assert!(w.tasks_for_site(SiteId(s)).count() > 0, "site {s} starved");
+            assert!(per_site(s) > 0, "site {s} starved");
         }
-        let total: usize = (0..5).map(|s| w.tasks_for_site(SiteId(s)).count()).sum();
-        assert_eq!(total, w.len());
+        assert_eq!((0..5).map(per_site).sum::<usize>(), w.len());
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! (§V.A); [`PriorityMix`] captures those probabilities and maps a class to
 //! the matching `add_t` slack band.
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Codec, SnapshotError};
 use std::fmt;
 
@@ -23,9 +22,7 @@ pub const LOW_SLACK_MIN: f64 = 0.8;
 pub const SLACK_MAX: f64 = 1.5;
 
 /// Task urgency class, derived from deadline slack.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Priority {
     /// Deadline ≥ 80 % later than the reference execution time.
     #[default]
@@ -102,7 +99,7 @@ impl fmt::Display for Priority {
 ///
 /// Invariant: components are non-negative and sum to 1 (±1e-9), enforced by
 /// [`PriorityMix::new`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityMix {
     /// Probability of a low-priority task.
     pub low: f64,

@@ -8,11 +8,10 @@
 
 use crate::priority::Priority;
 use crate::task::Task;
-use serde::{Deserialize, Serialize};
 use simcore::stats::RunningStats;
 
 /// Aggregate description of a set of tasks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadProfile {
     /// Number of tasks per priority class (indexed by [`Priority::index`]).
     pub count_by_priority: [u64; 3],

@@ -2,21 +2,16 @@
 
 use crate::codec::SimCodec;
 use crate::priority::Priority;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use snapshot::{Codec, SnapshotError};
 use std::fmt;
 
 /// Unique task identifier, dense from 0 within one workload.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
 /// Identifier of the resource site a task arrives at.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -36,7 +31,7 @@ impl fmt::Display for SiteId {
 /// `ACT` (the expected execution time used to set deadlines and priorities)
 /// is always relative to the *reference speed* — the slowest processor of
 /// the platform — per §III.A of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Task {
     /// Unique id.
     pub id: TaskId,
@@ -53,31 +48,10 @@ pub struct Task {
 }
 
 impl Task {
-    /// Expected execution time on a resource of speed `ref_speed_mips`
-    /// (Eq. 3: `ET = s_i / sp_j`).
-    ///
-    /// # Panics
-    /// Panics if `ref_speed_mips` is not strictly positive.
-    #[inline]
-    pub fn expected_exec_time(&self, ref_speed_mips: f64) -> SimDuration {
-        assert!(
-            ref_speed_mips > 0.0,
-            "speed must be positive, got {ref_speed_mips}"
-        );
-        SimDuration::new(self.size_mi / ref_speed_mips)
-    }
-
     /// Remaining slack at `now`: time until the deadline, saturating at 0.
     #[inline]
     pub fn slack_at(&self, now: SimTime) -> SimDuration {
         self.deadline.since(now)
-    }
-
-    /// Whether a completion at `finish` meets the deadline (Eq. 8's
-    /// indicator: `ACT_i <= d_i`, i.e. finished no later than `d_i`).
-    #[inline]
-    pub fn meets_deadline(&self, finish: SimTime) -> bool {
-        finish <= self.deadline
     }
 
     /// The paper's *processing weight contribution*: `s_i / d_i` where the
@@ -132,21 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_time_is_size_over_speed() {
-        let t = mk(1000.0, 0.0, 10.0);
-        assert_eq!(t.expected_exec_time(500.0).as_f64(), 2.0);
-        assert_eq!(t.expected_exec_time(1000.0).as_f64(), 1.0);
-    }
-
-    #[test]
-    fn deadline_check_is_inclusive() {
-        let t = mk(100.0, 0.0, 5.0);
-        assert!(t.meets_deadline(SimTime::new(5.0)));
-        assert!(t.meets_deadline(SimTime::new(4.9)));
-        assert!(!t.meets_deadline(SimTime::new(5.1)));
-    }
-
-    #[test]
     fn slack_saturates() {
         let t = mk(100.0, 0.0, 5.0);
         assert_eq!(t.slack_at(SimTime::new(2.0)).as_f64(), 3.0);
@@ -159,11 +118,5 @@ mod tests {
         let loose = mk(1000.0, 10.0, 20.0); // 100 MI per unit
         assert!(tight.urgency_density() > loose.urgency_density());
         assert_eq!(tight.urgency_density(), 500.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "speed must be positive")]
-    fn zero_speed_rejected() {
-        let _ = mk(1.0, 0.0, 1.0).expected_exec_time(0.0);
     }
 }
