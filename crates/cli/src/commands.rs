@@ -206,23 +206,6 @@ fn summary_block(r: &RunResult) -> String {
             r.incomplete
         ));
     }
-    if let Some(t) = &r.telemetry {
-        if !t.counters.is_empty() {
-            out.push_str("telemetry counters:\n");
-            for c in &t.counters {
-                out.push_str(&format!("  {:<20} {}\n", c.name, c.total));
-            }
-        }
-        if !t.histograms.is_empty() {
-            out.push_str("telemetry histograms (n, p50/p95/p99/max):\n");
-            for h in &t.histograms {
-                out.push_str(&format!(
-                    "  {:<20} n={:<6} {:.4}/{:.4}/{:.4}/{:.4}\n",
-                    h.name, h.count, h.p50, h.p95, h.p99, h.max
-                ));
-            }
-        }
-    }
     out
 }
 
@@ -980,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_writes_a_chrome_trace_and_prints_telemetry() {
+    fn simulate_writes_a_chrome_trace() {
         let (path, path_str) = temp_trace("chrome");
         let out = simulate(&parse(&[
             "simulate",
@@ -996,12 +979,7 @@ mod tests {
             "chrome",
         ]))
         .expect("traced simulate");
-        assert!(
-            out.contains("telemetry counters:"),
-            "missing telemetry in {out}"
-        );
-        assert!(out.contains("groups.dispatched"));
-        assert!(out.contains("decision_latency_us"));
+        assert!(out.contains("p50/p95 response:"), "{out}");
         let text = std::fs::read_to_string(&path).expect("trace file");
         let v = telemetry::json::parse(&text).expect("chrome trace must be valid JSON");
         assert!(!v.as_array().expect("array").is_empty());
@@ -1048,9 +1026,7 @@ mod tests {
         traced_line.extend(["--trace", &path_str, "--trace-level", "all"]);
         let traced = simulate(&parse(&traced_line)).expect("traced");
         std::fs::remove_file(&path).ok();
-        // The traced output is the plain output plus telemetry sections.
-        assert!(traced.starts_with(&plain), "tracing perturbed the summary");
-        assert!(traced.contains("telemetry counters:"));
+        assert_eq!(traced, plain, "tracing changed the printed summary");
     }
 
     #[test]
@@ -1162,7 +1138,7 @@ mod tests {
             "chrome",
         ]))
         .expect("traced replay");
-        assert!(out.contains("telemetry counters:"));
+        assert!(out.contains("p50/p95 response:"), "{out}");
         let text = std::fs::read_to_string(&path).expect("trace file");
         assert!(telemetry::json::parse(&text).is_ok());
         std::fs::remove_file(&path).ok();

@@ -102,7 +102,10 @@ USAGE:
       line-delimited JSON over TCP (one {\"submit\":…} object per line)
       and placement/completion notifications stream back on the same
       connection; sim time advances at --pace sim time units per wall
-      second (default 100; 0 freezes the clock). --metrics-addr serves
+      second (default 100; 0 freezes the clock). a client that
+      half-closes still gets every reply: the daemon closes the
+      connection once the client's tasks resolve (at --pace 0, once its
+      acks are out). --metrics-addr serves
       the shared arls_* / arls_ingest_* families on /metrics.
       --checkpoint-dir snapshots the full live state on the
       --checkpoint-every-secs timer and once more on SIGTERM/SIGINT;

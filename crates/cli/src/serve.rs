@@ -21,6 +21,12 @@
 //! family, served on `/metrics` by [`telemetry::MetricsServer`] when
 //! `--metrics-addr` is given.
 //!
+//! A client that half-closes (`nc -N`, `shutdown(SHUT_WR)`) still gets
+//! every reply: its end of stream ends its requests, and the daemon
+//! closes the connection once the client owns no unresolved task and
+//! its backlog is flushed. At `--pace 0` nothing resolves, so that is
+//! as soon as its acks are out.
+//!
 //! The daemon is single-threaded and non-blocking throughout (the same
 //! dependency-free socket style as the metrics server): one loop
 //! accepts, reads, advances, notifies, flushes, checkpoints — and parks
@@ -109,6 +115,10 @@ struct Client {
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     open: bool,
+    /// The client sent end of stream; it is not read again.
+    eof: bool,
+    /// Admitted tasks of this client without a `done`/`failed` yet.
+    unresolved: usize,
 }
 
 impl Client {
@@ -299,6 +309,8 @@ fn run_daemon(
                             inbuf: Vec::new(),
                             outbuf: Vec::new(),
                             open: true,
+                            eof: false,
+                            unresolved: 0,
                         },
                     );
                     accepted += 1;
@@ -311,12 +323,11 @@ fn run_daemon(
 
         // Read request lines and admit submissions.
         for (&id, client) in clients.iter_mut() {
-            loop {
+            while !client.eof {
                 match client.stream.read(&mut read_chunk) {
                     Ok(0) => {
                         active = true;
-                        client.close();
-                        break;
+                        client.eof = true;
                     }
                     Ok(n) => {
                         active = true;
@@ -335,15 +346,25 @@ fn run_daemon(
                     }
                 }
             }
-            while let Some(pos) = client.inbuf.iter().position(|b| *b == b'\n') {
-                let line: Vec<u8> = client.inbuf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&line[..line.len() - 1]);
+            loop {
+                let line: Vec<u8> = match client.inbuf.iter().position(|b| *b == b'\n') {
+                    Some(pos) => client.inbuf.drain(..=pos).collect(),
+                    // After end of stream, a last line without its newline.
+                    None if client.eof && !client.inbuf.is_empty() => {
+                        std::mem::take(&mut client.inbuf)
+                    }
+                    None => break,
+                };
+                let line = String::from_utf8_lossy(&line);
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
                 }
                 opts.ingest.lines.inc();
                 let reply = handle_line(line, &mut session, id, &mut owners, &opts.ingest);
+                if let Notification::Ack { tasks, .. } = &reply {
+                    client.unresolved += tasks.len();
+                }
                 push_notification(client, &reply, &opts.ingest);
             }
             if client.inbuf.len() > MAX_CLIENT_BACKLOG {
@@ -405,15 +426,20 @@ fn run_daemon(
                     owners.get(&task).copied()
                 };
                 if let Some(client) = owner.and_then(|id| clients.get_mut(&id)) {
+                    client.unresolved -= usize::from(done);
                     push_notification(client, &n, &opts.ingest);
                 }
             }
         }
 
-        // Flush client backlogs, then drop every connection closed in
-        // this pass (which closes its socket).
+        // Flush client backlogs, close every client past its end of
+        // stream that no reply can still reach, then drop every
+        // connection closed in this pass (which closes its socket).
         for c in clients.values_mut() {
             flush_client(c);
+            if c.eof && (c.unresolved == 0 || opts.pace == 0.0) && c.outbuf.is_empty() {
+                c.close();
+            }
         }
         clients.retain(|_, c| c.open);
 

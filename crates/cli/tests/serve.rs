@@ -339,6 +339,51 @@ fn serve_rejects_a_deeply_nested_line_and_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn serve_answers_a_client_that_half_closes() {
+    let dir = scratch_dir("halfclose");
+    let port_file = dir.join("ports.txt");
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--pace",
+        "200",
+    ]);
+    let (ingest_addr, _) = wait_for_ports(&port_file, &mut daemon);
+
+    // One submission, then end of stream at once (`nc -N`): the request
+    // is still admitted and answered through to its `done`, and the
+    // daemon then closes the connection.
+    let mut conn = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(
+        b"{\"submit\":{\"id\":1,\"tasks\":[{\"size_mi\":1500,\"deadline\":120,\
+          \"priority\":\"high\",\"site\":0}]}}\n",
+    )
+    .expect("write submission");
+    conn.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply)
+        .expect("read until the daemon closes");
+    let kinds: Vec<&str> = reply
+        .lines()
+        .map(|l| l.split('"').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(kinds, ["ack", "placed", "done"], "{reply:?}");
+
+    sigterm(&daemon);
+    let out = wait_exit(daemon);
+    assert!(
+        out.contains("1 submissions (1 tasks) admitted"),
+        "stdout: {out}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Open file descriptors of process `pid`.
 #[cfg(target_os = "linux")]
 fn fd_count(pid: u32) -> usize {

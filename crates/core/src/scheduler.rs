@@ -231,8 +231,9 @@ impl AdaptiveRl {
 
     /// Attaches a telemetry recorder: per-decision events (chosen node,
     /// policy, `pw`, ε, shared-memory hit/miss) and per-learning-cycle
-    /// summaries (value-net training error, exploration rate). Decision
-    /// latency is timed by the execution engine, for every policy.
+    /// summaries (value-net training error, exploration rate, running
+    /// shared-memory hit/miss totals). Decision latency is timed by the
+    /// execution engine's live metrics, for every policy.
     pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
         self.t_dec = rec.wants(TraceLevel::Decisions);
         self.t_cyc = rec.wants(TraceLevel::Cycles);
@@ -517,10 +518,8 @@ impl Scheduler for AdaptiveRl {
             if self.t_cyc && self.cfg.use_shared_memory {
                 if src == crate::agent::ChoiceSource::MemoryReplay {
                     self.mem_hits += 1;
-                    self.rec.counter_add("memory.hits", 1);
                 } else {
                     self.mem_misses += 1;
-                    self.rec.counter_add("memory.misses", 1);
                 }
             }
             // Every group would come back unplaced: leave the pool as it
@@ -704,7 +703,6 @@ impl Scheduler for AdaptiveRl {
             self.agents[sample.site as usize].note_reward(fb.success_rate());
         }
         if self.t_cyc {
-            self.rec.counter_add("learning.cycles", 1);
             self.rec.event(
                 "learning_cycle",
                 now.as_f64(),

@@ -153,27 +153,4 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(plain.total_energy, traced.total_energy, "energy diverged");
     assert_eq!(plain.records.len(), traced.records.len());
     assert_eq!(plain.faults_injected, traced.faults_injected);
-    assert!(plain.telemetry.is_none(), "untraced run carries no summary");
-}
-
-#[test]
-fn run_summary_carries_counters_and_histograms() {
-    let path = temp_path("summary");
-    let rec: runner::SharedRecorder =
-        Arc::new(JsonlSink::create(&path, TraceLevel::Decisions).expect("create sink"));
-    let r = traced(&faulty_scenario(), &adaptive(), &rec);
-    rec.finish();
-    std::fs::remove_file(&path).ok();
-
-    let t = r.telemetry.expect("traced run must attach a summary");
-    assert_eq!(t.counter("groups.dispatched"), Some(r.groups_dispatched));
-    assert_eq!(t.counter("faults.injected"), Some(r.faults_injected));
-    assert_eq!(t.counter("learning.cycles"), Some(r.groups_completed));
-    for hist in ["decision_latency_us", "queue_wait_s"] {
-        let h = t
-            .histogram(hist)
-            .unwrap_or_else(|| panic!("missing {hist}"));
-        assert!(h.count > 0);
-        assert!(h.p50 <= h.p95 && h.p95 <= h.p99 && h.p99 <= h.max);
-    }
 }

@@ -32,7 +32,7 @@ use simcore::time::{SimDuration, SimTime};
 use snapshot::{Codec, SnapshotError};
 use std::collections::HashMap;
 use std::sync::Arc;
-use telemetry::{PhaseProfiler, Recorder, TelemetrySummary, TimeSeriesLog};
+use telemetry::{PhaseProfiler, Recorder, TimeSeriesLog};
 use workload::{Priority, SimCodec, SiteId, Task, TaskId};
 
 /// Engine configuration.
@@ -249,9 +249,6 @@ pub struct RunResult {
     /// sampler attached. Diagnostics only: excluded from replay
     /// comparison.
     pub timeseries: Option<TimeSeriesLog>,
-    /// Counter totals and histogram quantiles accumulated by the run's
-    /// telemetry recorder. `None` on untraced runs.
-    pub telemetry: Option<TelemetrySummary>,
     /// The correctness oracle's findings. `None` unless the run was
     /// executed with [`ExecConfig::audit`] set.
     pub audit: Option<AuditReport>,
@@ -1323,13 +1320,13 @@ impl ExecEngine {
         self
     }
 
-    /// Traces the run into `rec`: dispatch/finish spans, fault/recovery
-    /// markers with per-site queue-depth and power snapshots, queue-wait,
-    /// response-time and decision-latency histograms, and (at
-    /// [`telemetry::TraceLevel::All`]) one record per engine event. The
-    /// counter/histogram summary lands in [`RunResult::telemetry`]; the
-    /// caller owns sink finalisation (`rec.finish()`). Strictly
-    /// observing.
+    /// Traces the run into `rec`: dispatch spans, group completion and
+    /// abort markers, fault/recovery markers with per-site queue-depth and
+    /// power snapshots, and (at [`telemetry::TraceLevel::All`]) one record
+    /// per engine event. The recorder counts nothing: the run's totals
+    /// are [`RunResult`] fields, and decision latency is the monitor's
+    /// `arls_decision_latency_seconds`. The caller owns sink finalisation
+    /// (`rec.finish()`). Strictly observing.
     pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(rec);
         self
@@ -1640,7 +1637,6 @@ pub(crate) fn assemble_result(
         events_processed: engine.processed(),
         max_queue_occupancy: engine.queue().max_occupancy(),
         timeseries: None,
-        telemetry: None,
         audit: None,
     };
     let view = driver.run_view(engine.now());
@@ -2328,10 +2324,9 @@ mod tests {
         assert!(observed.faults_injected > 0 && observed.preemptions > 0);
     }
 
-    /// Counts the per-event firehose records and the decision-latency
-    /// samples it receives.
+    /// Counts the per-event firehose records it receives.
     #[derive(Default)]
-    struct FirehoseCounter(AtomicU64, AtomicU64);
+    struct FirehoseCounter(AtomicU64);
 
     impl Recorder for FirehoseCounter {
         fn wants(&self, _level: telemetry::TraceLevel) -> bool {
@@ -2345,12 +2340,6 @@ mod tests {
         fn span_begin(&self, _n: &str, _i: u64, _t: f64, _k: u32, _f: telemetry::Fields<'_>) {}
         fn span_end(&self, _n: &str, _i: u64, _t: f64, _k: u32) {}
         fn gauge(&self, _n: &str, _t: f64, _v: f64) {}
-        fn counter_add(&self, _n: &'static str, _d: u64) {}
-        fn histogram(&self, name: &'static str, _v: f64) {
-            if name == "decision_latency_us" {
-                self.1.fetch_add(1, Relaxed);
-            }
-        }
     }
 
     fn fcfs_with(engine: ExecEngine) -> RunResult {
@@ -2382,8 +2371,6 @@ mod tests {
             let r = fcfs_with(ExecEngine::new(cfg).with_recorder(rec.clone()));
             assert_eq!(r.outcome, outcome);
             assert_eq!(rec.0.load(Relaxed), r.events_processed);
-            // The driver times the FCFS policy's decisions too.
-            assert!(rec.1.load(Relaxed) > 0);
             let plain = fcfs_with(ExecEngine::new(cfg));
             assert_eq!(crate::oracle::replay_divergence(&plain, &r), None);
         }

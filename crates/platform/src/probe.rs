@@ -119,9 +119,9 @@ pub(crate) fn site_snapshot(platform: &Platform, site: SiteId) -> (SiteStats, f6
 }
 
 /// Feeds a telemetry [`Recorder`]: dispatch spans, completion and abort
-/// markers, fault/recovery markers with per-site snapshots, counters,
-/// histograms, progress snapshots and (at [`TraceLevel::All`]) one record
-/// per engine event.
+/// markers, fault/recovery markers with per-site snapshots, progress
+/// snapshots and (at [`TraceLevel::All`]) one record per engine event.
+/// It counts nothing; the run's totals are [`RunResult`] fields.
 pub(crate) struct TraceProbe {
     rec: Arc<dyn Recorder>,
     /// Level gates resolved once at attach time.
@@ -170,13 +170,6 @@ impl TraceProbe {
             events: run.events,
         });
     }
-
-    /// Adds one to a counter (a `cycles`-level record).
-    fn count(&self, name: &'static str) {
-        if self.cycles {
-            self.rec.counter_add(name, 1);
-        }
-    }
 }
 
 impl Probe for TraceProbe {
@@ -192,43 +185,24 @@ impl Probe for TraceProbe {
                 ];
                 self.rec.event("engine.event", t, 0, &fields);
             }
-            Hook::Decision(secs) if self.decisions => {
-                self.rec.histogram("decision_latency_us", secs * 1e6);
-            }
-            Hook::Rejected => self.count("dispatch.rejected"),
-            Hook::Dispatch(fb, _) => {
-                self.count("groups.dispatched");
-                if self.decisions {
-                    let addr = fb.node;
-                    let (st, power) = site_snapshot(platform, addr.site);
-                    let fields = [
-                        ("site", Value::U64(addr.site.0 as u64)),
-                        ("node", Value::U64(addr.node as u64)),
-                        ("size", Value::U64(fb.size as u64)),
-                        ("pw", Value::F64(fb.pw)),
-                        ("capacity", Value::F64(fb.capacity)),
-                        ("err", Value::F64(fb.error)),
-                        ("site_queued", Value::U64(st.queued_groups as u64)),
-                        ("site_idle", Value::U64(st.idle as u64)),
-                        ("site_power_w", Value::F64(power)),
-                    ];
-                    self.rec
-                        .span_begin("group", fb.group.0, t, track(platform, addr), &fields);
-                    self.queued_gauge(platform, addr.site, now);
-                }
-            }
-            Hook::Start(.., true) => self.count("split.starts"),
-            Hook::Finish(task, _, met) if self.cycles => {
-                self.rec.counter_add("tasks.completed", 1);
-                if met {
-                    self.rec.counter_add("tasks.met", 1);
-                }
+            Hook::Dispatch(fb, _) if self.decisions => {
+                let addr = fb.node;
+                let (st, power) = site_snapshot(platform, addr.site);
+                let fields = [
+                    ("site", Value::U64(addr.site.0 as u64)),
+                    ("node", Value::U64(addr.node as u64)),
+                    ("size", Value::U64(fb.size as u64)),
+                    ("pw", Value::F64(fb.pw)),
+                    ("capacity", Value::F64(fb.capacity)),
+                    ("err", Value::F64(fb.error)),
+                    ("site_queued", Value::U64(st.queued_groups as u64)),
+                    ("site_idle", Value::U64(st.idle as u64)),
+                    ("site_power_w", Value::F64(power)),
+                ];
                 self.rec
-                    .histogram("task_response_s", now.since(task.arrival).as_f64());
+                    .span_begin("group", fb.group.0, t, track(platform, addr), &fields);
+                self.queued_gauge(platform, addr.site, now);
             }
-            Hook::Preempt(_) => self.count("tasks.preempted"),
-            Hook::Retried => self.count("tasks.retried"),
-            Hook::GiveUp(_) => self.count("tasks.failed"),
             Hook::GroupComplete(fb, cycle) => {
                 let addr = fb.node;
                 if self.decisions {
@@ -237,8 +211,6 @@ impl Probe for TraceProbe {
                     self.queued_gauge(platform, addr.site, now);
                 }
                 if self.cycles {
-                    self.rec.counter_add("groups.completed", 1);
-                    self.rec.histogram("queue_wait_s", fb.wait_time());
                     let fields = [
                         ("cycle", Value::U64(cycle)),
                         ("site", Value::U64(addr.site.0 as u64)),
@@ -260,7 +232,6 @@ impl Probe for TraceProbe {
                     self.rec.span_end("group", gid.0, t, track(platform, node));
                 }
                 if self.cycles {
-                    self.rec.counter_add("groups.aborted", 1);
                     let fields = [
                         ("site", Value::U64(node.site.0 as u64)),
                         ("node", Value::U64(node.node as u64)),
@@ -271,7 +242,6 @@ impl Probe for TraceProbe {
                 }
             }
             Hook::Fault(fault, preempted) if self.cycles => {
-                self.rec.counter_add("faults.injected", 1);
                 let addr = fault.target.node();
                 let (st, power) = site_snapshot(platform, addr.site);
                 let proc = match fault.target {
@@ -292,7 +262,6 @@ impl Probe for TraceProbe {
                 self.rec.event("fault", t, track(platform, addr), &fields);
             }
             Hook::Recover(addr) if self.cycles => {
-                self.rec.counter_add("faults.recovered", 1);
                 let (st, power) = site_snapshot(platform, addr.site);
                 let fields = [
                     ("site", Value::U64(addr.site.0 as u64)),
@@ -308,22 +277,17 @@ impl Probe for TraceProbe {
         }
     }
 
-    fn times_decisions(&self) -> bool {
-        self.decisions
-    }
-
     fn tick(&mut self, run: &RunView<'_>) {
         if self.progress {
             self.emit_progress(run);
         }
     }
 
-    fn finish(self: Box<Self>, run: &RunView<'_>, _: &RunTotals, result: &mut RunResult) {
+    fn finish(self: Box<Self>, run: &RunView<'_>, _: &RunTotals, _: &mut RunResult) {
         if self.progress {
             // Final snapshot so short runs print at least one line.
             self.emit_progress(run);
         }
-        result.telemetry = self.rec.summary();
     }
 }
 

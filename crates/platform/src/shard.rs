@@ -312,7 +312,6 @@ fn merge_results(
         events_processed,
         max_queue_occupancy,
         timeseries: None,
-        telemetry: None,
         audit: None,
     };
     if audit_on {

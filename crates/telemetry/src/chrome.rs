@@ -14,10 +14,10 @@
 //! streamed to the writer in emission order, which the engine guarantees
 //! is non-decreasing in simulated time.
 
-use crate::fmt::{push_f64, push_fields, push_json_str};
+use crate::fmt::{push_f64, push_fields};
+use crate::json::push_string;
 use crate::jsonl::SinkWriter;
-use crate::recorder::{Fields, Progress, Recorder, TraceLevel};
-use crate::stats::{StatsCore, TelemetrySummary};
+use crate::recorder::{Fields, Recorder, TraceLevel};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -45,7 +45,6 @@ impl ChromeOut {
 pub struct ChromeTraceSink {
     level: TraceLevel,
     out: Mutex<ChromeOut>,
-    stats: StatsCore,
 }
 
 impl ChromeTraceSink {
@@ -66,7 +65,6 @@ impl ChromeTraceSink {
                 finished: false,
                 err: None,
             }),
-            stats: StatsCore::new(),
         })
     }
 
@@ -96,7 +94,7 @@ impl ChromeTraceSink {
     fn head(name: &str, ph: &str, t: f64, track: u32) -> String {
         let mut r = String::with_capacity(128);
         r.push_str("{\"name\":");
-        push_json_str(&mut r, name);
+        push_string(&mut r, name);
         r.push_str(",\"cat\":\"");
         r.push_str(CATEGORY);
         r.push_str("\",\"ph\":\"");
@@ -146,20 +144,6 @@ impl Recorder for ChromeTraceSink {
         push_f64(&mut r, value);
         r.push_str("}}");
         self.emit(&r);
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        self.stats.counter_add(name, delta);
-    }
-
-    fn histogram(&self, name: &'static str, value: f64) {
-        self.stats.histogram(name, value);
-    }
-
-    fn progress(&self, _p: &Progress) {}
-
-    fn summary(&self) -> Option<TelemetrySummary> {
-        Some(self.stats.summary())
     }
 
     /// Close the JSON array; idempotent, also invoked on drop.

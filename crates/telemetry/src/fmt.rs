@@ -1,29 +1,10 @@
 //! Shared JSON formatting helpers for the sinks. No JSON crate is
 //! vendored; `{:?}` on `f64` prints the shortest round-trippable
-//! representation, and the escaping below covers the JSON string
-//! grammar.
+//! representation, and strings are escaped by [`push_string`].
 
+use crate::json::push_string;
 use crate::recorder::{Fields, Value};
 use std::fmt::Write as _;
-
-/// Append `s` as a JSON string literal (quotes included).
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Append a finite JSON number; non-finite floats become `null` so the
 /// output always stays well-formed.
@@ -45,7 +26,7 @@ pub(crate) fn push_value(out: &mut String, v: &Value<'_>) {
             let _ = write!(out, "{x}");
         }
         Value::F64(x) => push_f64(out, *x),
-        Value::Str(s) => push_json_str(out, s),
+        Value::Str(s) => push_string(out, s),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
 }
@@ -57,7 +38,7 @@ pub(crate) fn push_fields(out: &mut String, fields: Fields<'_>) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, k);
+        push_string(out, k);
         out.push(':');
         push_value(out, v);
     }
@@ -67,13 +48,6 @@ pub(crate) fn push_fields(out: &mut String, fields: Fields<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_control_and_quote_chars() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
-    }
 
     #[test]
     fn non_finite_floats_become_null() {

@@ -1,4 +1,5 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser, and the one JSON string
+//! escaper.
 //!
 //! The workspace vendors no JSON crate, but the telemetry sinks *emit*
 //! JSON and two consumers need to read JSON: the `arls serve` wire
@@ -6,10 +7,12 @@
 //! and the exporter tests (validity, monotonic `ts`, matched span pairs).
 //! This covers the full JSON grammar minus `\u` surrogate pairs being
 //! combined (escapes decode to the code point; lone surrogates are
-//! rejected).
+//! rejected). [`push_string`] escapes every string the sinks and the
+//! wire protocol write.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +110,25 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
+}
+
+/// Append `s` as a JSON string literal (quotes included).
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 struct Parser<'a> {
@@ -268,15 +290,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar, not byte by byte.
+                    // Copy the run up to the next quote or escape in one
+                    // piece (both are ASCII, so the run ends on a char
+                    // boundary): linear in the string's length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -364,6 +389,13 @@ mod tests {
         // Deep enough to overflow the stack if every level recursed.
         let hostile = format!("{{\"submit\":{}", "[".repeat(300_000));
         assert!(parse(&hostile).is_err());
+    }
+
+    #[test]
+    fn escapes_control_and_quote_chars() {
+        let mut s = String::new();
+        push_string(&mut s, "a\"b\\c\nd\te\u{1}");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 
     #[test]

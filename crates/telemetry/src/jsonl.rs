@@ -6,9 +6,9 @@
 //! holding the writer lock, so lines from replicated runner threads
 //! sharing one sink never interleave.
 
-use crate::fmt::{push_f64, push_fields, push_json_str};
-use crate::recorder::{Fields, Progress, Recorder, TraceLevel};
-use crate::stats::{StatsCore, TelemetrySummary};
+use crate::fmt::{push_f64, push_fields};
+use crate::json::push_string;
+use crate::recorder::{Fields, Recorder, TraceLevel};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -36,7 +36,6 @@ impl JsonlOut {
 pub struct JsonlSink {
     level: TraceLevel,
     out: Mutex<JsonlOut>,
-    stats: StatsCore,
 }
 
 impl JsonlSink {
@@ -51,7 +50,6 @@ impl JsonlSink {
         JsonlSink {
             level,
             out: Mutex::new(JsonlOut { w: out, err: None }),
-            stats: StatsCore::new(),
         }
     }
 
@@ -74,9 +72,9 @@ impl JsonlSink {
     fn record(&self, kind: &str, name: &str, t: f64, track: u32) -> String {
         let mut line = String::with_capacity(128);
         line.push_str("{\"type\":");
-        push_json_str(&mut line, kind);
+        push_string(&mut line, kind);
         line.push_str(",\"name\":");
-        push_json_str(&mut line, name);
+        push_string(&mut line, name);
         line.push_str(",\"t\":");
         push_f64(&mut line, t);
         line.push_str(",\"track\":");
@@ -122,20 +120,6 @@ impl Recorder for JsonlSink {
         push_f64(&mut line, value);
         line.push_str("}\n");
         self.write_line(&line);
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        self.stats.counter_add(name, delta);
-    }
-
-    fn histogram(&self, name: &'static str, value: f64) {
-        self.stats.histogram(name, value);
-    }
-
-    fn progress(&self, _p: &Progress) {}
-
-    fn summary(&self) -> Option<TelemetrySummary> {
-        Some(self.stats.summary())
     }
 
     fn finish(&self) {

@@ -8,9 +8,11 @@
 //!
 //! Layers:
 //!
-//! - [`Recorder`] — the trait the engines talk to. Span begin/end,
-//!   instant events, gauges, monotonic counters and histogram samples,
-//!   plus a periodic [`Progress`] snapshot for the stderr ticker.
+//! - [`Recorder`] — the trait the engines talk to: the trace stream
+//!   (span begin/end, instant events, gauges), a periodic [`Progress`]
+//!   snapshot for the stderr ticker, and sink finalisation. It counts
+//!   nothing: run totals live in the platform's `RunResult`, and the live
+//!   `arls_*` family in [`metrics`].
 //! - [`NullRecorder`] — the no-op implementation; `wants`
 //!   returns `false` for every level so guarded sites never fire.
 //! - [`JsonlSink`] — one self-contained JSON object per line; each line
@@ -22,8 +24,6 @@
 //!   pairs, markers become instant events, gauges become counter tracks.
 //! - [`StderrProgress`] — wraps any recorder (or nothing) and renders
 //!   the [`Progress`] snapshots as a throttled one-line stderr ticker.
-//! - [`TelemetrySummary`] — end-of-run counter totals and histogram
-//!   quantiles, attached to `RunResult` when tracing is on.
 //! - [`json`] — a minimal recursive-descent JSON parser (no JSON crate
 //!   is vendored) used by the exporter tests and the throughput
 //!   regression guard.
@@ -45,7 +45,6 @@ mod profile;
 mod progress;
 mod promhttp;
 mod recorder;
-mod stats;
 mod timeseries;
 
 pub use chrome::ChromeTraceSink;
@@ -56,5 +55,4 @@ pub use profile::{Phase, PhaseProfiler, PhaseStat, ProfileReport, PHASES};
 pub use progress::StderrProgress;
 pub use promhttp::MetricsServer;
 pub use recorder::{Fields, NullRecorder, Progress, Recorder, TraceLevel, Value};
-pub use stats::{CounterTotal, HistogramSummary, StatsCore, TelemetrySummary};
 pub use timeseries::{SitePoint, TimePoint, TimeSeriesLog, TimeSeriesRing};

@@ -171,7 +171,7 @@ impl ProfileReport {
         let mut out = String::from("{\n  \"phases\": [\n");
         for (i, p) in self.phases.iter().enumerate() {
             out.push_str("    {\"phase\":");
-            fmt::push_json_str(&mut out, &p.phase);
+            crate::json::push_string(&mut out, &p.phase);
             out.push_str(&format!(",\"calls\":{},\"total_s\":", p.calls));
             fmt::push_f64(&mut out, p.total_s);
             out.push_str(",\"mean_us\":");

@@ -7,7 +7,6 @@
 //! fast runs don't drown the terminal.
 
 use crate::recorder::{Fields, Progress, Recorder, TraceLevel};
-use crate::stats::TelemetrySummary;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -107,14 +106,6 @@ impl Recorder for StderrProgress {
         self.inner.gauge(name, t, value);
     }
 
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        self.inner.counter_add(name, delta);
-    }
-
-    fn histogram(&self, name: &'static str, value: f64) {
-        self.inner.histogram(name, value);
-    }
-
     fn progress(&self, p: &Progress) {
         {
             let mut snap = self
@@ -126,10 +117,6 @@ impl Recorder for StderrProgress {
         if self.should_print() {
             Self::render(p);
         }
-    }
-
-    fn summary(&self) -> Option<TelemetrySummary> {
-        self.inner.summary()
     }
 
     fn finish(&self) {
@@ -160,7 +147,6 @@ mod tests {
         let p = StderrProgress::bare();
         assert!(p.wants_progress());
         assert!(!p.wants(TraceLevel::Cycles));
-        assert!(p.summary().is_none());
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! The `Recorder` trait, trace levels, field values and the no-op
 //! recorder.
 
-use crate::stats::TelemetrySummary;
-
 /// How much detail a sink wants. Levels are cumulative: a sink
 /// configured at a level accepts that level and everything coarser.
 ///
 /// - `Cycles` — coarsest: learning-cycle summaries plus fault/recovery
 ///   markers.
 /// - `Decisions` — the default: adds per-decision events, dispatch/group
-///   spans and the latency/queue-wait histograms.
+///   spans and queue-depth gauges.
 /// - `All` — adds the per-engine-event firehose from the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
@@ -108,19 +106,8 @@ pub trait Recorder: Send + Sync {
     /// traces).
     fn gauge(&self, name: &str, t: f64, value: f64);
 
-    /// Add to a monotonic counter; totals appear in the summary.
-    fn counter_add(&self, name: &'static str, delta: u64);
-
-    /// Record one histogram sample; quantiles appear in the summary.
-    fn histogram(&self, name: &'static str, value: f64);
-
     /// Periodic progress snapshot; only called when `wants_progress`.
     fn progress(&self, _p: &Progress) {}
-
-    /// Counter totals and histogram quantiles accumulated so far.
-    fn summary(&self) -> Option<TelemetrySummary> {
-        None
-    }
 
     /// Flush and finalise the sink (e.g. close the Chrome JSON array).
     /// Idempotent; recorders must also finalise on drop.
@@ -158,12 +145,6 @@ impl Recorder for NullRecorder {
 
     #[inline(always)]
     fn gauge(&self, _name: &str, _t: f64, _value: f64) {}
-
-    #[inline(always)]
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-
-    #[inline(always)]
-    fn histogram(&self, _name: &'static str, _value: f64) {}
 }
 
 #[cfg(test)]
@@ -195,6 +176,5 @@ mod tests {
         assert!(!NullRecorder.wants(TraceLevel::Cycles));
         assert!(!NullRecorder.wants(TraceLevel::All));
         assert!(!NullRecorder.wants_progress());
-        assert!(NullRecorder.summary().is_none());
     }
 }

@@ -11,9 +11,10 @@
 //!   `reject` per submission, then `placed` / `done` / `failed` lines as
 //!   the simulation resolves each admitted task.
 //!
-//! Parsing uses the dependency-free [`telemetry::json`] parser;
-//! rendering is plain string building (every numeric field is validated
-//! finite, so `Display` formatting always yields legal JSON). Both
+//! Parsing uses the dependency-free [`telemetry::json`] parser, and
+//! strings render through its escaper; the rest of rendering is plain
+//! string building (every numeric field is validated finite, so
+//! `Display` formatting always yields legal JSON). Both
 //! directions round-trip bit-exactly through each other, pinned by the
 //! tests below.
 
@@ -185,22 +186,6 @@ pub enum Notification {
     Failed { task: u64, t: f64 },
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl Notification {
     /// Renders the notification line (no trailing newline).
     pub fn render_line(&self) -> String {
@@ -223,9 +208,9 @@ impl Notification {
             Notification::Reject { id, reason } => {
                 out.push_str("{\"reject\":{\"id\":");
                 out.push_str(&id.to_string());
-                out.push_str(",\"reason\":\"");
-                escape_json(reason, &mut out);
-                out.push_str("\"}}");
+                out.push_str(",\"reason\":");
+                json::push_string(&mut out, reason);
+                out.push_str("}}");
             }
             Notification::Placed {
                 task,
@@ -377,7 +362,16 @@ mod tests {
                 t: 19.25,
             },
             Notification::Failed { task: 2, t: 20.0 },
+            Notification::Reject {
+                id: 44,
+                reason: "quote \" backslash \\ newline \n bell \u{7}".to_string(),
+            },
         ];
+        // The escaper's exact bytes on the wire.
+        assert_eq!(
+            all[5].render_line(),
+            r#"{"reject":{"id":44,"reason":"quote \" backslash \\ newline \n bell \u0007"}}"#
+        );
         for n in all {
             let line = n.render_line();
             let back = Notification::parse_line(&line)

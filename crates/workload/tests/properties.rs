@@ -1,7 +1,9 @@
-//! Property-based tests for workload generation and the trace format.
+//! Property-based tests for workload generation, the trace format and
+//! the `arls serve` wire lines.
 
 use proptest::prelude::*;
 use simcore::rng::RngStream;
+use workload::submit::{Notification, Submission};
 use workload::{
     read_trace, write_trace, Priority, PriorityMix, Task, Workload, WorkloadProfile, WorkloadSpec,
 };
@@ -121,5 +123,168 @@ proptest! {
         // Band edges are shared; membership must hold up to the boundary.
         prop_assert!(slack >= lo - 1e-12 && slack <= hi + 1e-12,
             "slack {slack} classified {p} with band [{lo}, {hi}]");
+    }
+}
+
+/// Wire lines as (key, valid value, line with `@` in the value's place):
+/// every submission field and one field of each notification kind.
+const WIRE_TEMPLATES: [(&str, &str, &str); 14] = [
+    (
+        "submit",
+        r#"{"id":1,"tasks":[{"size_mi":1500,"deadline":120,"priority":"high","site":0}]}"#,
+        r#"{"submit":@}"#,
+    ),
+    (
+        "id",
+        "1",
+        r#"{"submit":{"id":@,"tasks":[{"size_mi":1500,"deadline":120,"priority":"high","site":0}]}}"#,
+    ),
+    (
+        "tasks",
+        r#"[{"size_mi":1500,"deadline":120,"priority":"high","site":0}]"#,
+        r#"{"submit":{"id":1,"tasks":@}}"#,
+    ),
+    (
+        "size_mi",
+        "1500",
+        r#"{"submit":{"id":1,"tasks":[{"size_mi":@,"deadline":120,"priority":"high","site":0}]}}"#,
+    ),
+    (
+        "deadline",
+        "120",
+        r#"{"submit":{"id":1,"tasks":[{"size_mi":1500,"deadline":@,"priority":"high","site":0}]}}"#,
+    ),
+    (
+        "priority",
+        r#""low""#,
+        r#"{"submit":{"id":1,"tasks":[{"size_mi":1500,"deadline":120,"priority":@,"site":0}]}}"#,
+    ),
+    (
+        "site",
+        "0",
+        r#"{"submit":{"id":1,"tasks":[{"size_mi":1500,"deadline":120,"priority":"high","site":@}]}}"#,
+    ),
+    ("tasks", "[0,1]", r#"{"ack":{"id":1,"tasks":@,"t":2.5}}"#),
+    ("t", "2.5", r#"{"ack":{"id":1,"tasks":[0],"t":@}}"#),
+    ("reason", r#""bad""#, r#"{"reject":{"id":3,"reason":@}}"#),
+    (
+        "node",
+        "2",
+        r#"{"placed":{"task":4,"site":0,"node":@,"t":3}}"#,
+    ),
+    ("met", "true", r#"{"done":{"task":5,"met":@,"t":4}}"#),
+    ("task", "6", r#"{"failed":{"task":@,"t":5}}"#),
+    ("done", r#"{"task":5,"met":false,"t":4}"#, r#"{"done":@}"#),
+];
+
+/// Values just outside what a field accepts: integers past every
+/// range, negative and fractional numbers, non-finite and malformed
+/// numbers, and values of the wrong type.
+const HOSTILE_VALUES: [&str; 31] = [
+    "18446744073709551615",
+    "18446744073709551616",
+    "1e19",
+    "9007199254740993",
+    "4294967296",
+    "-1",
+    "-0",
+    "-9223372036854775809",
+    "1.5",
+    "0.1",
+    "1e300",
+    "1e400",
+    "-1e400",
+    "1e-400",
+    "0",
+    "00",
+    "1.",
+    ".5",
+    "1e",
+    "-",
+    "+1",
+    "NaN",
+    "Infinity",
+    r#""12""#,
+    "null",
+    "true",
+    "[]",
+    "{}",
+    r#""\ud800""#,
+    r#""\u0000\"\\""#,
+    r#""unterminated"#,
+];
+
+/// One MiB, the daemon's bound on a request line.
+const MIB: usize = 1 << 20;
+
+/// Both wire parsers on `line`: each must return `Ok` or a typed `Err`
+/// (a panic fails the test), and an accepted submission must render to
+/// a line that parses back to it.
+fn parse_both(line: &str) {
+    if let Ok(sub) = Submission::parse_line(line) {
+        assert_eq!(Submission::parse_line(&sub.render_line()), Ok(sub));
+    }
+    let _ = Notification::parse_line(line);
+}
+
+/// `valid` made hostile: `kind` 0 swaps in a hostile value, 1 repeats
+/// the key with a hostile value before or after the valid one, 2 buries
+/// the value `depth` arrays or objects deep, 3 grows it to a MiB.
+fn mutate(key: &str, valid: &str, kind: usize, pick: usize, depth: usize, flip: bool) -> String {
+    let hostile = HOSTILE_VALUES[pick % HOSTILE_VALUES.len()];
+    match kind {
+        0 => hostile.to_string(),
+        1 if flip => format!(r#"{valid},"{key}":{hostile}"#),
+        1 => format!(r#"{hostile},"{key}":{valid}"#),
+        2 if flip => format!("{}{valid}{}", "[".repeat(depth), "]".repeat(depth)),
+        2 => format!("{}{valid}{}", r#"{"k":"#.repeat(depth), "}".repeat(depth)),
+        _ => match pick % 4 {
+            0 => format!("\"{}\"", "é⚡x".repeat(MIB / 6)),
+            1 => "7".repeat(MIB),
+            2 => format!("{}{valid}", " ".repeat(MIB)),
+            _ => format!("[{}0]", "0,".repeat(MIB / 2)),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn wire_lines_of_arbitrary_bytes_never_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        template in 0usize..WIRE_TEMPLATES.len(),
+        cut in any::<usize>(),
+        splice in any::<bool>(),
+    ) {
+        // Raw bytes alone, or spliced into a valid line at any byte.
+        let noise = String::from_utf8_lossy(&bytes);
+        let (_, valid, line) = WIRE_TEMPLATES[template];
+        let line = line.replace('@', valid);
+        if splice {
+            let cut = cut % (line.len() + 1);
+            parse_both(&format!("{}{noise}{}", &line[..cut], &line[cut..]));
+        } else {
+            parse_both(&noise);
+        }
+    }
+
+    #[test]
+    fn near_valid_wire_lines_never_panic(
+        template in 0usize..WIRE_TEMPLATES.len(),
+        kind in 0usize..4,
+        pick in 0usize..1024,
+        depth in 1usize..300,
+        flip in any::<bool>(),
+    ) {
+        let (key, valid, line) = WIRE_TEMPLATES[template];
+        // Each case is one mutation away from a valid wire line.
+        let base = line.replace('@', valid);
+        prop_assert!(
+            Submission::parse_line(&base).is_ok() || Notification::parse_line(&base).is_ok(),
+            "template does not parse: {base}"
+        );
+        let value = mutate(key, valid, kind, pick, depth, flip);
+        parse_both(&line.replace('@', &value));
     }
 }
