@@ -19,7 +19,10 @@
 //! Observability: the shared [`MetricsRegistry`] carries both the
 //! platform's `arls_*` family and the front door's `arls_ingest_*`
 //! family, served on `/metrics` by [`telemetry::MetricsServer`] when
-//! `--metrics-addr` is given.
+//! `--metrics-addr` is given. The ingest family also counts the loop
+//! below: passes by cause (an idle pass is a park), the park time
+//! requested, `WouldBlock` returns per socket call, and advances with
+//! and without events.
 //!
 //! A client that half-closes (`nc -N`, `shutdown(SHUT_WR)`) still gets
 //! every reply: its end of stream ends its requests, and the daemon
@@ -47,7 +50,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telemetry::{IngestMetrics, MetricsRegistry, MetricsServer};
+use telemetry::{Counter, IngestMetrics, MetricsRegistry, MetricsServer};
 use workload::submit::{Notification, Submission};
 
 /// Set by the SIGTERM/SIGINT handler; polled by the serve loop.
@@ -283,7 +286,9 @@ fn run_daemon(
     let mut idle_sleep = IDLE_SLEEP_MIN;
 
     loop {
-        let mut active = false;
+        // The first thing that makes this pass active counts it; a pass
+        // with none parks.
+        let mut cause: Option<&Counter> = None;
         if SHUTDOWN.load(Ordering::SeqCst) {
             break;
         }
@@ -301,7 +306,7 @@ fn run_daemon(
                         continue;
                     }
                     opts.ingest.connections.inc();
-                    active = true;
+                    cause.get_or_insert(&opts.ingest.passes_accept);
                     clients.insert(
                         accepted,
                         Client {
@@ -315,7 +320,10 @@ fn run_daemon(
                     );
                     accepted += 1;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    opts.ingest.would_block_accept.inc();
+                    break;
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
@@ -326,11 +334,11 @@ fn run_daemon(
             while !client.eof {
                 match client.stream.read(&mut read_chunk) {
                     Ok(0) => {
-                        active = true;
+                        cause.get_or_insert(&opts.ingest.passes_read);
                         client.eof = true;
                     }
                     Ok(n) => {
-                        active = true;
+                        cause.get_or_insert(&opts.ingest.passes_read);
                         client.inbuf.extend_from_slice(&read_chunk[..n]);
                         if client.inbuf.len() > MAX_CLIENT_BACKLOG {
                             // Admit the complete lines first; the rest
@@ -338,7 +346,10 @@ fn run_daemon(
                             break;
                         }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        opts.ingest.would_block_read.inc();
+                        break;
+                    }
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         client.close();
@@ -378,7 +389,7 @@ fn run_daemon(
                     &Notification::Reject { id: 0, reason },
                     &opts.ingest,
                 );
-                flush_client(client);
+                flush_client(client, &opts.ingest);
                 client.close();
             }
         }
@@ -391,7 +402,12 @@ fn run_daemon(
             if let Some(why) = session.halt_reason() {
                 return Err(CmdError::Other(format!("serve halted: {why}")));
             }
-            active |= !events.is_empty();
+            if events.is_empty() {
+                opts.ingest.advances_without_events.inc();
+            } else {
+                opts.ingest.advances_with_events.inc();
+                cause.get_or_insert(&opts.ingest.passes_events);
+            }
             for ev in &events {
                 let (task, n) = match ev {
                     SessionEvent::Placed { task, node, at } => (
@@ -436,7 +452,7 @@ fn run_daemon(
         // stream that no reply can still reach, then drop every
         // connection closed in this pass (which closes its socket).
         for c in clients.values_mut() {
-            flush_client(c);
+            flush_client(c, &opts.ingest);
             if c.eof && (c.unresolved == 0 || opts.pace == 0.0) && c.outbuf.is_empty() {
                 c.close();
             }
@@ -458,11 +474,19 @@ fn run_daemon(
             }
         }
 
-        if active {
-            idle_sleep = IDLE_SLEEP_MIN;
-        } else {
-            std::thread::sleep(idle_sleep);
-            idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
+        match cause {
+            Some(pass) => {
+                pass.inc();
+                idle_sleep = IDLE_SLEEP_MIN;
+            }
+            None => {
+                opts.ingest.passes_idle.inc();
+                opts.ingest
+                    .park_requested_us
+                    .add(idle_sleep.as_micros() as u64);
+                std::thread::sleep(idle_sleep);
+                idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
+            }
         }
     }
 
@@ -475,7 +499,7 @@ fn run_daemon(
         final_snapshot = Some(path);
     }
     for c in clients.values_mut() {
-        flush_client(c);
+        flush_client(c, &opts.ingest);
         c.close();
     }
     if let Some(s) = &mut opts.metrics_server {
@@ -558,7 +582,7 @@ fn push_notification(client: &mut Client, n: &Notification, ingest: &IngestMetri
 }
 
 /// Writes as much of the client's backlog as the socket accepts.
-fn flush_client(client: &mut Client) {
+fn flush_client(client: &mut Client, ingest: &IngestMetrics) {
     while !client.outbuf.is_empty() {
         match client.stream.write(&client.outbuf) {
             Ok(0) => {
@@ -568,7 +592,10 @@ fn flush_client(client: &mut Client) {
             Ok(n) => {
                 client.outbuf.drain(..n);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                ingest.would_block_write.inc();
+                return;
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 client.close();

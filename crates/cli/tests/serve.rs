@@ -200,6 +200,20 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
         metric_value(&metrics, "arls_decision_latency_seconds_count").unwrap_or(0.0) > 0.0,
         "the daemon times its scheduler's decisions: {metrics}"
     );
+    // The loop counts itself: a pass accepted this connection (and may
+    // have read every line in the same pass), a read found it drained,
+    // advances produced the notices above, and quiet passes parked.
+    for series in [
+        r#"arls_ingest_loop_passes_total{cause="accept"}"#,
+        r#"arls_ingest_would_block_total{call="read"}"#,
+        r#"arls_ingest_advances_total{events="some"}"#,
+        r#"arls_ingest_loop_passes_total{cause="idle"}"#,
+    ] {
+        assert!(
+            metric_value(&metrics, series).unwrap_or(0.0) >= 1.0,
+            "{series}: {metrics}"
+        );
+    }
 
     // SIGTERM → final checkpoint on the way out.
     sigterm(&daemon);

@@ -7,7 +7,7 @@ use crate::config::AdaptiveRlConfig;
 use crate::feedback::{learning_value, value_target};
 use crate::grouping::{self, MergedGroup};
 use crate::memory::{Experience, SharedLearningMemory};
-use crate::state::{SiteObsCache, SiteObservation};
+use crate::state::{SiteObsCache, SiteObservation, STATE_FEATURES};
 use crate::value::ValueEstimator;
 use platform::{
     AssignmentFeedback, Command, GroupFeedback, NodeAddr, PlatformView, ProcAddr, Scheduler,
@@ -42,22 +42,38 @@ impl Sample {
     }
 }
 
+/// What a site's exploit decision is a pure function of: the bit patterns
+/// of the 8 state features, `max_procs` (which fixes the candidate list
+/// and the action features) and the value net's step count (which moves
+/// whenever the weights do).
+type ScoreKey = ([u64; STATE_FEATURES], usize, u64);
+
+/// How one site's phase-A decision gets its action.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// Resolved without scoring: memory replay, exploration, or the
+    /// site's memoised argmax for an unchanged [`ScoreKey`].
+    Known(ActionChoice),
+    /// An exploit decision whose candidates occupy rows
+    /// `[start, start + len)` of the estimator's batch; its argmax is
+    /// memoised under `key`.
+    Scored {
+        start: usize,
+        len: usize,
+        key: ScoreKey,
+    },
+    /// No node at the site has a free queue slot: it stages no rows and
+    /// places nothing.
+    Saturated,
+}
+
 /// One site's phase-A decision, awaiting the batched scoring pass.
-///
-/// `action` is `Some` when the agent resolved the choice without the value
-/// net (memory replay / exploration); `None` marks an exploit decision whose
-/// candidates occupy rows `[start, start + len)` of the estimator's batch.
-/// A `saturated` site has no node with a free queue slot: it stages no
-/// rows and places nothing.
 #[derive(Debug, Clone, Copy)]
 struct PendingDecision {
     site: usize,
     obs: SiteObservation,
     src: crate::agent::ChoiceSource,
-    action: Option<ActionChoice>,
-    start: usize,
-    len: usize,
-    saturated: bool,
+    pick: Pick,
 }
 
 /// One eligible node captured by `select_node`'s streaming pass: address,
@@ -123,6 +139,12 @@ pub struct AdaptiveRl {
     /// since the last dispatch (bit-identical reuse, so decisions are
     /// unaffected).
     obs_cache: Vec<SiteObsCache>,
+    /// Per-site argmax memo: the key of the site's last scored exploit
+    /// decision and the action it chose. A candidate's score depends only
+    /// on its row and the weights, so an equal key picks the same action
+    /// without staging a row. A cache, not state: never snapshotted, and
+    /// emptied by `load_state`.
+    best_memo: Vec<Option<(ScoreKey, ActionChoice)>>,
     /// Telemetry recorder ([`telemetry::NullRecorder`] unless attached
     /// via [`AdaptiveRl::with_recorder`]); `Arc` so the replicated
     /// runner can share one sink across schedulers.
@@ -183,6 +205,7 @@ impl AdaptiveRl {
             pending_scratch: Vec::new(),
             batch_cands: Vec::new(),
             obs_cache: vec![SiteObsCache::default(); num_sites],
+            best_memo: vec![None; num_sites],
             rec: Arc::new(telemetry::NullRecorder),
             t_dec: false,
             t_cyc: false,
@@ -480,22 +503,37 @@ impl Scheduler for AdaptiveRl {
             // whatever the action: `select_node`'s `eligible` test fails for
             // every node. The decision above still ran, so the agent's RNG
             // draws and memory-replay flag are used up exactly as before.
-            let saturated = !view.site_has_open_queue(site);
-            let (start, len) = if action.is_none() && !saturated {
-                let start = self.value.push_candidates(&obs, &self.cand_scratch);
-                batch_cands.extend_from_slice(&self.cand_scratch);
-                (start, self.cand_scratch.len())
-            } else {
-                (0, 0)
+            // An exploit decision whose key matches the site's memo reuses
+            // the stored argmax; any other key stages the candidate rows.
+            let pick = match action {
+                _ if !view.site_has_open_queue(site) => Pick::Saturated,
+                Some(a) => Pick::Known(a),
+                None => {
+                    let state = obs.features();
+                    let key = (state.map(f64::to_bits), obs.max_procs, self.value.steps());
+                    match self.best_memo[idx] {
+                        Some((k, a)) if k == key => Pick::Known(a),
+                        _ => {
+                            let start = self.value.push_candidates(
+                                &state,
+                                obs.max_procs,
+                                &self.cand_scratch,
+                            );
+                            batch_cands.extend_from_slice(&self.cand_scratch);
+                            Pick::Scored {
+                                start,
+                                len: self.cand_scratch.len(),
+                                key,
+                            }
+                        }
+                    }
+                }
             };
             decisions.push(PendingDecision {
                 site: idx,
                 obs,
                 src,
-                action,
-                start,
-                len,
-                saturated,
+                pick,
             });
         }
         // One batched kernel pass scores every staged candidate row.
@@ -522,14 +560,16 @@ impl Scheduler for AdaptiveRl {
                     self.mem_misses += 1;
                 }
             }
-            // Every group would come back unplaced: leave the pool as it
-            // is (same tasks; only merge would have reordered them).
-            if d.saturated {
-                continue;
-            }
-            let action = match d.action {
-                Some(a) => a,
-                None => batch_cands[d.start + self.value.argmax_in(d.start, d.len)],
+            let action = match d.pick {
+                // Every group would come back unplaced: leave the pool as
+                // it is (same tasks; only merge would have reordered them).
+                Pick::Saturated => continue,
+                Pick::Known(a) => a,
+                Pick::Scored { start, len, key } => {
+                    let a = batch_cands[start + self.value.argmax_in(start, len)];
+                    self.best_memo[idx] = Some((key, a));
+                    a
+                }
             };
             // Hold partial chunks only while the site has no idle
             // processor — grouping must never delay tasks that could start
@@ -755,6 +795,8 @@ impl Scheduler for AdaptiveRl {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        // Restored weights may share a step count with the memoised ones.
+        self.best_memo.fill(None);
         r.restore(self, Self::snap)
     }
 }
@@ -1011,5 +1053,252 @@ mod tests {
             matches!(cmds.as_slice(), [Command::Dispatch { node, .. }] if *node == addrs[0]),
             "the freed slot takes one group: {cmds:?}"
         );
+    }
+
+    #[test]
+    fn a_site_state_is_scored_once_per_weight_version() {
+        use platform::{GroupId, GroupPolicy};
+        use workload::{Priority, TaskId};
+        let platform = Platform::generate(
+            PlatformSpec::small(1, 2, 4),
+            &RngStream::root(5).derive("p"),
+        );
+        // ε = 0: every decision exploits.
+        let cfg = AdaptiveRlConfig {
+            epsilon0: 0.0,
+            epsilon_floor: 0.0,
+            ..AdaptiveRlConfig::default()
+        };
+        let mut sched = AdaptiveRl::new(1, cfg);
+        let prios = [Priority::High, Priority::Low, Priority::Medium];
+        let tasks: Vec<Task> = (0..6)
+            .map(|i| Task {
+                id: TaskId(i),
+                size_mi: 800.0,
+                arrival: SimTime::ZERO,
+                deadline: SimTime::new(40.0 - i as f64),
+                priority: prios[i as usize % 3],
+                site: SiteId(0),
+            })
+            .collect();
+        sched.on_arrivals(SimTime::ZERO, SiteId(0), tasks.clone());
+        let now = SimTime::new(1.0);
+        let view = PlatformView::new(&platform, now);
+        let candidates = ActionChoice::candidates(4).len() as u64;
+        // Dispatches, returns the forward passes it ran, and hands every
+        // group but the first `keep` back through `on_rejected`: the pool
+        // features are order-free sums, so the site state repeats.
+        let round = |sched: &mut AdaptiveRl, keep: usize| {
+            let before = sched.value.forward_passes();
+            let cmds = sched.dispatch(now, &view);
+            for cmd in cmds.iter().skip(keep) {
+                if let Command::Dispatch { tasks, .. } = cmd {
+                    sched.on_rejected(now, SiteId(0), tasks.clone());
+                }
+            }
+            (cmds, sched.value.forward_passes() - before)
+        };
+
+        let (first, passes) = round(&mut sched, 0);
+        assert_eq!(passes, candidates, "a new state scores every candidate");
+        let (second, passes) = round(&mut sched, 1);
+        assert_eq!(passes, 0, "the same state and weights reuse the argmax");
+        assert_eq!(second, first, "and pick the same action");
+
+        // One learning cycle trains the net: the same state scores again.
+        let Command::Dispatch { node, tasks, .. } = &second[0] else {
+            panic!("a dispatch: {second:?}");
+        };
+        let group = GroupId(7);
+        sched.on_assignment(
+            now,
+            &AssignmentFeedback {
+                group,
+                node: *node,
+                policy: GroupPolicy::Mixed,
+                size: tasks.len(),
+                pw: 1.0,
+                capacity: 1.0,
+                error: 0.0,
+            },
+        );
+        let steps = sched.value.steps();
+        sched.on_group_complete(
+            now,
+            &GroupFeedback {
+                group,
+                node: *node,
+                policy: GroupPolicy::Mixed,
+                size: tasks.len(),
+                reward: tasks.len() as u32,
+                pw: 1.0,
+                error: 0.0,
+                enqueued_at: now,
+                first_start: Some(now),
+                completed_at: now,
+                split: false,
+            },
+        );
+        assert_eq!(sched.value.steps(), steps + 1, "one training step");
+        sched.on_arrivals(now, SiteId(0), tasks.clone());
+        let (third, passes) = round(&mut sched, 0);
+        assert_eq!(passes, candidates, "new weights score the state again");
+        assert_eq!(third.len(), first.len());
+    }
+
+    /// [`AdaptiveRl`] with its argmax memo emptied before every dispatch:
+    /// the scheduler as it scored before the memo. Every [`Scheduler`]
+    /// method forwards.
+    struct MemoOff(AdaptiveRl);
+
+    impl Scheduler for MemoOff {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn on_arrivals(&mut self, now: SimTime, site: SiteId, tasks: Vec<Task>) {
+            self.0.on_arrivals(now, site, tasks)
+        }
+        fn dispatch(&mut self, now: SimTime, view: &PlatformView<'_>) -> Vec<Command> {
+            self.0.best_memo.fill(None);
+            self.0.dispatch(now, view)
+        }
+        fn on_assignment(&mut self, now: SimTime, fb: &AssignmentFeedback) {
+            self.0.on_assignment(now, fb)
+        }
+        fn on_group_complete(&mut self, now: SimTime, fb: &GroupFeedback) {
+            self.0.on_group_complete(now, fb)
+        }
+        fn on_rejected(&mut self, now: SimTime, site: SiteId, tasks: Vec<Task>) {
+            self.0.on_rejected(now, site, tasks)
+        }
+        fn on_orphaned(&mut self, now: SimTime, site: SiteId, tasks: Vec<Task>) {
+            self.0.on_orphaned(now, site, tasks)
+        }
+        fn on_group_aborted(&mut self, now: SimTime, group: platform::GroupId) {
+            self.0.on_group_aborted(now, group)
+        }
+        fn on_tick(&mut self, now: SimTime, view: &PlatformView<'_>) -> Vec<Command> {
+            self.0.on_tick(now, view)
+        }
+        fn drain_sync(&mut self, out: &mut Vec<SyncRecord>) {
+            self.0.drain_sync(out)
+        }
+        fn apply_sync(&mut self, rec: &SyncRecord) {
+            self.0.apply_sync(rec)
+        }
+        fn exploration(&self) -> Option<f64> {
+            self.0.exploration()
+        }
+        fn save_state(&mut self, w: &mut SnapWriter) {
+            self.0.save_state(w)
+        }
+        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+            self.0.load_state(r)
+        }
+    }
+
+    #[test]
+    fn the_argmax_memo_changes_no_run() {
+        use neural::KernelPrecision;
+        use platform::{replay_divergence, FaultSpec};
+        for precision in KernelPrecision::ALL {
+            for faults in [false, true] {
+                for load in [1.0, 1.3] {
+                    let rng = RngStream::root(31);
+                    let spec = PlatformSpec::small(3, 4, 4);
+                    let platform = Platform::generate(spec.clone(), &rng.derive("p"));
+                    let mut wspec = WorkloadSpec::paper(400, 3, platform.reference_speed());
+                    // Offered load: arriving work per time unit over the
+                    // platform's capacity (3900 MI is the mean task size).
+                    wspec.mean_interarrival = 3900.0 / (load * platform.total_nominal_mips());
+                    let tasks = Workload::generate(wspec, &rng.derive("w")).tasks;
+                    let exec = || ExecConfig {
+                        faults: FaultSpec {
+                            enabled: faults,
+                            proc_mtbf: 200.0,
+                            proc_mttr: 25.0,
+                            node_mtbf: 700.0,
+                            node_mttr: 50.0,
+                            horizon: 500.0,
+                            ..FaultSpec::default()
+                        },
+                        ..ExecConfig::default()
+                    };
+                    let cfg = AdaptiveRlConfig {
+                        precision,
+                        ..AdaptiveRlConfig::default()
+                    };
+                    let mut memo = AdaptiveRl::new(3, cfg);
+                    let mut off = MemoOff(AdaptiveRl::new(3, cfg));
+                    let a = ExecEngine::new(exec()).run(platform, tasks.clone(), &mut memo);
+                    let platform = Platform::generate(spec, &rng.derive("p"));
+                    let b = ExecEngine::new(exec()).run(platform, tasks, &mut off);
+                    let case = format!("{precision:?}, faults {faults}, load {load}");
+                    if let Some(d) = replay_divergence(&a, &b) {
+                        panic!("{case}: the memo changed the run: {d}");
+                    }
+                    assert!(
+                        memo.value.forward_passes() < off.0.value.forward_passes(),
+                        "{case}: the memo never hit"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_submissions_leave_the_value_net_finite() {
+        use platform::ScheduleSession;
+        use workload::submit::{Submission, SubmitTask};
+        let rng = RngStream::root(41);
+        let platform = Platform::generate(PlatformSpec::small(2, 3, 4), &rng.derive("p"));
+        let mut wspec = WorkloadSpec::paper(400, 2, platform.reference_speed());
+        wspec.mean_interarrival = 0.5;
+        let tasks = Workload::generate(wspec, &rng.derive("w")).tasks;
+        let mut sched = AdaptiveRl::new(2, AdaptiveRlConfig::default());
+        let exec = ExecEngine::new(ExecConfig::default());
+        let mut session = ScheduleSession::new(&exec, platform, &mut sched);
+        let mut events = Vec::new();
+        let hostile = |line: &str| Submission::parse_line(line).expect("valid wire line").tasks;
+        // A relative deadline that rounds away at a non-zero horizon, and
+        // three tasks whose summed size overflows a group's Eq. (10) weight.
+        let vanishing = hostile(
+            r#"{"submit":{"id":1,"tasks":[{"size_mi":1000,"deadline":1e-300,"priority":"high","site":1}]}}"#,
+        );
+        let huge = SubmitTask {
+            size_mi: f64::MAX,
+            deadline: 2.0,
+            priority: workload::Priority::High,
+            site: SiteId(0),
+        };
+        for (i, t) in tasks.iter().enumerate() {
+            session.advance_to(t.arrival, &mut events);
+            if i == tasks.len() / 2 {
+                let _ = session.submit(&vanishing);
+                let _ = session.submit(&[huge.clone(), huge.clone(), huge.clone()]);
+            }
+            let sub = SubmitTask {
+                size_mi: t.size_mi,
+                deadline: t.deadline.as_f64() - t.arrival.as_f64(),
+                priority: t.priority,
+                site: t.site,
+            };
+            session.submit(&[sub]).expect("a sane task is admitted");
+        }
+        session.advance_to(SimTime::new(5_000.0), &mut events);
+        drop(session.finish());
+        assert!(sched.cycles() > 0, "the agent learned");
+        let obs = SiteObservation {
+            mean_load: 1.0,
+            mean_queue_free: 0.5,
+            mean_power_frac: 0.6,
+            mean_capacity: 1500.0,
+            max_procs: 4,
+            pending: 3,
+            priority_mix: [0.3, 0.4, 0.3],
+            availability: 1.0,
+        };
+        let prediction = sched.value.predict(&obs, ActionChoice::candidates(4)[0]);
+        assert!(prediction.is_finite(), "prediction {prediction}");
     }
 }

@@ -164,8 +164,16 @@ impl SiteObservation {
     /// squashing): `[load, queue_free, power, capacity, pending, low,
     /// medium, high]`.
     pub fn features(&self) -> [f64; STATE_FEATURES] {
+        // `x / (1 + x)` is NaN at `x = ∞`, the load of a site holding a
+        // group whose Eq. (10) weight overflowed; map it to the limit, 1.
+        // Every finite load keeps its bits.
+        let load = if self.mean_load == f64::INFINITY {
+            1.0
+        } else {
+            self.mean_load / (1.0 + self.mean_load)
+        };
         [
-            self.mean_load / (1.0 + self.mean_load),
+            load,
             self.mean_queue_free,
             self.mean_power_frac,
             self.mean_capacity / (1000.0 + self.mean_capacity),

@@ -156,30 +156,33 @@ impl ValueEstimator {
         }
     }
 
-    /// Stages every candidate of one decision into the batch matrix;
-    /// returns the starting row index for [`ValueEstimator::argmax_in`].
-    pub fn push_candidates(&mut self, obs: &SiteObservation, candidates: &[ActionChoice]) -> usize {
+    /// Stages every candidate of one decision into the batch matrix: each
+    /// row is the observation's state row (`obs.features()`) followed by
+    /// the candidate's features for `max_procs`. Returns the starting row
+    /// index for [`ValueEstimator::argmax_in`].
+    pub fn push_candidates(
+        &mut self,
+        state: &[f64; STATE_FEATURES],
+        max_procs: usize,
+        candidates: &[ActionChoice],
+    ) -> usize {
         let start = self.batch_rows();
-        // Every candidate row shares the observation's state features —
-        // compute them once per site instead of once per row (the values,
-        // and therefore the staged rows, are bit-identical either way).
-        let state = obs.features();
         match &self.kernel {
             Kernel::F64(_) => {
                 for &c in candidates {
-                    self.enc.extend_from_slice(&state);
-                    self.enc.extend_from_slice(&c.features(obs.max_procs));
+                    self.enc.extend_from_slice(state);
+                    self.enc.extend_from_slice(&c.features(max_procs));
                 }
             }
             Kernel::F32(_) => {
                 let mut state32 = [0.0f32; STATE_FEATURES];
-                for (dst, &src) in state32.iter_mut().zip(&state) {
+                for (dst, &src) in state32.iter_mut().zip(state) {
                     *dst = src as f32;
                 }
                 for &c in candidates {
                     self.enc32.extend_from_slice(&state32);
                     self.enc32
-                        .extend(c.features(obs.max_procs).iter().map(|&v| v as f32));
+                        .extend(c.features(max_procs).iter().map(|&v| v as f32));
                 }
             }
         }
@@ -234,7 +237,7 @@ impl ValueEstimator {
     ) -> ActionChoice {
         assert!(!candidates.is_empty(), "need at least one candidate action");
         self.begin_batch();
-        let start = self.push_candidates(obs, candidates);
+        let start = self.push_candidates(&obs.features(), obs.max_procs, candidates);
         self.score_batch();
         candidates[self.argmax_in(start, candidates.len())]
     }
@@ -440,8 +443,8 @@ mod tests {
             let want1 = v.best_action(&o1, &c1);
             let want2 = v.best_action(&o2, &c2);
             v.begin_batch();
-            let s1 = v.push_candidates(&o1, &c1);
-            let s2 = v.push_candidates(&o2, &c2);
+            let s1 = v.push_candidates(&o1.features(), o1.max_procs, &c1);
+            let s2 = v.push_candidates(&o2.features(), o2.max_procs, &c2);
             assert_eq!(v.batch_rows(), c1.len() + c2.len());
             v.score_batch();
             assert_eq!(c1[v.argmax_in(s1, c1.len())], want1, "{precision:?}");

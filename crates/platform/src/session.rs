@@ -171,16 +171,20 @@ impl<'s> ScheduleSession<'s> {
     /// Admits a submission at the current horizon.
     ///
     /// Every task is validated first (finite positive size and relative
-    /// deadline, site within the platform); one bad task rejects the
-    /// whole submission with nothing admitted. On success the tasks are
-    /// appended with dense server-assigned ids, their arrivals primed at
-    /// the admission instant, and the control-tick chain re-armed.
-    /// Returns the admission instant and the assigned ids.
+    /// deadline, site within the platform, and an absolute deadline that
+    /// is finite and after the admission instant — a relative deadline
+    /// below the clock's resolution there would leave a zero window); one
+    /// bad task rejects the whole submission with nothing admitted. On
+    /// success the tasks are appended with dense server-assigned ids,
+    /// their arrivals primed at the admission instant, and the
+    /// control-tick chain re-armed. Returns the admission instant and the
+    /// assigned ids.
     pub fn submit(&mut self, tasks: &[SubmitTask]) -> Result<(SimTime, Vec<TaskId>), String> {
         if tasks.is_empty() {
             return Err("empty submission".to_string());
         }
         let num_sites = self.driver.platform.num_sites();
+        let at = self.horizon.max(self.engine.now());
         for (i, t) in tasks.iter().enumerate() {
             t.validate().map_err(|e| format!("task {i}: {e}"))?;
             if (t.site.0 as usize) >= num_sites {
@@ -189,8 +193,15 @@ impl<'s> ScheduleSession<'s> {
                     t.site.0
                 ));
             }
+            let due = at.as_f64() + t.deadline;
+            if !(due.is_finite() && due > at.as_f64()) {
+                return Err(format!(
+                    "task {i}: deadline {:?} leaves no window after admission at {:?}",
+                    t.deadline,
+                    at.as_f64()
+                ));
+            }
         }
-        let at = self.horizon.max(self.engine.now());
         assert!(
             self.driver.tasks.len() + tasks.len() < u32::MAX as usize,
             "task population exceeds the engine's arrival index width"
@@ -546,6 +557,26 @@ mod tests {
             ..good
         };
         assert!(session.submit(&[bad_size]).is_err());
+    }
+
+    #[test]
+    fn a_deadline_that_vanishes_at_admission_is_rejected() {
+        let platform = test_platform(3);
+        let subs = submission_from_workload(&platform, 5, 4);
+        let mut sched = Fcfs::new();
+        let e = exec();
+        let mut session = ScheduleSession::new(&e, platform, &mut sched);
+        session.submit(&subs).expect("admit");
+        session.advance_to(SimTime::new(10.0), &mut Vec::new());
+        let vanishing = SubmitTask {
+            deadline: 1e-300,
+            ..subs[0].clone()
+        };
+        let err = session
+            .submit(&[subs[1].clone(), vanishing])
+            .expect_err("a zero window must be refused");
+        assert!(err.starts_with("task 1: deadline 1e-300"), "{err}");
+        assert_eq!(session.num_tasks(), subs.len(), "nothing was admitted");
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! lines, parse failures, submissions/tasks admitted, rejections, and
 //! notification lines pushed back — the `arls_ingest_*` metrics the
 //! `arls serve` daemon registers next to the platform's `arls_*` family.
+//! The serve loop itself is counted too: passes by what made them
+//! active (an idle pass is one park) and the park time they asked for,
+//! `WouldBlock` returns per socket call, and sim-time advances with and
+//! without session events.
 
 use crate::metrics::{Counter, MetricsRegistry};
 
@@ -25,11 +29,55 @@ pub struct IngestMetrics {
     pub rejections: Counter,
     /// Notification lines streamed back to clients.
     pub notifications: Counter,
+    /// Serve-loop passes, each under the first thing that made it active
+    /// (`accept`, then `read`, then session `events`), or `idle`: a pass
+    /// that parks.
+    pub passes_accept: Counter,
+    /// See [`IngestMetrics::passes_accept`].
+    pub passes_read: Counter,
+    /// See [`IngestMetrics::passes_accept`].
+    pub passes_events: Counter,
+    /// See [`IngestMetrics::passes_accept`].
+    pub passes_idle: Counter,
+    /// Park time the idle passes asked for, in microseconds (the
+    /// requested backoff, not a measured sleep).
+    pub park_requested_us: Counter,
+    /// Non-blocking `accept` calls that returned `WouldBlock`.
+    pub would_block_accept: Counter,
+    /// Non-blocking client reads that returned `WouldBlock`.
+    pub would_block_read: Counter,
+    /// Non-blocking client writes that returned `WouldBlock`.
+    pub would_block_write: Counter,
+    /// Sim-time advances that produced session events.
+    pub advances_with_events: Counter,
+    /// Sim-time advances that produced none.
+    pub advances_without_events: Counter,
 }
 
 impl IngestMetrics {
     /// Registers (or re-resolves) the family in `reg`.
     pub fn register(reg: &MetricsRegistry) -> IngestMetrics {
+        let pass = |cause| {
+            reg.counter(
+                "arls_ingest_loop_passes_total",
+                "Serve-loop passes, by the first thing that made the pass active; idle passes park.",
+                &[("cause", cause)],
+            )
+        };
+        let would_block = |call| {
+            reg.counter(
+                "arls_ingest_would_block_total",
+                "Non-blocking socket calls that returned WouldBlock.",
+                &[("call", call)],
+            )
+        };
+        let advances = |events| {
+            reg.counter(
+                "arls_ingest_advances_total",
+                "Sim-time advances of the serve loop, by whether they produced session events.",
+                &[("events", events)],
+            )
+        };
         IngestMetrics {
             connections: reg.counter(
                 "arls_ingest_connections_total",
@@ -66,6 +114,20 @@ impl IngestMetrics {
                 "Notification lines streamed back to clients.",
                 &[],
             ),
+            passes_accept: pass("accept"),
+            passes_read: pass("read"),
+            passes_events: pass("events"),
+            passes_idle: pass("idle"),
+            park_requested_us: reg.counter(
+                "arls_ingest_park_requested_microseconds_total",
+                "Park time the serve loop requested, in microseconds.",
+                &[],
+            ),
+            would_block_accept: would_block("accept"),
+            would_block_read: would_block("read"),
+            would_block_write: would_block("write"),
+            advances_with_events: advances("some"),
+            advances_without_events: advances("none"),
         }
     }
 }
@@ -83,11 +145,26 @@ mod tests {
         m.submissions.add(2);
         m.tasks.add(7);
         m.rejections.inc();
+        m.passes_idle.add(2);
+        m.would_block_write.inc();
+        m.advances_without_events.inc();
         let out = reg.render();
         assert!(out.contains("arls_ingest_connections_total 1\n"), "{out}");
         assert!(out.contains("arls_ingest_lines_total 3\n"), "{out}");
         assert!(out.contains("arls_ingest_tasks_total 7\n"), "{out}");
         assert!(out.contains("arls_ingest_rejections_total 1\n"), "{out}");
+        assert!(
+            out.contains("arls_ingest_loop_passes_total{cause=\"idle\"} 2\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("arls_ingest_would_block_total{call=\"write\"} 1\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("arls_ingest_advances_total{events=\"none\"} 1\n"),
+            "{out}"
+        );
         // Re-registration resolves to the same cells.
         let again = IngestMetrics::register(&reg);
         again.submissions.inc();

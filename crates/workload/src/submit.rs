@@ -14,9 +14,16 @@
 //! Parsing uses the dependency-free [`telemetry::json`] parser, and
 //! strings render through its escaper; the rest of rendering is plain
 //! string building (every numeric field is validated finite, so
-//! `Display` formatting always yields legal JSON). Both
-//! directions round-trip bit-exactly through each other, pinned by the
-//! tests below.
+//! `Display` formatting always yields legal JSON). The parser reads an
+//! out-of-range literal such as `1e400` as infinity, so both directions
+//! refuse it: submissions through [`SubmitTask::validate`], notification
+//! times field by field. Both directions round-trip bit-exactly through
+//! each other, pinned by the tests below.
+//!
+//! A relative deadline must also leave a window at the admission
+//! instant, which only the server knows: the session refuses one that
+//! rounds away there (`1e-300` once the clock is past 0), since a zero
+//! window has no Eq. (10) processing weight.
 
 use telemetry::json::{self, Json};
 
@@ -86,6 +93,17 @@ fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing or non-numeric '{key}'"))
+}
+
+/// `key` as a finite number: the parser reads `1e400` as infinity, which
+/// would render back as `inf`, not JSON.
+fn req_finite(v: &Json, key: &str) -> Result<f64, String> {
+    let raw = req_f64(v, key)?;
+    if raw.is_finite() {
+        Ok(raw)
+    } else {
+        Err(format!("'{key}' = {raw} is not finite"))
+    }
 }
 
 /// `raw` as a `u64`, or an error naming `key` when it is negative,
@@ -265,7 +283,7 @@ impl Notification {
             return Ok(Notification::Ack {
                 id: req_u64(a, "id")?,
                 tasks,
-                t: req_f64(a, "t")?,
+                t: req_finite(a, "t")?,
             });
         }
         if let Some(r) = v.get("reject") {
@@ -283,7 +301,7 @@ impl Notification {
                 task: req_u64(p, "task")?,
                 site: req_u32(p, "site")?,
                 node: req_u32(p, "node")?,
-                t: req_f64(p, "t")?,
+                t: req_finite(p, "t")?,
             });
         }
         if let Some(d) = v.get("done") {
@@ -293,13 +311,13 @@ impl Notification {
                     .get("met")
                     .and_then(Json::as_bool)
                     .ok_or("done missing 'met'")?,
-                t: req_f64(d, "t")?,
+                t: req_finite(d, "t")?,
             });
         }
         if let Some(f) = v.get("failed") {
             return Ok(Notification::Failed {
                 task: req_u64(f, "task")?,
-                t: req_f64(f, "t")?,
+                t: req_finite(f, "t")?,
             });
         }
         Err("unknown notification kind".to_string())
@@ -415,6 +433,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("'id'"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_notification_times_are_rejected() {
+        for t in ["1e400", "-1e400"] {
+            for line in [
+                format!(r#"{{"ack":{{"id":1,"tasks":[0],"t":{t}}}}}"#),
+                format!(r#"{{"placed":{{"task":1,"site":0,"node":0,"t":{t}}}}}"#),
+                format!(r#"{{"done":{{"task":5,"met":true,"t":{t}}}}}"#),
+                format!(r#"{{"failed":{{"task":6,"t":{t}}}}}"#),
+            ] {
+                let err = Notification::parse_line(&line).unwrap_err();
+                assert!(
+                    err.contains("'t'") && err.contains("not finite"),
+                    "{line}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -75,15 +75,17 @@ impl Task {
     }
 
     /// The task's snapshot field list, shared by checkpoints and traces.
-    /// Site range checks are the caller's (they need the platform).
+    /// The deadline must fall after the arrival: a zero window has no
+    /// Eq. (10) weight. Site range checks are the caller's (they need the
+    /// platform).
     pub fn snap<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
         c.u64(&mut self.id.0)?;
         c.nonneg(&mut self.size_mi)?;
         c.time(&mut self.arrival)?;
         c.time(&mut self.deadline)?;
         let id = self.id;
-        c.check(self.deadline >= self.arrival, || {
-            format!("task {id} is due before it arrives")
+        c.check(self.deadline > self.arrival, || {
+            format!("task {id} is due no later than it arrives")
         })?;
         self.priority.snap(c)?;
         c.u32(&mut self.site.0)

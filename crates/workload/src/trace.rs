@@ -27,7 +27,8 @@ pub enum TraceError {
     /// Buffer ended mid-record or the declared count does not fit.
     Truncated,
     /// A task record is invalid: a non-finite, negative or zero size, a
-    /// bad time, or an unknown priority byte.
+    /// bad time, a deadline not after the arrival, or an unknown priority
+    /// byte.
     BadRecord(String),
 }
 
@@ -178,6 +179,17 @@ mod tests {
         // A size of zero is a valid float but no task.
         raw[21..29].copy_from_slice(&0.0f64.to_le_bytes());
         assert!(matches!(read_trace(&raw), Err(TraceError::BadRecord(m)) if m.contains("no work")));
+    }
+
+    #[test]
+    fn a_deadline_at_the_arrival_is_a_bad_record() {
+        let mut tasks = sample_tasks(1);
+        tasks[0].deadline = tasks[0].arrival;
+        let err = read_trace(&write_trace(&tasks)).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::BadRecord(m) if m.contains("due no later than it arrives")),
+            "{err:?}"
+        );
     }
 
     #[test]

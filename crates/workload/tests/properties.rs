@@ -218,13 +218,15 @@ const HOSTILE_VALUES: [&str; 31] = [
 const MIB: usize = 1 << 20;
 
 /// Both wire parsers on `line`: each must return `Ok` or a typed `Err`
-/// (a panic fails the test), and an accepted submission must render to
-/// a line that parses back to it.
+/// (a panic fails the test), and an accepted submission or notification
+/// must render to a line that parses back to it.
 fn parse_both(line: &str) {
     if let Ok(sub) = Submission::parse_line(line) {
         assert_eq!(Submission::parse_line(&sub.render_line()), Ok(sub));
     }
-    let _ = Notification::parse_line(line);
+    if let Ok(n) = Notification::parse_line(line) {
+        assert_eq!(Notification::parse_line(&n.render_line()), Ok(n));
+    }
 }
 
 /// `valid` made hostile: `kind` 0 swaps in a hostile value, 1 repeats
