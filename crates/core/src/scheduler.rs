@@ -6,7 +6,7 @@ use crate::agent::Agent;
 use crate::config::AdaptiveRlConfig;
 use crate::feedback::{learning_value, value_target};
 use crate::grouping::{self, MergedGroup};
-use crate::memory::{Experience, SharedLearningMemory};
+use crate::memory::{Experience, RingSummary, SharedLearningMemory};
 use crate::state::{SiteObsCache, SiteObservation, STATE_FEATURES};
 use crate::value::ValueEstimator;
 use platform::{
@@ -164,11 +164,12 @@ pub struct AdaptiveRl {
     /// [`AdaptiveRl::for_shard`]; `0` in the sequential engine, where
     /// local agent indices *are* global site ids.
     site_offset: u32,
-    /// Whether this instance is one shard of a sharded run: experiences
-    /// are logged for cross-shard sync and the memory spans every site.
+    /// Whether this instance is one shard of a sharded run: its ring's
+    /// summary is sent at each epoch barrier it changed in.
     shard_mode: bool,
-    /// Cross-shard sync records produced since the last drain.
-    sync_log: Vec<SyncRecord>,
+    /// The time of the newest experience recorded since the last drain,
+    /// if any: the ring's summary has yet to be sent.
+    sync_dirty: Option<SimTime>,
     /// Per-instance sequence counter for the canonical sync order.
     sync_seq: u64,
 }
@@ -214,7 +215,7 @@ impl AdaptiveRl {
             prof: None,
             site_offset: 0,
             shard_mode: false,
-            sync_log: Vec::new(),
+            sync_dirty: None,
             sync_seq: 0,
             cfg,
         }
@@ -225,13 +226,15 @@ impl AdaptiveRl {
     ///
     /// The single local agent draws from the same counter-based stream
     /// the sequential engine would hand agent `global_site`
-    /// (`root(seed).derive_indexed("agent", global_site)`), and the
-    /// shared learning memory spans all `total_sites` rings so every
-    /// shard holds an identical replica: local experiences enter
-    /// immediately, foreign ones at the next epoch barrier via
-    /// [`Scheduler::apply_sync`], in canonical order. Exploration rate
-    /// and the value estimator stay per-site — decentralised learners,
-    /// as in the paper's multi-agent story.
+    /// (`root(seed).derive_indexed("agent", global_site)`). The shared
+    /// learning memory spans all `total_sites` agents: the local agent's
+    /// ring enters experiences immediately, and every other agent is the
+    /// [`RingSummary`] its shard sent at the last epoch barrier via
+    /// [`Scheduler::apply_sync`]. A summary holds the ring's best
+    /// experience, so the memory answers the replay rule exactly as a
+    /// full replica of every ring would. Exploration rate and the value
+    /// estimator stay per-site — decentralised learners, as in the
+    /// paper's multi-agent story.
     ///
     /// # Panics
     /// Panics on an invalid configuration or `global_site >= total_sites`.
@@ -246,7 +249,7 @@ impl AdaptiveRl {
             SiteId(0),
             root.derive_indexed("agent", global_site as u64),
         )];
-        s.memory = SharedLearningMemory::new(total_sites, s.cfg.memory_depth);
+        s.memory = SharedLearningMemory::for_shard(total_sites, s.cfg.memory_depth, global_site);
         s.site_offset = global_site as u32;
         s.shard_mode = true;
         s
@@ -283,7 +286,9 @@ impl AdaptiveRl {
         self.cycles
     }
 
-    /// Read access to the shared-learning memory (diagnostics).
+    /// Read access to the shared-learning memory (diagnostics). In a
+    /// shard, only the local agent's ring is held; the other agents are
+    /// the summaries of the last epoch barrier.
     pub fn memory(&self) -> &SharedLearningMemory {
         &self.memory
     }
@@ -709,23 +714,8 @@ impl Scheduler for AdaptiveRl {
             cycle: self.cycles,
         });
         if self.shard_mode {
-            // Queue the experience for the epoch barrier; `seq` preserves
-            // this site's production order inside one epoch batch.
-            self.sync_seq += 1;
-            self.sync_log.push(SyncRecord {
-                time: now,
-                seq: self.sync_seq,
-                site: self.site_offset,
-                payload: [
-                    match sample.action.policy {
-                        crate::action::PolicyKind::Mixed => 0,
-                        crate::action::PolicyKind::Identical => 1,
-                    },
-                    sample.action.opnum as u64,
-                    l_val.to_bits(),
-                    self.cycles,
-                ],
-            });
+            // The ring changed: its summary goes out at the next barrier.
+            self.sync_dirty = Some(now);
         }
         // The value-table delta: `train` returns the pre-update squared
         // error. NaN (rendered as JSON null) marks cycles that trained
@@ -766,28 +756,62 @@ impl Scheduler for AdaptiveRl {
     }
 
     fn drain_sync(&mut self, out: &mut Vec<SyncRecord>) {
-        out.append(&mut self.sync_log);
+        // One record per epoch at most: the summary of this site's ring,
+        // stamped with its newest experience's time. Wire format: the
+        // policy tag in the low byte of word 0 and the ring length above
+        // it, then the best experience's opnum, l_val bits and cycle.
+        let Some(time) = self.sync_dirty.take() else {
+            return;
+        };
+        let summary = self.memory.summary(self.site_offset);
+        let best = summary.best.expect("a changed ring holds an experience");
+        let tag = match best.action.policy {
+            crate::action::PolicyKind::Mixed => 0,
+            crate::action::PolicyKind::Identical => 1,
+        };
+        self.sync_seq += 1;
+        out.push(SyncRecord {
+            time,
+            seq: self.sync_seq,
+            site: self.site_offset,
+            payload: [
+                tag | ((summary.len as u64) << 8),
+                best.action.opnum as u64,
+                best.l_val.to_bits(),
+                best.cycle,
+            ],
+        });
     }
 
     fn apply_sync(&mut self, rec: &SyncRecord) {
-        // Foreign shards' experiences replicate into this instance's
-        // shared memory; a malformed payload is ignored (the wire format
-        // is produced by this module, so this is defensive only).
-        let policy = match rec.payload[0] {
+        // A foreign shard's ring summary overwrites its slot in this
+        // instance's memory; a malformed payload is ignored (the wire
+        // format is produced by this module, so this is defensive only).
+        let policy = match rec.payload[0] & 0xFF {
             0 => crate::action::PolicyKind::Mixed,
             1 => crate::action::PolicyKind::Identical,
             _ => return,
         };
+        let len = rec.payload[0] >> 8;
         let opnum = rec.payload[1] as usize;
-        if opnum == 0 || rec.site as usize >= self.memory.num_agents() {
+        if opnum == 0
+            || !(1..=self.memory.depth() as u64).contains(&len)
+            || rec.site as usize >= self.memory.num_agents()
+        {
             return;
         }
-        self.memory.record(Experience {
-            agent: rec.site,
-            action: ActionChoice { policy, opnum },
-            l_val: f64::from_bits(rec.payload[2]),
-            cycle: rec.payload[3],
-        });
+        self.memory.set_summary(
+            rec.site,
+            RingSummary {
+                best: Some(Experience {
+                    agent: rec.site,
+                    action: ActionChoice { policy, opnum },
+                    l_val: f64::from_bits(rec.payload[2]),
+                    cycle: rec.payload[3],
+                }),
+                len: len as usize,
+            },
+        );
     }
 
     fn save_state(&mut self, w: &mut SnapWriter) {
@@ -1053,6 +1077,64 @@ mod tests {
             matches!(cmds.as_slice(), [Command::Dispatch { node, .. }] if *node == addrs[0]),
             "the freed slot takes one group: {cmds:?}"
         );
+    }
+
+    #[test]
+    fn a_shard_syncs_one_ring_summary_that_its_peers_snapshot() {
+        use crate::action::PolicyKind;
+        let cfg = AdaptiveRlConfig::default();
+        let mut from = AdaptiveRl::for_shard(0, 3, cfg);
+        for (cycle, l_val) in [(1, 2.0), (2, 7.0), (3, 7.0), (4, -1.0)] {
+            from.memory.record(Experience {
+                agent: 0,
+                action: ActionChoice {
+                    policy: PolicyKind::Identical,
+                    opnum: cycle as usize,
+                },
+                l_val,
+                cycle,
+            });
+        }
+        from.sync_dirty = Some(SimTime::new(4.5));
+        let mut out = Vec::new();
+        from.drain_sync(&mut out);
+        from.drain_sync(&mut out);
+        assert_eq!(out.len(), 1, "one record per changed epoch, none after");
+        assert_eq!((out[0].time, out[0].site), (SimTime::new(4.5), 0));
+
+        let mut to = AdaptiveRl::for_shard(1, 3, cfg);
+        to.apply_sync(&out[0]);
+        let sent = from.memory().summary(0);
+        assert_eq!(to.memory().summary(0), sent);
+        assert_eq!(to.memory().best_shared().unwrap().cycle, 3, "last maximum");
+        let depth = cfg.memory_depth as u64;
+        let malformed = [
+            (0, [2 | 4 << 8, 3, 0, 0]),
+            (0, [1, 3, 0, 0]),
+            (0, [1 | (depth + 1) << 8, 3, 0, 0]),
+            (0, [1 | 4 << 8, 0, 0, 0]),
+            (1, [1 | 4 << 8, 3, 0, 0]),
+            (3, [1 | 4 << 8, 3, 0, 0]),
+        ];
+        for (site, payload) in malformed {
+            to.apply_sync(&SyncRecord {
+                site,
+                payload,
+                ..out[0]
+            });
+        }
+        assert_eq!(to.memory().summary(0), sent, "malformed records ignored");
+        assert_eq!(to.memory().len(), 4);
+
+        let mut w = SnapWriter::new();
+        to.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = AdaptiveRl::for_shard(1, 3, cfg);
+        back.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        for agent in 0..3 {
+            assert_eq!(back.memory().summary(agent), to.memory().summary(agent));
+        }
+        assert_eq!(back.memory().len(), 4);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests for the Adaptive-RL building blocks: grouping
-//! conservation, memory-ring bounds, and the learning-value algebra.
+//! conservation, memory-ring bounds, sharded memory summaries, and the
+//! learning-value algebra.
 
 use adaptive_rl::grouping::merge;
 use adaptive_rl::memory::{Experience, SharedLearningMemory};
 use adaptive_rl::{learning_value, ActionChoice, PolicyKind};
 use proptest::prelude::*;
 use simcore::SimTime;
+use std::collections::VecDeque;
 use workload::{Priority, SiteId, Task, TaskId};
 
 fn task_strategy() -> impl Strategy<Value = Task> {
@@ -114,6 +116,89 @@ proptest! {
         let window = &lvals[lvals.len().saturating_sub(depth)..];
         let expect = window.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(mem.best_of(0).unwrap().l_val, expect);
+    }
+
+    /// A sharded memory, fed each foreign ring's summary at every barrier,
+    /// answers `best_shared` and `len` exactly as a full replica of every
+    /// ring would. Learning values come from {0, −0, 1, 2, NaN}, so ties,
+    /// signed zeros and the eviction of a ring's maximum all occur; tied
+    /// records differ in action and cycle, so picking the wrong one of
+    /// them shows.
+    fn ring_summaries_answer_as_full_replicas(
+        agents in 2usize..6,
+        depth in 1usize..5,
+        // (0 = barrier, else a record; agent, l_val index, policy, opnum)
+        events in prop::collection::vec(
+            (0u8..4, 0usize..5, 0usize..5, any::<bool>(), 1usize..7),
+            1..80,
+        ),
+    ) {
+        const L_VALS: [f64; 5] = [0.0, -0.0, 1.0, 2.0, f64::NAN];
+        // Reference: per shard, every agent's ring in full, oldest first;
+        // foreign records wait for the next barrier, as they did when
+        // every experience was replicated.
+        let mut rings = vec![vec![VecDeque::<Experience>::new(); agents]; agents];
+        let mut waiting: Vec<Experience> = Vec::new();
+        let mut shards: Vec<SharedLearningMemory> = (0..agents)
+            .map(|g| SharedLearningMemory::for_shard(agents, depth, g))
+            .collect();
+        let mut changed = vec![false; agents];
+        let push = |ring: &mut VecDeque<Experience>, e: Experience| {
+            if ring.len() == depth {
+                ring.pop_front();
+            }
+            ring.push_back(e);
+        };
+        for (i, &(kind, agent, l, identical, opnum)) in events.iter().enumerate() {
+            if kind == 0 {
+                for e in waiting.drain(..) {
+                    for (g, shard_rings) in rings.iter_mut().enumerate() {
+                        if g != e.agent as usize {
+                            push(&mut shard_rings[e.agent as usize], e);
+                        }
+                    }
+                }
+                for h in 0..agents {
+                    if std::mem::take(&mut changed[h]) {
+                        let summary = shards[h].summary(h as u32);
+                        for (g, shard) in shards.iter_mut().enumerate() {
+                            if g != h {
+                                shard.set_summary(h as u32, summary);
+                            }
+                        }
+                    }
+                }
+            } else {
+                let h = agent % agents;
+                let e = Experience {
+                    agent: h as u32,
+                    action: ActionChoice {
+                        policy: if identical { PolicyKind::Identical } else { PolicyKind::Mixed },
+                        opnum,
+                    },
+                    l_val: L_VALS[l],
+                    cycle: i as u64,
+                };
+                push(&mut rings[h][h], e);
+                waiting.push(e);
+                shards[h].record(e);
+                changed[h] = true;
+            }
+            for g in 0..agents {
+                let want = rings[g]
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .max_by(|a, b| a.l_val.total_cmp(&b.l_val));
+                let got = shards[g].best_shared();
+                let key = |e: Option<Experience>| {
+                    e.map(|e| (e.agent, e.action, e.l_val.to_bits(), e.cycle))
+                };
+                prop_assert_eq!(key(got), key(want), "shard {} after event {}", g, i);
+                let len: usize = rings[g].iter().map(VecDeque::len).sum();
+                prop_assert_eq!(shards[g].len(), len, "shard {} after event {}", g, i);
+            }
+        }
     }
 
     #[test]

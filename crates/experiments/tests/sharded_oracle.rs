@@ -122,19 +122,24 @@ fn scenario_at(tasks: usize, offered: f64, faults: bool) -> Scenario {
         ..platform::PlatformSpec::paper(3)
     };
     if faults {
-        sc.exec.faults = FaultSpec {
-            enabled: true,
-            proc_mtbf: 400.0,
-            proc_mttr: 50.0,
-            node_mtbf: 2000.0,
-            node_mttr: 100.0,
-            permanent_fraction: 0.1,
-            max_retries: 3,
-            horizon: 1500.0,
-            seed: 0xFA17,
-        };
+        sc.exec.faults = golden_faults();
     }
     sc
+}
+
+/// The fault spec of every faulted golden in this file.
+fn golden_faults() -> FaultSpec {
+    FaultSpec {
+        enabled: true,
+        proc_mtbf: 400.0,
+        proc_mttr: 50.0,
+        node_mtbf: 2000.0,
+        node_mttr: 100.0,
+        permanent_fraction: 0.1,
+        max_retries: 3,
+        horizon: 1500.0,
+        seed: 0xFA17,
+    }
 }
 
 fn kinds() -> Vec<SchedulerKind> {
@@ -255,6 +260,86 @@ fn sharded_golden_round_robin() {
 fn sharded_golden_greedy_edf() {
     check(&SchedulerKind::GreedyEdf, false);
     check(&SchedulerKind::GreedyEdf, true);
+}
+
+/// An 8-site saturating run (2,000 tasks at 130 % offered load), where
+/// rewards drop often enough that agents replay the shared-learning
+/// memory (about 125 consults per run), so the cross-shard memory sync
+/// decides actions. The 100-site scaling runs never consult it, and the
+/// 3-site goldens above pin only aggregates.
+fn eight_sites(seed: u64, faults: bool) -> Scenario {
+    let mut sc = Scenario::new(seed, 2000, 1.3);
+    sc.platform.num_sites = 8;
+    if faults {
+        sc.exec.faults = golden_faults();
+    }
+    sc
+}
+
+/// 64-bit FNV-1a, continued from `h`, over little-endian words.
+fn fnv1a(mut h: u64, words: &[u64]) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// A digest of every task record field, the energy, the makespan and
+/// every cycle sample, all by their bits.
+fn digest(r: &RunResult) -> u64 {
+    let mut h = fnv1a(
+        0xCBF2_9CE4_8422_2325,
+        &[r.total_energy.to_bits(), r.makespan.to_bits()],
+    );
+    for t in &r.records {
+        h = fnv1a(
+            h,
+            &[
+                t.task.0,
+                u64::from(t.site.0),
+                u64::from(t.node.site.0),
+                u64::from(t.node.node),
+                t.group.0,
+                t.priority as u64,
+                t.size_mi.to_bits(),
+                t.arrival.as_f64().to_bits(),
+                t.dispatched.as_f64().to_bits(),
+                t.started.as_f64().to_bits(),
+                t.finished.as_f64().to_bits(),
+                t.deadline.as_f64().to_bits(),
+                u64::from(t.met),
+                u64::from(t.split),
+                t.outcome as u64,
+                u64::from(t.attempts),
+            ],
+        );
+    }
+    for c in &r.cycles {
+        h = fnv1a(h, &[c.cycle, c.time.to_bits(), c.work_mi.to_bits()]);
+    }
+    h
+}
+
+#[test]
+fn sharded_digest_adaptive_eight_sites() {
+    const PINNED: [(u64, bool, u64); 4] = [
+        (1, false, 0xBF01_866D_27FD_270B),
+        (1, true, 0x5875_6FDC_D25B_5F0D),
+        (2, false, 0x04F9_1F81_B73A_3967),
+        (2, true, 0x8A6F_068C_9A28_A4E3),
+    ];
+    let kind = SchedulerKind::Adaptive(AdaptiveRlConfig::default());
+    let got: Vec<(u64, bool, u64)> = PINNED
+        .iter()
+        .map(|&(seed, faults, _)| {
+            let r = runner::run_sharded(&eight_sites(seed, faults), &kind, 2);
+            (seed, faults, digest(&r))
+        })
+        .collect();
+    assert_eq!(got, PINNED, "8-site sharded Adaptive RL drifted");
 }
 
 /// Prints the golden table in source form. `{:?}` on `f64` prints the

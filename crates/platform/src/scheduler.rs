@@ -123,7 +123,9 @@ impl GroupFeedback {
 /// `(time, seq, site)` order, so the payload's meaning is entirely up to
 /// the scheduler — the engine only routes and orders them. The payload is
 /// four raw words; schedulers pack their own wire format (the Adaptive-RL
-/// policy packs one shared-learning-memory experience per record).
+/// policy sends at most one record per site per epoch: the summary of
+/// its shared-learning-memory ring, that is the ring's best experience
+/// and its length).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncRecord {
     /// Simulation time the record was produced at.

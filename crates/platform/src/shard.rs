@@ -7,8 +7,9 @@
 //! thread in conservative time windows sized from the control-tick
 //! cadence (`ExecConfig::tick_interval`). At the end of every window all
 //! threads meet at an epoch barrier where cross-shard interactions —
-//! shared learning-memory sync for the Adaptive-RL policy, surfaced
-//! through [`Scheduler::drain_sync`] / [`Scheduler::apply_sync`] — are
+//! shared learning-memory sync for the Adaptive-RL policy (at most one
+//! summary of a site's experience ring per epoch), surfaced through
+//! [`Scheduler::drain_sync`] / [`Scheduler::apply_sync`] — are
 //! merged, sorted by the canonical `(time, seq, site)` key, and applied.
 //! Because every shard sees the same record sequence at the same epoch
 //! regardless of which thread ran it, results are **bit-reproducible
@@ -35,9 +36,12 @@
 //!    runs the cross-shard conservation check (per-site resolved counts
 //!    monotone, total within the submitted task count), and decides
 //!    whether every shard has finished; **barrier B**,
-//! 4. workers apply the merged records from *foreign* sites to their
-//!    shards in canonical order, then either start epoch `k+1` or
-//!    finalise at the global horizon the coordinator published.
+//! 4. workers, all reading the merged batch at once, apply the records
+//!    from *foreign* sites to their shards in canonical order, then
+//!    either start epoch `k+1` or finalise at the global horizon the
+//!    coordinator published. Adaptive RL sends at most one record per
+//!    site per epoch, the summary of the site's ring, and applying it
+//!    overwrites that site's slot in each foreign shard's memory.
 
 use crate::engine::{assemble_result, ExecConfig, ExecEngine, RunResult};
 use crate::fault::{FaultPlan, FaultTarget, PlannedFault};
@@ -48,7 +52,7 @@ use crate::topology::{Platform, PlatformSpec};
 use simcore::engine::RunOutcome;
 use simcore::rng::RngStream;
 use simcore::time::SimTime;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, RwLock};
 use workload::{SiteId, Task, TaskId};
 
 /// Everything one shard needs before its worker thread builds the
@@ -89,7 +93,8 @@ impl EpochPost {
     }
 }
 
-/// The coordinator's reply, written between barriers A and B.
+/// The coordinator's reply, written between barriers A and B and read by
+/// every worker at once after B.
 #[derive(Default)]
 struct EpochCtl {
     /// All shards' records this epoch, in canonical order.
@@ -372,7 +377,7 @@ pub fn run_sharded<S: Scheduler + Send>(
     let posts: Vec<Mutex<EpochPost>> = (0..shards)
         .map(|_| Mutex::new(EpochPost::empty()))
         .collect();
-    let ctl: Mutex<EpochCtl> = Mutex::new(EpochCtl::default());
+    let ctl: RwLock<EpochCtl> = RwLock::new(EpochCtl::default());
     let results: Vec<Mutex<Option<RunResult>>> = (0..num_sites).map(|_| Mutex::new(None)).collect();
 
     let mut extra = AuditReport::default();
@@ -428,7 +433,7 @@ pub fn run_sharded<S: Scheduler + Send>(
                 );
             }
             merged.sort_by_key(|r| r.key());
-            let mut c = ctl.lock().expect("ctl poisoned");
+            let mut c = ctl.write().expect("ctl poisoned");
             c.merged = merged;
             c.finish = all_done.then_some(horizon);
             let fin = c.finish.is_some();
@@ -462,7 +467,7 @@ fn run_worker<S: Scheduler + Send>(
     factory: &(dyn Fn(usize) -> S + Sync),
     barrier: &Barrier,
     my_post: &Mutex<EpochPost>,
-    ctl: &Mutex<EpochCtl>,
+    ctl: &RwLock<EpochCtl>,
     results: &[Mutex<Option<RunResult>>],
     window: f64,
 ) {
@@ -526,7 +531,7 @@ fn run_worker<S: Scheduler + Send>(
         }
         barrier.wait(); // A
         barrier.wait(); // B
-        let c = ctl.lock().expect("ctl poisoned");
+        let c = ctl.read().expect("ctl poisoned");
         for rec in &c.merged {
             for sim in &mut sims {
                 if rec.site != sim.global_site {
