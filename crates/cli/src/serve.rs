@@ -20,9 +20,9 @@
 //! platform's `arls_*` family and the front door's `arls_ingest_*`
 //! family, served on `/metrics` by [`telemetry::MetricsServer`] when
 //! `--metrics-addr` is given. The ingest family also counts the loop
-//! below: passes by cause (an idle pass is a park), the park time
-//! requested, `WouldBlock` returns per socket call, and advances with
-//! and without events.
+//! below: passes by cause (an idle pass found nothing to do), the wait
+//! time requested, `WouldBlock` returns per socket call, and advances
+//! with and without events.
 //!
 //! A client that half-closes (`nc -N`, `shutdown(SHUT_WR)`) still gets
 //! every reply: its end of stream ends its requests, and the daemon
@@ -32,8 +32,10 @@
 //!
 //! The daemon is single-threaded and non-blocking throughout (the same
 //! dependency-free socket style as the metrics server): one loop
-//! accepts, reads, advances, notifies, flushes, checkpoints — and parks
-//! with a short exponential backoff when a pass does no work, so an idle
+//! accepts, reads, advances, admits, notifies, flushes, checkpoints —
+//! and ends each pass in one `poll(2)` over its sockets, until a socket
+//! is ready or the next thing is due: the next sim event, a timer, or a
+//! 50 ms ceiling. So a submission is read as it arrives, and an idle
 //! daemon costs ~0% CPU.
 
 use crate::args::Args;
@@ -46,6 +48,8 @@ use simcore::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_ulong};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,13 +67,27 @@ extern "C" fn on_signal(_sig: i32) {
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
-/// Installs the shutdown handler via libc `signal(2)` — declared
-/// directly so no signal crate is needed. `signal` is async-signal-safe
-/// for the store-a-flag handler used here.
+/// One entry of a `poll(2)` set (`struct pollfd`).
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+// libc's `signal(2)` and `poll(2)`, declared directly so no signal or
+// event crate is needed.
+extern "C" {
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Installs the shutdown handler. `signal` is async-signal-safe for the
+/// store-a-flag handler used here.
 fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
     // SAFETY: `signal` is called with valid signal numbers and an
     // `extern "C"` handler that only stores to an atomic, which is
     // async-signal-safe; the returned previous handler is ignored.
@@ -85,13 +103,16 @@ fn install_signal_handlers() {
 /// bound.
 const MAX_CLIENT_BACKLOG: usize = 1 << 20;
 
-/// Idle-backoff floor: the first park after an active pass.
-const IDLE_SLEEP_MIN: Duration = Duration::from_millis(1);
+/// Earliest a wait may end for the next sim event, after the pass's
+/// advance. A notice due sooner waits up to this long, as it waited for
+/// the old 1 ms idle park, and the loop wakes for events alone at most
+/// 1,000 times a second, however dense the event queue gets.
+const EVENT_GRAIN: Duration = Duration::from_millis(1);
 
-/// Idle-backoff ceiling. Bounds how stale the loop's timers (pacing,
-/// monitor refresh, checkpoints, shutdown flag) can get while parked, so
-/// an idle daemon burns ~0% CPU yet still reacts within ~50 ms.
-const IDLE_SLEEP_MAX: Duration = Duration::from_millis(50);
+/// Longest wait. Bounds how late the loop sees a shutdown signal that
+/// did not interrupt its wait, so an idle daemon burns ~0% CPU yet
+/// still reacts within ~50 ms.
+const WAIT_MAX: Duration = Duration::from_millis(50);
 
 /// How often the live gauges are refreshed from the session.
 const MONITOR_REFRESH: Duration = Duration::from_millis(200);
@@ -104,8 +125,8 @@ struct ServeOpts {
     /// Wall-clock run bound; `None` runs until a signal.
     run_for: Option<Duration>,
     checkpoint_dir: Option<PathBuf>,
-    /// Wall seconds between periodic checkpoints (0 = only on shutdown).
-    checkpoint_every: f64,
+    /// Wall time between periodic checkpoints (`None`: only on shutdown).
+    checkpoint_every: Option<Duration>,
     metrics_server: Option<MetricsServer>,
     ingest: IngestMetrics,
 }
@@ -122,6 +143,8 @@ struct Client {
     eof: bool,
     /// Admitted tasks of this client without a `done`/`failed` yet.
     unresolved: usize,
+    /// The client's entry in the last wait's poll set, if it had one.
+    slot: Option<usize>,
 }
 
 impl Client {
@@ -146,10 +169,14 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         None => None,
         Some(_) => {
             let secs = args.get_or("run-for-secs", 0.0f64)?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(CmdError::Other("--run-for-secs must be positive".into()));
+            match Duration::try_from_secs_f64(secs) {
+                Ok(d) if !d.is_zero() => Some(d),
+                _ => {
+                    return Err(CmdError::Other(
+                        "--run-for-secs must be positive and below 2^64".into(),
+                    ))
+                }
             }
-            Some(Duration::from_secs_f64(secs))
         }
     };
     let checkpoint_dir = args.get("checkpoint-dir").map(PathBuf::from);
@@ -248,7 +275,9 @@ pub fn serve(args: &Args) -> Result<String, CmdError> {
         pace,
         run_for,
         checkpoint_dir,
-        checkpoint_every,
+        checkpoint_every: Duration::try_from_secs_f64(checkpoint_every)
+            .ok()
+            .filter(|d| !d.is_zero()),
         metrics_server,
         ingest,
     };
@@ -278,16 +307,13 @@ fn run_daemon(
     let mut last_checkpoint = Instant::now();
     let mut last_refresh = Instant::now();
     let mut read_chunk = [0u8; 4096];
-    // Adaptive idle park: any accept, read, or sim-time event resets the
-    // backoff to the floor; consecutive quiet passes double it up to the
-    // ceiling. An active pass loops straight back without sleeping, so a
-    // busy daemon stays hot while an idle one costs ~0% CPU (the old
-    // fixed 5 ms poll spun ~200 wakeups/s forever).
-    let mut idle_sleep = IDLE_SLEEP_MIN;
+    // The last wait's poll set: the listener, then the clients that hold
+    // a `slot` in it. Reused across passes.
+    let mut fds: Vec<PollFd> = Vec::new();
 
     loop {
         // The first thing that makes this pass active counts it; a pass
-        // with none parks.
+        // with none is idle.
         let mut cause: Option<&Counter> = None;
         if SHUTDOWN.load(Ordering::SeqCst) {
             break;
@@ -298,11 +324,20 @@ fn run_daemon(
             }
         }
 
-        // Accept everything pending.
-        loop {
+        // Accept everything pending once the listener is ready (before the
+        // first wait, nothing is known, so try).
+        let mut listen = POLLIN;
+        while fds.first().is_none_or(|l| l.revents != 0) {
             match opts.listener.accept() {
                 Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    // Without TCP_NODELAY, a reply written while an earlier
+                    // one is unacknowledged waits for the client's next
+                    // segment.
+                    if stream
+                        .set_nonblocking(true)
+                        .and_then(|()| stream.set_nodelay(true))
+                        .is_err()
+                    {
                         continue;
                     }
                     opts.ingest.connections.inc();
@@ -316,6 +351,7 @@ fn run_daemon(
                             open: true,
                             eof: false,
                             unresolved: 0,
+                            slot: None,
                         },
                     );
                     accepted += 1;
@@ -325,13 +361,23 @@ fn run_daemon(
                     break;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                // Out of descriptors, say. The listener stays ready, so it
+                // sits out the next wait rather than end it at once.
+                Err(_) => {
+                    listen = 0;
+                    break;
+                }
             }
         }
 
-        // Read request lines and admit submissions.
-        for (&id, client) in clients.iter_mut() {
-            while !client.eof {
+        // Read the clients the wait reported readable. `poll` is
+        // level-triggered: what a short read leaves, the next wait reports.
+        for client in clients.values_mut() {
+            let ready = client
+                .slot
+                .take()
+                .is_some_and(|i| fds[i].revents & !POLLOUT != 0);
+            while ready && !client.eof {
                 match client.stream.read(&mut read_chunk) {
                     Ok(0) => {
                         cause.get_or_insert(&opts.ingest.passes_read);
@@ -340,9 +386,10 @@ fn run_daemon(
                     Ok(n) => {
                         cause.get_or_insert(&opts.ingest.passes_read);
                         client.inbuf.extend_from_slice(&read_chunk[..n]);
-                        if client.inbuf.len() > MAX_CLIENT_BACKLOG {
-                            // Admit the complete lines first; the rest
-                            // is read on a later pass.
+                        // Only a full read can have left more. Past the line
+                        // cap, admit the complete lines first; the rest is
+                        // read on a later pass.
+                        if n < read_chunk.len() || client.inbuf.len() > MAX_CLIENT_BACKLOG {
                             break;
                         }
                     }
@@ -357,6 +404,24 @@ fn run_daemon(
                     }
                 }
             }
+        }
+
+        // Advance sim time to the pacing target before admitting what was
+        // read, so a submission is admitted at the instant it was read,
+        // not at the horizon of an earlier pass.
+        let advanced_at = Instant::now();
+        let target = (opts.pace > 0.0)
+            .then(|| SimTime::new(base + (advanced_at - start).as_secs_f64() * opts.pace));
+        events.clear();
+        if let Some(t) = target {
+            if advance(&mut session, t, &mut events, &opts.ingest)? {
+                cause.get_or_insert(&opts.ingest.passes_events);
+            }
+        }
+
+        // Admit the request lines read.
+        let mut admitted = false;
+        for (&id, client) in clients.iter_mut() {
             loop {
                 let line: Vec<u8> = match client.inbuf.iter().position(|b| *b == b'\n') {
                     Some(pos) => client.inbuf.drain(..=pos).collect(),
@@ -375,6 +440,7 @@ fn run_daemon(
                 let reply = handle_line(line, &mut session, id, &mut owners, &opts.ingest);
                 if let Notification::Ack { tasks, .. } = &reply {
                     client.unresolved += tasks.len();
+                    admitted = true;
                 }
                 push_notification(client, &reply, &opts.ingest);
             }
@@ -394,57 +460,49 @@ fn run_daemon(
             }
         }
 
-        // Advance sim time to the pacing target and route notifications.
-        if opts.pace > 0.0 {
-            let target = base + start.elapsed().as_secs_f64() * opts.pace;
-            events.clear();
-            session.advance_to(SimTime::new(target), &mut events);
-            if let Some(why) = session.halt_reason() {
-                return Err(CmdError::Other(format!("serve halted: {why}")));
-            }
-            if events.is_empty() {
-                opts.ingest.advances_without_events.inc();
-            } else {
-                opts.ingest.advances_with_events.inc();
+        // Run the new arrivals (and what they set off) up to the same
+        // target in this pass, then route every notice of the pass.
+        if let Some(t) = target.filter(|_| admitted) {
+            if advance(&mut session, t, &mut events, &opts.ingest)? {
                 cause.get_or_insert(&opts.ingest.passes_events);
             }
-            for ev in &events {
-                let (task, n) = match ev {
-                    SessionEvent::Placed { task, node, at } => (
-                        task.0,
-                        Notification::Placed {
-                            task: task.0,
-                            site: node.site.0,
-                            node: node.node,
-                            t: at.as_f64(),
-                        },
-                    ),
-                    SessionEvent::Done { task, met, at } => (
-                        task.0,
-                        Notification::Done {
-                            task: task.0,
-                            met: *met,
-                            t: at.as_f64(),
-                        },
-                    ),
-                    SessionEvent::Failed { task, at } => (
-                        task.0,
-                        Notification::Failed {
-                            task: task.0,
-                            t: at.as_f64(),
-                        },
-                    ),
-                };
-                let done = matches!(ev, SessionEvent::Done { .. } | SessionEvent::Failed { .. });
-                let owner = if done {
-                    owners.remove(&task)
-                } else {
-                    owners.get(&task).copied()
-                };
-                if let Some(client) = owner.and_then(|id| clients.get_mut(&id)) {
-                    client.unresolved -= usize::from(done);
-                    push_notification(client, &n, &opts.ingest);
-                }
+        }
+        for ev in &events {
+            let (task, n) = match ev {
+                SessionEvent::Placed { task, node, at } => (
+                    task.0,
+                    Notification::Placed {
+                        task: task.0,
+                        site: node.site.0,
+                        node: node.node,
+                        t: at.as_f64(),
+                    },
+                ),
+                SessionEvent::Done { task, met, at } => (
+                    task.0,
+                    Notification::Done {
+                        task: task.0,
+                        met: *met,
+                        t: at.as_f64(),
+                    },
+                ),
+                SessionEvent::Failed { task, at } => (
+                    task.0,
+                    Notification::Failed {
+                        task: task.0,
+                        t: at.as_f64(),
+                    },
+                ),
+            };
+            let done = matches!(ev, SessionEvent::Done { .. } | SessionEvent::Failed { .. });
+            let owner = if done {
+                owners.remove(&task)
+            } else {
+                owners.get(&task).copied()
+            };
+            if let Some(client) = owner.and_then(|id| clients.get_mut(&id)) {
+                client.unresolved -= usize::from(done);
+                push_notification(client, &n, &opts.ingest);
             }
         }
 
@@ -464,30 +522,64 @@ fn run_daemon(
             last_refresh = Instant::now();
         }
 
-        if opts.checkpoint_every > 0.0
-            && last_checkpoint.elapsed().as_secs_f64() >= opts.checkpoint_every
-        {
-            if let Some(dir) = &opts.checkpoint_dir {
+        if let (Some(dir), Some(every)) = (&opts.checkpoint_dir, opts.checkpoint_every) {
+            if last_checkpoint.elapsed() >= every {
                 checkpoints_written += 1;
                 write_checkpoint(dir, checkpoints_written, &mut session, meta)?;
                 last_checkpoint = Instant::now();
             }
         }
 
-        match cause {
-            Some(pass) => {
-                pass.inc();
-                idle_sleep = IDLE_SLEEP_MIN;
+        cause.unwrap_or(&opts.ingest.passes_idle).inc();
+
+        // Wait until a socket is ready or the next thing is due: the next
+        // sim event, due at `start + (t - base) / pace` but no sooner than
+        // a grain after this pass's advance; a timer; the end of the run;
+        // or the ceiling.
+        let event_due = target.and(session.next_event()).and_then(|t| {
+            let wall = Duration::try_from_secs_f64(((t.as_f64() - base) / opts.pace).max(0.0));
+            start.checked_add(wall.ok()?)
+        });
+        let now = Instant::now();
+        let due = [
+            event_due.map(|at| at.max(advanced_at + EVENT_GRAIN)),
+            Some(last_refresh + MONITOR_REFRESH),
+            opts.checkpoint_every
+                .and_then(|every| last_checkpoint.checked_add(every)),
+            opts.run_for.and_then(|d| start.checked_add(d)),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(now + WAIT_MAX, Instant::min);
+        // Poll the listener; each client not past its end of stream, for
+        // reading; and each with a backlog, for writing. A client with
+        // neither stays out: a peer that hung up reads as ready at its end
+        // of stream, and would end every wait at once.
+        fds.clear();
+        fds.push(PollFd {
+            fd: opts.listener.as_raw_fd(),
+            events: listen,
+            revents: 0,
+        });
+        for c in clients.values_mut() {
+            let mut interest = 0;
+            if !c.eof {
+                interest |= POLLIN;
             }
-            None => {
-                opts.ingest.passes_idle.inc();
-                opts.ingest
-                    .park_requested_us
-                    .add(idle_sleep.as_micros() as u64);
-                std::thread::sleep(idle_sleep);
-                idle_sleep = (idle_sleep * 2).min(IDLE_SLEEP_MAX);
+            if !c.outbuf.is_empty() {
+                interest |= POLLOUT;
             }
+            c.slot = (interest != 0).then(|| {
+                fds.push(PollFd {
+                    fd: c.stream.as_raw_fd(),
+                    events: interest,
+                    revents: 0,
+                });
+                fds.len() - 1
+            });
         }
+        let asked = wait(&mut fds, due.saturating_duration_since(now))?;
+        opts.ingest.park_requested_us.add(asked);
     }
 
     // Shutdown: one final checkpoint so `--resume-from` can pick up
@@ -530,6 +622,49 @@ fn run_daemon(
     // sake; the daemon's contract is the notification stream.
     let _ = session.finish();
     Ok(out)
+}
+
+/// Advances `session` to `t`, appending its notices to `events`, and
+/// counts the advance. Returns whether it produced notices.
+fn advance(
+    session: &mut ScheduleSession<'_>,
+    t: SimTime,
+    events: &mut Vec<SessionEvent>,
+    ingest: &IngestMetrics,
+) -> Result<bool, CmdError> {
+    let before = events.len();
+    session.advance_to(t, events);
+    if let Some(why) = session.halt_reason() {
+        return Err(CmdError::Other(format!("serve halted: {why}")));
+    }
+    let some = events.len() > before;
+    if some {
+        ingest.advances_with_events.inc();
+    } else {
+        ingest.advances_without_events.inc();
+    }
+    Ok(some)
+}
+
+/// Blocks in `poll(2)` until a socket of `fds` is ready, `timeout` has
+/// passed, or a signal arrives, and returns the timeout it asked for in
+/// microseconds. The timeout is rounded up to whole milliseconds; a
+/// ready socket ends the wait at once, so the rounding never delays a
+/// reply.
+fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<u64> {
+    let ms = c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // `pollfd` records and `nfds` is its length, so the kernel reads and
+    // writes (only the `revents` fields) within it.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+    if rc < 0 {
+        let err = std::io::Error::last_os_error();
+        // A signal ends the wait early; the loop then sees its flag.
+        if err.kind() != ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+    Ok(ms as u64 * 1000)
 }
 
 /// Parses and admits one request line from client `client`, returning

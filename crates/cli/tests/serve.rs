@@ -1,13 +1,15 @@
 //! End-to-end test of the `arls serve` daemon: submissions over the
 //! socket are all answered, the ingest counter family on `/metrics`
-//! matches what was sent, and a SIGTERM checkpoint restarts bit-exactly
-//! via `--resume-from`.
+//! matches what was sent, a SIGTERM checkpoint restarts bit-exactly
+//! via `--resume-from`, a submission is admitted at the instant it is
+//! read, and a client that hung up cannot spin the loop.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+use workload::submit::Notification;
 
 const N_SUBMISSIONS: u64 = 5;
 
@@ -200,12 +202,10 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
         metric_value(&metrics, "arls_decision_latency_seconds_count").unwrap_or(0.0) > 0.0,
         "the daemon times its scheduler's decisions: {metrics}"
     );
-    // The loop counts itself: a pass accepted this connection (and may
-    // have read every line in the same pass), a read found it drained,
-    // advances produced the notices above, and quiet passes parked.
+    // The loop counts itself: a pass accepted this connection, advances
+    // produced the notices above, and a timer ended quiet waits.
     for series in [
         r#"arls_ingest_loop_passes_total{cause="accept"}"#,
-        r#"arls_ingest_would_block_total{call="read"}"#,
         r#"arls_ingest_advances_total{events="some"}"#,
         r#"arls_ingest_loop_passes_total{cause="idle"}"#,
     ] {
@@ -214,6 +214,17 @@ fn serve_answers_streams_counts_and_resumes_bit_exactly() {
             "{series}: {metrics}"
         );
     }
+    // The loop accepts only when its wait reported the listener ready:
+    // each connection costs one `accept` that found the backlog drained,
+    // plus one try before the first wait.
+    let connections = metric_value(&metrics, "arls_ingest_connections_total").unwrap_or(0.0);
+    let accept_would_block =
+        metric_value(&metrics, r#"arls_ingest_would_block_total{call="accept"}"#)
+            .unwrap_or(f64::INFINITY);
+    assert!(
+        accept_would_block <= connections + 1.0,
+        "{accept_would_block} accepts found nothing for {connections} connections: {metrics}"
+    );
 
     // SIGTERM → final checkpoint on the way out.
     sigterm(&daemon);
@@ -454,5 +465,144 @@ fn serve_releases_each_closed_connection() {
         "daemon holds {now} descriptors after 200 closed connections (started with {start})"
     );
     assert!(out.contains("200 connections"), "stdout: {out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads notification lines until an ack and returns its admission
+/// instant.
+fn next_ack_time(reader: &mut impl BufRead) -> f64 {
+    loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read notification");
+        assert!(n > 0, "daemon closed the stream early");
+        if let Ok(Notification::Ack { t, .. }) = Notification::parse_line(line.trim()) {
+            return t;
+        }
+    }
+}
+
+#[test]
+fn serve_admits_a_submission_at_the_instant_it_is_read() {
+    // Fast enough that each task resolves within a millisecond, so the
+    // daemon is quiet when the next submission arrives.
+    const PACE: f64 = 100_000.0;
+    // Not a multiple of the loop's 50 ms longest wait.
+    const GAP: Duration = Duration::from_millis(70);
+    let dir = scratch_dir("admission");
+    let port_file = dir.join("ports.txt");
+    let pace = PACE.to_string();
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--pace",
+        &pace,
+    ]);
+    let (ingest_addr, _) = wait_for_ports(&port_file, &mut daemon);
+    let conn = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = conn.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(conn);
+    let mut submit = |id: u64| {
+        writeln!(
+            writer,
+            "{{\"submit\":{{\"id\":{id},\"tasks\":[{{\"size_mi\":1500,\"deadline\":120,\
+             \"priority\":\"high\",\"site\":0}}]}}}}"
+        )
+        .expect("write submission");
+        next_ack_time(&mut reader)
+    };
+
+    // Admitted at the instant it is read, a submission's sim time lies
+    // between its sending and its ack's reading. So two acks lie at least
+    // the sleep between them apart, and at most the wall time from the
+    // first send to the second ack's reading.
+    for round in 0..4 {
+        let sent = Instant::now();
+        let first = submit(2 * round);
+        std::thread::sleep(GAP);
+        let second = submit(2 * round + 1);
+        let wall = sent.elapsed().as_secs_f64();
+        let apart = (second - first) / PACE;
+        assert!(
+            apart >= GAP.as_secs_f64() && apart <= wall,
+            "round {round}: acks {apart:.6} s apart in sim time, {:.3} s of sleep \
+             between them within {wall:.6} s of wall time",
+            GAP.as_secs_f64()
+        );
+    }
+
+    sigterm(&daemon);
+    let out = wait_exit(daemon);
+    assert!(
+        out.contains("8 submissions (8 tasks) admitted"),
+        "stdout: {out}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sum of `arls_ingest_loop_passes_total` over its causes.
+fn loop_passes(metrics_addr: &str) -> f64 {
+    http_get(metrics_addr, "/metrics")
+        .lines()
+        .filter(|l| l.starts_with("arls_ingest_loop_passes_total{"))
+        .filter_map(|l| l.split_whitespace().nth(1)?.parse::<f64>().ok())
+        .sum()
+}
+
+#[test]
+fn serve_is_not_spun_by_a_client_that_hung_up() {
+    let dir = scratch_dir("hangup");
+    let port_file = dir.join("ports.txt");
+    let mut daemon = spawn_serve(&[
+        "--listen",
+        "127.0.0.1:0",
+        "--metrics-addr",
+        "127.0.0.1:0",
+        "--port-file",
+        port_file.to_str().unwrap(),
+        "--pace",
+        "200",
+    ]);
+    let (ingest_addr, metrics_addr) = wait_for_ports(&port_file, &mut daemon);
+    let metrics_addr = metrics_addr.expect("metrics address in port file");
+
+    // A task that stays unresolved for the whole test: its connection
+    // stays open after the client hangs up, at its end of stream, which a
+    // socket reports as readable for ever.
+    let conn = TcpStream::connect(&ingest_addr).expect("connect ingest");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = conn.try_clone().expect("clone stream");
+    writer
+        .write_all(
+            b"{\"submit\":{\"id\":1,\"tasks\":[{\"size_mi\":1e7,\"deadline\":1e6,\
+              \"priority\":\"high\",\"site\":0}]}}\n",
+        )
+        .expect("write submission");
+    let mut reader = BufReader::new(conn);
+    for kind in ["ack", "placed"] {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read notification");
+        assert!(line.contains(&format!("\"{kind}\"")), "{line}");
+    }
+    drop((reader, writer));
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Control ticks (every 5 ms of wall time at pace 200) and the timers
+    // wake the loop ~225 times a second; a wait that the hung-up socket
+    // ended at once would make 10^5 passes and more.
+    let before = loop_passes(&metrics_addr);
+    std::thread::sleep(Duration::from_secs(1));
+    let passes = loop_passes(&metrics_addr) - before;
+    sigterm(&daemon);
+    let out = wait_exit(daemon);
+    assert!(passes < 1000.0, "{passes} loop passes in one second");
+    assert!(
+        out.contains("1 tasks still in flight"),
+        "the task stayed unresolved: {out}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -246,7 +246,7 @@ impl AdaptiveRl {
         let mut s = Self::new(1, cfg);
         let root = RngStream::root(s.cfg.seed);
         s.agents = vec![Agent::new(
-            SiteId(0),
+            SiteId(global_site as u32),
             root.derive_indexed("agent", global_site as u64),
         )];
         s.memory = SharedLearningMemory::for_shard(total_sites, s.cfg.memory_depth, global_site);
@@ -1135,6 +1135,56 @@ mod tests {
             assert_eq!(back.memory().summary(agent), to.memory().summary(agent));
         }
         assert_eq!(back.memory().len(), 4);
+    }
+
+    #[test]
+    fn an_unshared_shard_replays_its_own_experience() {
+        use crate::action::PolicyKind;
+        use crate::agent::ChoiceSource;
+        let cfg = AdaptiveRlConfig {
+            use_shared_memory: false,
+            ..AdaptiveRlConfig::default()
+        };
+        let exp = |agent, policy, opnum, l_val| Experience {
+            agent,
+            action: ActionChoice { policy, opnum },
+            l_val,
+            cycle: 1,
+        };
+        // Site 2 of 3 holds its own experience and a better summary from
+        // site 0.
+        let mut shard = AdaptiveRl::for_shard(2, 3, cfg);
+        shard.memory.record(exp(2, PolicyKind::Mixed, 1, 1.0));
+        shard.memory.set_summary(
+            0,
+            RingSummary {
+                best: Some(exp(0, PolicyKind::Identical, 3, 9.0)),
+                len: 1,
+            },
+        );
+        // A reward drop arms the replay rule.
+        let agent = &mut shard.agents[0];
+        agent.note_reward(1.0);
+        agent.note_reward(0.5);
+        let (action, source) = agent.decide(
+            &[ActionChoice {
+                policy: PolicyKind::Identical,
+                opnum: 2,
+            }],
+            0.0,
+            true,
+            &shard.memory,
+            shard.cfg.use_shared_memory,
+            4,
+        );
+        assert_eq!(source, ChoiceSource::MemoryReplay);
+        assert_eq!(
+            action,
+            Some(ActionChoice {
+                policy: PolicyKind::Mixed,
+                opnum: 1
+            })
+        );
     }
 
     #[test]

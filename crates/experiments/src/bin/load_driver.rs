@@ -3,7 +3,9 @@
 //! Connects to a serving daemon's ingest socket, replays a synthetic
 //! workload as [`workload::submit`] submissions at a configurable rate,
 //! and reports achieved throughput plus ack-latency quantiles (wall time
-//! from writing the submission line to reading its ack/reject line).
+//! from writing the submission line to reading its ack/reject line). A
+//! thread of its own reads the daemon's lines as they arrive, so an ack is
+//! timed when it is read, not when the sending loop next looks.
 //!
 //! Three replay shapes:
 //!
@@ -26,6 +28,7 @@ use simcore::stats::quantile;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use workload::submit::{Notification, Submission, SubmitTask};
 use workload::{Priority, SiteId};
@@ -48,7 +51,8 @@ struct Options {
     /// Number of sites to spread submissions over (round-robin).
     sites: u32,
     seed: u64,
-    /// Extra wall time to wait for completions after the last ack.
+    /// Wall time to wait for the next notification when nothing can be
+    /// sent: after the last submission, or with a full closed-loop window.
     drain_secs: f64,
 }
 
@@ -152,25 +156,36 @@ fn build_submission(opts: &Options, rng: &mut RngStream, i: u64) -> Submission {
     Submission { id: i, tasks }
 }
 
-/// Wall-clock send time of submission `i` for the open-loop shapes.
-/// For `diurnal`, inter-arrival gaps stretch and compress so the
+/// Wall-clock send times of the open-loop shapes, in order. For
+/// `diurnal`, inter-arrival gaps stretch and compress so the
 /// instantaneous rate tracks `rate × (1 + sin(2πt/period))`.
-fn open_loop_deadline(opts: &Options, i: u64) -> f64 {
-    match opts.mode {
-        Mode::Closed => 0.0,
-        Mode::Open => i as f64 / opts.rate,
-        Mode::Diurnal => {
-            // Integrate the modulated rate: N(t) = rate·t + rate·period/(2π)·(1−cos(2πt/period)).
-            // Invert numerically by stepping: cheap and exact enough for pacing.
-            let mut t = 0.0f64;
-            let mut sent = 0.0f64;
-            let dt = 1.0 / (opts.rate * 50.0).max(100.0);
-            while sent < i as f64 {
-                let inst = opts.rate * (1.0 + (2.0 * std::f64::consts::PI * t / opts.period).sin());
-                sent += inst * dt;
-                t += dt;
+struct SendSchedule {
+    /// Diurnal integration state: the time reached and the submissions
+    /// due by then.
+    t: f64,
+    sent: f64,
+}
+
+impl SendSchedule {
+    /// Send time of submission `i`, in seconds from the start; called
+    /// with `i` in increasing order.
+    fn due(&mut self, opts: &Options, i: u64) -> f64 {
+        match opts.mode {
+            Mode::Closed => 0.0,
+            Mode::Open => i as f64 / opts.rate,
+            Mode::Diurnal => {
+                // Integrate the modulated rate: N(t) = rate·t + rate·period/(2π)·(1−cos(2πt/period)).
+                // Invert numerically by stepping on from the previous
+                // submission's time: cheap and exact enough for pacing.
+                let dt = 1.0 / (opts.rate * 50.0).max(100.0);
+                while self.sent < i as f64 {
+                    let inst = opts.rate
+                        * (1.0 + (2.0 * std::f64::consts::PI * self.t / opts.period).sin());
+                    self.sent += inst * dt;
+                    self.t += dt;
+                }
+                self.t
             }
-            t
         }
     }
 }
@@ -180,14 +195,43 @@ fn main() {
     let stream =
         TcpStream::connect(&opts.addr).unwrap_or_else(|e| panic!("connect {}: {e}", opts.addr));
     stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(2)))
-        .expect("set_read_timeout");
     run(opts, stream);
+}
+
+/// Reads the daemon's lines on their own handle as they arrive, and
+/// passes each on with the instant it was read; ends at end of stream.
+fn read_lines(mut stream: TcpStream, lines: mpsc::Sender<(Instant, Vec<u8>)>) {
+    let mut readbuf = Vec::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => {
+                eprintln!("read failed: {e}");
+                return;
+            }
+        };
+        let at = Instant::now();
+        readbuf.extend_from_slice(&chunk[..n]);
+        while let Some(pos) = readbuf.iter().position(|b| *b == b'\n') {
+            let line = readbuf.drain(..=pos).collect();
+            if lines.send((at, line)).is_err() {
+                return;
+            }
+        }
+    }
 }
 
 fn run(opts: Options, mut stream: TcpStream) {
     let mut rng = RngStream::root(opts.seed).derive("load-driver");
+    let (tx, notices) = mpsc::channel();
+    let reader = stream
+        .try_clone()
+        .expect("clone the connection for reading");
+    let reader = std::thread::spawn(move || read_lines(reader, tx));
+    let mut schedule = SendSchedule { t: 0.0, sent: 0.0 };
     let start = Instant::now();
     let mut sent: u64 = 0;
     let mut acked: u64 = 0;
@@ -201,54 +245,56 @@ fn run(opts: Options, mut stream: TcpStream) {
     let mut in_flight: HashMap<u64, Instant> = HashMap::new();
     let mut ack_latencies_ms: Vec<f64> = Vec::new();
     let mut tasks_outstanding: u64 = 0;
-    let mut readbuf = Vec::new();
-    let mut chunk = [0u8; 8192];
     let mut last_activity = Instant::now();
+    // When the next open-loop submission is due.
+    let mut next_send = start;
 
-    loop {
+    'run: loop {
         // Send whatever is due under the chosen shape.
         while sent < opts.submissions {
             let due = match opts.mode {
                 Mode::Closed => in_flight.len() < opts.outstanding,
-                _ => start.elapsed().as_secs_f64() >= open_loop_deadline(&opts, sent),
+                _ => {
+                    next_send = start + Duration::from_secs_f64(schedule.due(&opts, sent));
+                    Instant::now() >= next_send
+                }
             };
             if !due {
                 break;
             }
             let sub = build_submission(&opts, &mut rng, sent);
-            let line = sub.render_line();
+            let mut line = sub.render_line();
+            line.push('\n');
             in_flight.insert(sub.id, Instant::now());
-            if let Err(e) = stream
-                .write_all(line.as_bytes())
-                .and_then(|_| stream.write_all(b"\n"))
-            {
+            if let Err(e) = stream.write_all(line.as_bytes()) {
                 eprintln!("write failed after {sent} submissions: {e}");
-                break;
+                break 'run;
             }
             sent += 1;
             last_activity = Instant::now();
         }
 
-        // Drain notifications.
-        match stream.read(&mut chunk) {
-            Ok(0) => {
+        // Wait for the next notification: until the next open-loop send is
+        // due, or, with nothing left to send now, until the drain window
+        // after the last activity closes.
+        let all_sent = sent >= opts.submissions;
+        let until = if all_sent || opts.mode == Mode::Closed {
+            last_activity + Duration::from_secs_f64(opts.drain_secs)
+        } else {
+            next_send
+        };
+        let notice = match notices.recv_timeout(until.saturating_duration_since(Instant::now())) {
+            Ok(notice) => Some(notice),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
                 eprintln!("server closed the connection");
                 break;
             }
-            Ok(n) => {
-                readbuf.extend_from_slice(&chunk[..n]);
-                last_activity = Instant::now();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("read failed: {e}");
-                break;
-            }
-        }
-        while let Some(pos) = readbuf.iter().position(|b| *b == b'\n') {
-            let line: Vec<u8> = readbuf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]);
+        };
+        // Everything that arrived meanwhile, then account for it.
+        for (at, line) in notice.into_iter().chain(notices.try_iter()) {
+            last_activity = at;
+            let line = String::from_utf8_lossy(&line);
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -256,7 +302,7 @@ fn run(opts: Options, mut stream: TcpStream) {
             match Notification::parse_line(line) {
                 Ok(Notification::Ack { id, tasks, .. }) => {
                     if let Some(t0) = in_flight.remove(&id) {
-                        ack_latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                        ack_latencies_ms.push((at - t0).as_secs_f64() * 1e3);
                     }
                     acked += 1;
                     tasks_admitted += tasks.len() as u64;
@@ -264,7 +310,7 @@ fn run(opts: Options, mut stream: TcpStream) {
                 }
                 Ok(Notification::Reject { id, reason }) => {
                     if let Some(t0) = in_flight.remove(&id) {
-                        ack_latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                        ack_latencies_ms.push((at - t0).as_secs_f64() * 1e3);
                     }
                     rejected += 1;
                     eprintln!("rejected {id}: {reason}");
@@ -285,14 +331,15 @@ fn run(opts: Options, mut stream: TcpStream) {
             }
         }
 
-        let all_sent = sent >= opts.submissions;
         let all_answered = in_flight.is_empty();
         let drained = tasks_outstanding == 0;
         if all_sent && all_answered && drained {
             break;
         }
         // Give completions a bounded window after the last activity.
-        if all_sent && last_activity.elapsed().as_secs_f64() > opts.drain_secs {
+        if (all_sent || opts.mode == Mode::Closed)
+            && last_activity.elapsed().as_secs_f64() > opts.drain_secs
+        {
             eprintln!(
                 "drain window elapsed with {} un-acked submissions and {} tasks in flight",
                 in_flight.len(),
@@ -300,10 +347,12 @@ fn run(opts: Options, mut stream: TcpStream) {
             );
             break;
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
 
     let wall = start.elapsed().as_secs_f64();
+    // Closing the connection ends the reader at its next read.
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    reader.join().expect("the reader thread panicked");
     let mode = match opts.mode {
         Mode::Open => "open",
         Mode::Closed => "closed",
@@ -338,7 +387,7 @@ fn run(opts: Options, mut stream: TcpStream) {
         );
     }
     // Non-zero exit when the run clearly failed, so CI can gate on it.
-    if acked + rejected < sent || done + failed < tasks_admitted {
+    if sent < opts.submissions || acked + rejected < sent || done + failed < tasks_admitted {
         eprintln!("load_driver: incomplete run");
         std::process::exit(1);
     }

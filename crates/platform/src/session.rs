@@ -168,6 +168,13 @@ impl<'s> ScheduleSession<'s> {
         self.outstanding.len()
     }
 
+    /// Firing time of the next pending event: the earliest horizon at
+    /// which [`ScheduleSession::advance_to`] does any work. `None` when
+    /// nothing is pending.
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.engine.queue().peek_time()
+    }
+
     /// Admits a submission at the current horizon.
     ///
     /// Every task is validated first (finite positive size and relative
@@ -465,12 +472,16 @@ mod tests {
         let (at, ids) = session.submit(&subs[..25]).expect("admit");
         assert_eq!(at, SimTime::ZERO);
         assert_eq!(ids.len(), 25);
+        assert_eq!(session.next_event(), Some(at), "the arrivals are due");
         let mut t = 0.0;
         // Advance in small slices; submit the rest mid-stream.
         let mut submitted_rest = false;
         while session.outstanding() > 0 || !submitted_rest {
             t += 20.0;
             session.advance_to(SimTime::new(t), &mut events);
+            if let Some(next) = session.next_event() {
+                assert!(next.as_f64() > t, "{next:?} is due by the horizon {t}");
+            }
             if !submitted_rest && t >= 60.0 {
                 let (at2, ids2) = session.submit(&subs[25..]).expect("admit rest");
                 assert!(at2.as_f64() >= 60.0);

@@ -268,6 +268,22 @@ impl<E> EventQueue<E> {
         Some(ev)
     }
 
+    /// Firing time of the event [`EventQueue::pop_through`] would remove
+    /// next, without removing it; `None` on an empty queue.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let o = self.overflow.peek().map(|o| (o.time, o.seq));
+        if self.in_wheel == 0 {
+            // An empty wheel: `pop_through` rotates the rung's head into
+            // slot 0 first, so the head is the rung's.
+            return o.map(|(t, _)| t);
+        }
+        let w = self.buckets[self.cursor]
+            .last()
+            .expect("cursor bucket holds the wheel head");
+        // The min of both tiers, as in `pop_through` (stragglers).
+        Some(o.map_or(w.time, |o| o.min((w.time, w.seq)).0))
+    }
+
     /// Moves the cursor to the next non-empty bucket and sorts it.
     fn advance_cursor(&mut self) {
         let n = self.buckets.len();

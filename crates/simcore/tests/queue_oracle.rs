@@ -1,7 +1,8 @@
 //! Property test: the calendar `EventQueue` dequeues in exactly the
-//! `(time, seq)` order a binary-heap priority queue would produce, under
-//! random push/pop/pop-through-horizon interleavings, bursty
-//! same-timestamp clusters, and arbitrary capacity hints.
+//! `(time, seq)` order a binary-heap priority queue would produce, and
+//! `peek_time` names the head it would dequeue next, under random
+//! push/pop/pop-through-horizon/peek interleavings, bursty same-timestamp
+//! clusters, and arbitrary capacity hints.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, ScheduledEvent, SimTime};
@@ -42,6 +43,8 @@ enum Op {
     Pop(u8),
     /// Pop every event due at or before the given time.
     PopThrough(f64),
+    /// Look up the head's time without popping.
+    Peek,
 }
 
 /// Quantised times force plenty of exact ties; the wide span plus the
@@ -59,6 +62,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (time_strategy(), 1u8..8).prop_map(|(t, n)| Op::Burst(t, n)),
         (1u8..6).prop_map(Op::Pop),
         time_strategy().prop_map(Op::PopThrough),
+        Just(Op::Peek),
     ]
 }
 
@@ -118,6 +122,13 @@ proptest! {
                             break;
                         }
                     }
+                }
+                Op::Peek => {
+                    prop_assert_eq!(
+                        calendar.peek_time(),
+                        oracle.heap.peek().map(|head| head.time),
+                        "peek diverged"
+                    );
                 }
             }
             prop_assert_eq!(calendar.len(), oracle.heap.len());

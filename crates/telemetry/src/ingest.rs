@@ -3,8 +3,9 @@
 //! notification lines pushed back — the `arls_ingest_*` metrics the
 //! `arls serve` daemon registers next to the platform's `arls_*` family.
 //! The serve loop itself is counted too: passes by what made them
-//! active (an idle pass is one park) and the park time they asked for,
-//! `WouldBlock` returns per socket call, and sim-time advances with and
+//! active (an idle pass found nothing to do) and the time its waits asked
+//! for, `WouldBlock` returns per socket call (near zero: the loop calls
+//! only what its wait reported ready), and sim-time advances with and
 //! without session events.
 
 use crate::metrics::{Counter, MetricsRegistry};
@@ -31,7 +32,7 @@ pub struct IngestMetrics {
     pub notifications: Counter,
     /// Serve-loop passes, each under the first thing that made it active
     /// (`accept`, then `read`, then session `events`), or `idle`: a pass
-    /// that parks.
+    /// after a wait that a timeout ended with nothing to do.
     pub passes_accept: Counter,
     /// See [`IngestMetrics::passes_accept`].
     pub passes_read: Counter,
@@ -39,12 +40,14 @@ pub struct IngestMetrics {
     pub passes_events: Counter,
     /// See [`IngestMetrics::passes_accept`].
     pub passes_idle: Counter,
-    /// Park time the idle passes asked for, in microseconds (the
-    /// requested backoff, not a measured sleep).
+    /// Timeouts the loop's waits asked for, in microseconds (what each
+    /// `poll` was given, not how long it blocked).
     pub park_requested_us: Counter,
-    /// Non-blocking `accept` calls that returned `WouldBlock`.
+    /// Non-blocking `accept` calls that returned `WouldBlock`: about one
+    /// per connection, as the loop accepts until the listener is drained.
     pub would_block_accept: Counter,
-    /// Non-blocking client reads that returned `WouldBlock`.
+    /// Non-blocking client reads that returned `WouldBlock`: only after a
+    /// read that filled the buffer.
     pub would_block_read: Counter,
     /// Non-blocking client writes that returned `WouldBlock`.
     pub would_block_write: Counter,
@@ -60,7 +63,7 @@ impl IngestMetrics {
         let pass = |cause| {
             reg.counter(
                 "arls_ingest_loop_passes_total",
-                "Serve-loop passes, by the first thing that made the pass active; idle passes park.",
+                "Serve-loop passes, by the first thing that made the pass active; idle passes found nothing to do.",
                 &[("cause", cause)],
             )
         };
@@ -120,7 +123,7 @@ impl IngestMetrics {
             passes_idle: pass("idle"),
             park_requested_us: reg.counter(
                 "arls_ingest_park_requested_microseconds_total",
-                "Park time the serve loop requested, in microseconds.",
+                "Wait timeouts the serve loop requested, in microseconds.",
                 &[],
             ),
             would_block_accept: would_block("accept"),
